@@ -32,7 +32,7 @@ from .core import (
 from .c1inf import C1InfOptions, C1InfProblem, c1inf
 from .info import accessible_information_given, holevo_chi
 from .lp import LinearProgram, PricingOutcome, column_generation
-from .optim import minimize_on_sphere
+from .optim import batched_objective, minimize_on_sphere
 
 ZERO_OUTCOME = 1e-14  # below this overlap an outcome never occurs
 
@@ -107,24 +107,31 @@ def measurement_lp(out_ens: Ensemble, directions: list) -> LinearProgram:
 
 def _measurement_objective(probs, mats, avg, lam: np.ndarray):
     """Maximize c(w) - w^dag lam w; implemented as a minimization of its
-    negative with the complex gradient."""
+    negative with the complex gradient.
 
+    The returned fun_grad takes a batch of shape (S, d) and returns values of
+    shape (S,) and gradients of shape (S, d); a single vector of shape (d,)
+    gives (float, gradient of shape (d,)).
+    """
+    probs = np.asarray(probs, dtype=float)
+    mats = np.stack(mats)
+    used = probs > 0.0
+
+    @batched_objective
     def fun_grad(v):
-        b = float(np.vdot(v, avg @ v).real)
-        if b < ZERO_OUTCOME:
-            return 0.0 + float(np.vdot(v, lam @ v).real), 2.0 * (lam @ v)
-        value = 0.0
-        grad = np.zeros_like(v)
-        for p, m in zip(probs, mats):
-            if p <= 0.0:
-                continue
-            a = float(np.vdot(v, m @ v).real)
-            if a > ZERO_OUTCOME:
-                ratio = np.log2(a / b)
-                value += p * a * ratio
-                grad = grad + p * ratio * (m @ v)
-        f = -(value - float(np.vdot(v, lam @ v).real))
-        g = -2.0 * (grad - lam @ v)
+        lam_v = v @ lam.T
+        penalty = np.einsum("si,si->s", v.conj(), lam_v).real
+        b = np.einsum("si,si->s", v.conj(), v @ avg.T).real
+        mv = np.einsum("kij,sj->ski", mats, v)
+        a = np.einsum("si,ski->sk", v.conj(), mv).real
+        occurs = (a > ZERO_OUTCOME) & used
+        b_safe = np.maximum(b, ZERO_OUTCOME)[:, None]
+        ratio = np.where(occurs, np.log2(np.where(occurs, a, 1.0) / b_safe), 0.0)
+        value = (probs * a * ratio).sum(axis=1)
+        grad = np.einsum("k,sk,ski->si", probs, ratio, mv)
+        never = b < ZERO_OUTCOME  # an outcome that never occurs contributes c(w) = 0
+        f = np.where(never, penalty, -(value - penalty))
+        g = np.where(never[:, None], 2.0 * lam_v, -2.0 * (grad - lam_v))
         return f, g
 
     return fun_grad
@@ -293,17 +300,18 @@ def c11(
 
     Restart 0 starts from the canonical uniform ensemble; the rest are
     random.  The landscape has stable non-global points, so all per-restart
-    values are retained and the best pair is returned.  Every iterate's value
-    and output-ensemble chi land on `trace` (the Holevo bound check).
+    values are retained and the best pair is returned.  The status is that of
+    the restart the pair comes from: "converged" if its alternation stopped
+    gaining, "round-limit" if it ran out of alternations.  Every iterate's
+    value and output-ensemble chi land on `trace` (the Holevo bound check).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     opts = opts or C11Options(restarts=restarts, seed=seed)
     seeds = np.random.SeedSequence(seed).spawn(restarts)
-    best = None
+    best = None  # (value, ensemble, povm, converged) of the best restart
     restart_values = []
     trace = []
-    any_converged = False
 
     for r in range(restarts):
         rng = np.random.default_rng(seeds[r])
@@ -348,11 +356,10 @@ def c11(
                 break
             prev_value = local_best[0]
         restart_values.append(local_best[0])
-        any_converged = any_converged or converged
         if best is None or local_best[0] > best[0] + 1e-12:
-            best = local_best
+            best = (*local_best, converged)
 
-    value, ens, povm = best
+    value, ens, povm, converged = best
     # re-evaluate so the reported value is exactly the accessible information
     # of the returned pair
     final_value = accessible_information_given(channel_ensemble(ch, ens), povm)
@@ -362,6 +369,6 @@ def c11(
         povm=povm,
         restarts_used=restarts,
         restart_values=restart_values,
-        status="converged" if any_converged else "round-limit",
+        status="converged" if converged else "round-limit",
         trace=trace,
     )

@@ -31,7 +31,14 @@ from .core import (
     shannon_entropy,
 )
 from .lp import LinearProgram, LpSolution, solve_lp
-from .optim import ascend_density_step, line_max_concave, log2_safe, minimize_on_sphere
+from .optim import (
+    ascend_density_step,
+    batched_objective,
+    line_max_concave,
+    log2_safe,
+    minimize_on_sphere,
+    renormalize_density,
+)
 
 
 @dataclass
@@ -131,20 +138,32 @@ def dual_tau(sol: LpSolution, dim: int) -> HermitianMatrix:
 
 
 def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
-    """f(v) = H(N(v v^dag)) - v^dag tau v with its complex gradient."""
+    """f(v) = H(N(v v^dag)) - v^dag tau v with its complex gradient.
 
+    The returned fun_grad takes a batch of shape (S, d) and returns values of
+    shape (S,) and gradients of shape (S, d); a single vector of shape (d,)
+    gives (float, gradient of shape (d,)).
+    """
+    kraus = np.stack(ch.kraus)
+    kraus_h = kraus.conj()
+
+    @batched_objective
     def fun_grad(v):
-        out = channel_output_pure(ch, v)
+        imgs = np.einsum("kij,sj->ski", kraus, v)  # A_k v
         if ch.diagonal_output:
-            probs = np.clip(out.diagonal().real, 0.0, None)
-            f_ent = float(-(probs[probs > 1e-12] * np.log2(probs[probs > 1e-12])).sum())
-            logm = np.diag(np.where(probs > 1e-12, np.log2(np.where(probs > 1e-12, probs, 1.0)), 0.0))
+            probs = (imgs.real**2 + imgs.imag**2).sum(axis=1)
+            keep = probs > 1e-12
+            logp = np.where(keep, np.log2(np.where(keep, probs, 1.0)), 0.0)
+            f_ent = -(probs * logp).sum(axis=1)
+            log_imgs = logp[:, None, :] * imgs
         else:
+            out = np.einsum("ski,skj->sij", imgs, imgs.conj())
             f_ent = entropy_of_spectrum(np.linalg.eigvalsh(out))
-            logm = log2_safe(out)
-        f = f_ent - float(np.vdot(v, tau_mat @ v).real)
-        grad = -2.0 * (adjoint_apply(ch, logm) @ v + v / LN2 + tau_mat @ v)
-        return f, grad
+            log_imgs = np.einsum("sij,skj->ski", log2_safe(out), imgs)
+        tau_v = v @ tau_mat.T
+        f = f_ent - np.einsum("si,si->s", v.conj(), tau_v).real
+        adjoint = np.einsum("kji,skj->si", kraus_h, log_imgs)  # N^dag(log N(v v^dag)) v
+        return f, -2.0 * (adjoint + v / LN2 + tau_v)
 
     return fun_grad
 
@@ -216,15 +235,7 @@ def update_rho(ch: QuantumChannel, tau: HermitianMatrix, rho: DensityMatrix) -> 
         return rho
     if g_value(ch, tau.mat, new_mat) < g_value(ch, tau.mat, rho.mat):
         return rho
-    return DensityMatrix(_renormalize(new_mat))
-
-
-def _renormalize(mat: np.ndarray) -> np.ndarray:
-    mat = (mat + mat.conj().T) / 2.0
-    eigs, vecs = np.linalg.eigh(mat)
-    eigs = np.clip(eigs, 0.0, None)
-    mat = (vecs * eigs) @ vecs.conj().T
-    return mat / mat.trace().real
+    return DensityMatrix(renormalize_density(new_mat))
 
 
 def _ascend_rho(ch, tau_mat, rho_mat, steps, tol):
@@ -236,7 +247,7 @@ def _ascend_rho(ch, tau_mat, rho_mat, steps, tol):
         nxt, moved = ascend_density_step(grad, cur, bisect_rounds=30)
         if not moved:
             break
-        nxt = _renormalize(nxt)
+        nxt = renormalize_density(nxt)
         val = g_value(ch, tau_mat, nxt)
         if val <= cur_val + tol / 10.0:
             if val > cur_val:
@@ -346,7 +357,7 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
 
         Equivalent to solve_lp(build_fixed_rho_lp(...)) but reuses the cached
         per-state coordinates and output entropies."""
-        rho = DensityMatrix(_renormalize(mat))
+        rho = DensityMatrix(renormalize_density(mat))
         lp = LinearProgram(
             c=np.array(costs),
             A=np.stack(coords_list, axis=1),
@@ -369,7 +380,7 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
         """Make `mat` representable by the master columns (unrestricted mode)."""
         if restricted:
             return
-        _, vecs = np.linalg.eigh(_renormalize(mat))
+        _, vecs = np.linalg.eigh(renormalize_density(mat))
         _dedup_add(states, coords_list, [PureState(fix_phase(vecs[:, k])) for k in range(d)],
                    costs=costs, ch=ch)
 

@@ -275,10 +275,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(rho.mat))
 
 
-def entropy_of_spectrum(eigs: np.ndarray) -> float:
+def entropy_of_spectrum(eigs: np.ndarray):
+    """Entropy in bits of a spectrum, entries clipped to [0, 1].
+
+    A stack of spectra (..., d) gives an array of entropies of shape (...).
+    """
     eigs = np.clip(eigs, 0.0, 1.0)
-    nz = eigs[eigs > ENTROPY_CLIP]
-    return float(-(nz * np.log2(nz)).sum())
+    keep = eigs > ENTROPY_CLIP
+    out = -np.where(keep, eigs * np.log2(np.where(keep, eigs, 1.0)), 0.0).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def binary_entropy(p: float) -> float:
@@ -289,20 +294,6 @@ def binary_entropy(p: float) -> float:
     if 1.0 - p > ENTROPY_CLIP:
         out -= (1.0 - p) * np.log2(1.0 - p)
     return float(out)
-
-
-def matrix_log2_clipped(mat: np.ndarray, clip: float = ENTROPY_CLIP) -> np.ndarray:
-    """log2 of a PSD matrix; eigenvalues below `clip` contribute nothing.
-
-    This is the subgradient choice matching the entropy clipping: directions
-    that grow a zero eigenvalue get derivative 0 rather than -inf.
-    """
-    eigs, vecs = np.linalg.eigh(mat)
-    keep = eigs > clip
-    if not keep.any():
-        return np.zeros_like(mat)
-    v = vecs[:, keep]
-    return (v * np.log2(eigs[keep])) @ v.conj().T
 
 
 def fidelity(rho_in: DensityMatrix, rho_out: DensityMatrix) -> float:

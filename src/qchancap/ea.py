@@ -11,7 +11,6 @@ evaluated by a column-generation heuristic and flagged experimental.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     LN2,
@@ -30,7 +29,14 @@ from .core import (
 from .c1inf import C1InfOptions, C1InfProblem, c1inf
 from .info import limited_ea_objective, quantum_mutual_information
 from .lp import LinearProgram, solve_lp
-from .optim import ascend_density_step, line_max_concave, log2_safe
+from .optim import (
+    ascend_density_step,
+    batched_objective,
+    line_max_concave,
+    log2_safe,
+    minimize_on_sphere,
+    renormalize_density,
+)
 
 
 @dataclass
@@ -90,14 +96,6 @@ def _coherent_grad(ch: QuantumChannel):
     return grad
 
 
-def _renormalize(mat: np.ndarray) -> np.ndarray:
-    mat = (mat + mat.conj().T) / 2.0
-    eigs, vecs = np.linalg.eigh(mat)
-    eigs = np.clip(eigs, 0.0, None)
-    mat = (vecs * eigs) @ vecs.conj().T
-    return mat / mat.trace().real
-
-
 def _fw_step(value_fn, grad_fn, mat):
     """One Frank-Wolfe step: gap, and the line-searched move toward the
     maximizing vertex (a pure state of the gradient's top eigenvector)."""
@@ -140,11 +138,11 @@ def c_ea(ch: QuantumChannel, tol: float = 1e-7, max_iter: int = 300) -> CEResult
             nxt, moved = ascend_density_step(grad_fn, mat, bisect_rounds=30)
             if not moved:
                 break
-            nxt = _renormalize(nxt)
+            nxt = renormalize_density(nxt)
             if value_fn(nxt) <= value_fn(mat):
                 break
             mat = nxt
-    rho_star = DensityMatrix(_renormalize(mat))
+    rho_star = DensityMatrix(renormalize_density(mat))
     return CEResult(
         value=quantum_mutual_information(ch, rho_star),
         rho_star=rho_star,
@@ -190,7 +188,7 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
                 nxt, moved = ascend_density_step(grad_fn, mat, bisect_rounds=30)
                 if not moved:
                     break
-                nxt = _renormalize(nxt)
+                nxt = renormalize_density(nxt)
                 if value_fn(nxt) <= value_fn(mat):
                     break
                 mat = nxt
@@ -198,7 +196,7 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
             if cur - prev < 1e-9:
                 break
             prev = cur
-        locals_found.append((value_fn(mat), _renormalize(mat)))
+        locals_found.append((value_fn(mat), renormalize_density(mat)))
 
     distinct = []
     for val, mat in sorted(locals_found, key=lambda t: -t[0]):
@@ -255,56 +253,54 @@ def _limited_master(columns, rho_bar, budget):
 
 def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
     """Ascend phi(rho) = (1-mu) H(rho) - H_env(rho) - Tr(tau rho) over densities
-    parameterized as M M^dag / Tr(M M^dag)."""
+    rho = M M^dag / Tr(M M^dag).
+
+    phi depends on M only through rho, which is invariant under scaling M, so
+    this is a sphere search over vec(M) in C^{d^2}.  Returns the violating
+    densities (phi(rho) > tol) as (violation, rho) pairs, best first.
+    """
     d = ch.dim_in
     eye = np.eye(d)
+    kraus = np.stack(ch.kraus)
+    kraus_pairs = np.einsum("arp,brq->abpq", kraus.conj(), kraus)  # A_a^dag A_b
 
-    def phi_grad(mat):
-        env = environment_output(ch, mat)
-        return (
-            (1.0 - mu) * (-log2_safe(mat) - eye / LN2)
-            + environment_adjoint(ch, log2_safe(env))
+    def phi_parts(rho):
+        """phi and its Hermitian gradient for a stack of densities (S, d, d)."""
+        env = np.einsum("aij,sjl,bil->sab", kraus, rho, kraus.conj())  # Tr(A_a rho A_b^dag)
+        phi = (
+            (1.0 - mu) * entropy_of_spectrum(np.linalg.eigvalsh(rho))
+            - entropy_of_spectrum(np.linalg.eigvalsh(env))
+            - np.einsum("ij,sji->s", tau, rho).real
+        )
+        grad = (
+            (1.0 - mu) * (-log2_safe(rho) - eye / LN2)
+            + np.einsum("sab,abpq->spq", log2_safe(env), kraus_pairs)
             + eye / LN2
             - tau
         )
+        return phi, grad
 
-    def phi(mat):
-        return (
-            (1.0 - mu) * _entropy(mat)
-            - _entropy(environment_output(ch, mat))
-            - float(np.trace(tau @ mat).real)
-        )
-
-    def fun_grad(x):
-        m = (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
-        t = float((m * m.conj()).sum().real)
-        rho = (m @ m.conj().T) / t
-        g = phi_grad(rho)
-        p = g - float(np.trace(g @ rho).real) * eye
-        gm = 2.0 * (p @ m) / t
-        return -phi(rho), -np.concatenate([gm.real.ravel(), gm.imag.ravel()])
+    @batched_objective
+    def fun_grad(v):
+        m = v.reshape(-1, d, d)
+        t = np.einsum("si,si->s", v, v.conj()).real[:, None, None]
+        rho = (m @ m.conj().swapaxes(1, 2)) / t
+        phi, g = phi_parts(rho)
+        p = g - np.einsum("sij,sji->s", g, rho).real[:, None, None] * eye
+        return -phi, -(2.0 * (p @ m) / t).reshape(-1, d * d)
 
     start_mats = [np.linalg.cholesky(
         (1 - 1e-9) * col.mat + 1e-9 * eye / d) for col in columns[-3:]]
     start_mats.append(np.linalg.cholesky((1 - 1e-9) * rho_bar + 1e-9 * eye / d))
     for _ in range(starts):
         start_mats.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    start_vecs = [m.ravel() / np.linalg.norm(m) for m in start_mats]
 
-    found = []
-    for m0 in start_mats:
-        x0 = np.concatenate([np.asarray(m0, complex).real.ravel(),
-                             np.asarray(m0, complex).imag.ravel()])
-        x0 = x0 / np.linalg.norm(x0)
-        res = minimize(fun_grad, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 300, "gtol": 1e-9, "ftol": 1e-14})
-        m = (res.x[: d * d] + 1j * res.x[d * d:]).reshape(d, d)
-        t = float((m * m.conj()).sum().real)
-        if t < 1e-12:
-            continue
-        rho = _renormalize((m @ m.conj().T) / t)
-        violation = phi(rho)
-        if violation > tol:
-            found.append((violation, rho))
+    minima = minimize_on_sphere(fun_grad, d * d, start_vecs, gtol=1e-9, maxiter=300)
+    rhos = np.stack([renormalize_density(m @ m.conj().T)
+                     for m in (v.reshape(d, d) for _, v in minima)])
+    violations, _ = phi_parts(rhos)
+    found = [(float(val), rho) for val, rho in zip(violations, rhos) if val > tol]
     found.sort(key=lambda it: -it[0])
     return found
 
@@ -334,7 +330,7 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
     coords_seen = []
 
     def add_column(mat):
-        col = _make_column(ch, _renormalize(mat))
+        col = _make_column(ch, renormalize_density(mat))
         if budget <= 1e-12 and col.entropy > 1e-12:
             return False  # a zero budget admits only pure columns
         if all(np.abs(col.coords - s).max() > 1e-9 for s in coords_seen):
@@ -349,7 +345,7 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
     add_column(eye / d)
 
     def anchor(mat):
-        _, vecs = np.linalg.eigh(_renormalize(mat))
+        _, vecs = np.linalg.eigh(renormalize_density(mat))
         for k in range(d):
             add_column(np.outer(vecs[:, k], vecs[:, k].conj()))
 
@@ -365,7 +361,7 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
     candidates = [base.rho.mat, top.rho_star.mat, eye / d]
     cur = None
     for mat in candidates:
-        mat = _renormalize(mat)
+        mat = renormalize_density(mat)
         anchor(mat)
         trial = solve_at(mat)
         if trial is not None and (cur is None or trial["total"] > cur["total"]):
@@ -396,10 +392,10 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
 
         cand, moved = ascend_density_step(u_grad, cur["rho"], bisect_rounds=30)
         if moved:
-            cand = _renormalize(cand)
+            cand = renormalize_density(cand)
             delta = cand - cur["rho"]
             for frac in (1.0, 0.5, 0.25, 0.125):
-                trial_mat = _renormalize(cur["rho"] + frac * delta)
+                trial_mat = renormalize_density(cur["rho"] + frac * delta)
                 anchor(trial_mat)
                 trial = solve_at(trial_mat)
                 if trial is not None and trial["total"] > cur["total"] + opts.tol / 10.0:

@@ -8,13 +8,20 @@ The solver is a dense revised simplex over min/max programs
 Phase-1 artificial variables handle feasibility; artificials stuck in the
 basis at zero level (redundant rows) are tolerated permanently with an
 extended ratio test, so duals always come back with one entry per original
-row.  The pivot rule is largest-coefficient with a Bland's-rule fallback
-after a run of degenerate pivots, which guarantees termination.
+row.  The pivot rule is largest-coefficient.  After a run of degenerate
+pivots it switches to Bland's rule on both sides: the entering column is the
+eligible one of smallest index, and the leaving row, among those tied at the
+minimum ratio, the one whose basic variable has the smallest index.  In exact
+arithmetic that rules out cycling (Bland 1977); under roundoff the pivot cap
+still bounds the run.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+NEGLIGIBLE_PIVOT = 1e-6  # pivots below this make a near-singular basis
 
 
 class LpError(ValueError):
@@ -266,12 +273,19 @@ def _simplex(work, b, cost, basis, artificial, pivot_tol, max_pivots):
     `artificial` marks columns that must stay at zero level: they never
     enter, and rows where they sit basic force a zero-ratio exit as soon
     as the entering column touches them.
+
+    Outside Bland's rule, an entering column whose ratio test leaves only a
+    negligible pivot is passed over until the next pivot, as long as another
+    column can enter: pivoting on such an element makes a near-singular
+    basis, whose next ratio test is computed from noise and can leave the
+    basic solution infeasible.
     """
     m = b.size
     basis = np.array(basis, dtype=int)
     degenerate_streak = 0
     bland_threshold = 5 * (m + work.shape[1])
     pivots = 0
+    passed_over = np.zeros(work.shape[1], dtype=bool)
     while True:
         bmat = work[:, basis]
         xb = np.linalg.solve(bmat, b)
@@ -279,12 +293,16 @@ def _simplex(work, b, cost, basis, artificial, pivot_tol, max_pivots):
         reduced = cost - y @ work
         reduced[basis] = 0.0
         enter_ok = (reduced < -pivot_tol) & ~artificial
-        candidates = np.flatnonzero(enter_ok)
-        if candidates.size == 0:
+        if not enter_ok.any():
             return basis, xb, "optimal", pivots
         if pivots >= max_pivots:
             raise LpError(f"pivot limit {max_pivots} exceeded")
-        if degenerate_streak > bland_threshold:
+        candidates = np.flatnonzero(enter_ok & ~passed_over)
+        forced = candidates.size == 0
+        if forced:
+            candidates = np.flatnonzero(enter_ok)
+        bland = degenerate_streak > bland_threshold
+        if bland:
             j = int(candidates[0])  # Bland: smallest eligible index
         else:
             j = int(candidates[np.argmin(reduced[candidates])])
@@ -306,10 +324,30 @@ def _simplex(work, b, cost, basis, artificial, pivot_tol, max_pivots):
             candidates.append((t, i))
         if not candidates:
             return basis, xb, "unbounded", pivots
-        leave, best_t = _choose_leaving(candidates, xb, d, basis, artificial)
+        if bland:
+            leave, best_t = _bland_leaving(candidates, basis)
+        else:
+            leave, best_t = _choose_leaving(candidates, xb, d, basis, artificial)
+            if abs(d[leave]) < NEGLIGIBLE_PIVOT and not forced:
+                passed_over[j] = True
+                continue
         degenerate_streak = degenerate_streak + 1 if best_t < 1e-12 else 0
         basis[leave] = j
         pivots += 1
+        passed_over[:] = False
+
+
+def _ratio_window(best: float) -> float:
+    return best + 1e-9 * (1.0 + best)
+
+
+def _bland_leaving(candidates, basis):
+    """Bland's leaving rule: among the rows tied at the minimum ratio, the one
+    whose basic variable has the smallest index."""
+    best = min(t for t, _ in candidates)
+    window = _ratio_window(best)
+    leave = min((i for t, i in candidates if t <= window), key=lambda i: basis[i])
+    return leave, best
 
 
 def _choose_leaving(candidates, xb, d, basis, artificial):
@@ -325,7 +363,7 @@ def _choose_leaving(candidates, xb, d, basis, artificial):
 
     def pick(cands):
         best = min(t for t, _ in cands)
-        window = best + 1e-9 * (1.0 + best)
+        window = _ratio_window(best)
         chosen = -1
         for t, i in cands:
             if t > window:
@@ -335,8 +373,8 @@ def _choose_leaving(candidates, xb, d, basis, artificial):
         return chosen, best
 
     leave, best_t = pick(candidates)
-    if abs(d[leave]) < 1e-6:
-        strong = [(t, i) for t, i in candidates if abs(d[i]) >= 1e-6]
+    if abs(d[leave]) < NEGLIGIBLE_PIVOT:
+        strong = [(t, i) for t, i in candidates if abs(d[i]) >= NEGLIGIBLE_PIVOT]
         if strong:
             alt_leave, alt_t = pick(strong)
             drift = xb - alt_t * d

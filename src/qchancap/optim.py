@@ -6,11 +6,38 @@ computation that keeps iterates positive semidefinite.
 """
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import LN2, fix_phase, snap_vector
 
 STEP_CAP = 1e6
+LBFGS_MEMORY = 10  # correction pairs kept per start, at most one per real variable
+LBFGS_FTOL = 1e-15  # relative decrease below which a start stops
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+WOLFE = 0.9  # a step is extended while the slope along d stays below this share
+MAX_EXPANSION = 64.0  # longest step the line search extends to; the first trial is at most 1
+MAX_TRIALS = 60  # line-search evaluations per iteration
+
+
+def batched_objective(fun_grad_rows):
+    """Let an objective written for a batch of vectors also take one vector.
+
+    `fun_grad_rows(V)` maps an (S, d) array to values of shape (S,) and
+    gradients of shape (S, d).  The returned function passes a 2-D batch
+    through unchanged and maps a 1-D vector v to (float value, 1-D gradient).
+    """
+
+    def fun_grad(v):
+        v = np.asarray(v)
+        if v.ndim == 1:
+            f, g = fun_grad_rows(v[None, :])
+            return float(f[0]), g[0]
+        return fun_grad_rows(v)
+
+    return fun_grad
+
+
+def _rowdot(a, b):
+    return (a * b).sum(axis=1)
 
 
 def minimize_on_sphere(
@@ -23,35 +50,107 @@ def minimize_on_sphere(
 ):
     """Multistart local minimization of f(v) over complex unit vectors.
 
-    fun_grad(v) -> (value, g) with g the complex gradient in the convention
-    df = Re(g^dag dv).  The search runs L-BFGS on the real embedding of the
-    normalized objective f(x/|x|).  Returns distinct local minima as
-    (value, vector) pairs sorted by value (phase-gauge fixed, deterministic
-    tie-break by amplitudes).
+    fun_grad(V) takes a batch V of shape (S, dim), one vector per row, and
+    returns values of shape (S,) and complex gradients of shape (S, dim), row
+    s in the convention df = Re(g_s^dag dv_s).  All starts run at once: one
+    L-BFGS on the real embedding of the normalized objective f(x/|x|), every
+    start with its own correction pairs, two-loop recursion and line search
+    (Armijo backtracking; an accepted step is doubled while the slope along
+    the direction stays steep, as a Wolfe line search would).  A start stops
+    when its gradient's largest entry is at most gtol, when its relative
+    decrease falls to 1e-15 (also when the line search can only promise
+    less), or after maxiter iterations; a stopped start is frozen, while the
+    whole batch is still evaluated together.  Returns distinct local minima
+    as (value, vector) pairs sorted by value (phase-gauge fixed,
+    deterministic tie-break by amplitudes).
     """
+    v0 = np.asarray(list(start_vectors), dtype=complex).reshape(-1, dim)
+    if v0.shape[0] == 0:
+        return []
+    x = np.concatenate([v0.real, v0.imag], axis=1)
 
-    def wrapped(x):
-        r = np.linalg.norm(x)
-        v = (x[:dim] + 1j * x[dim:]) / r
-        f, g = fun_grad(v)
-        gp = (g - v * float(np.vdot(v, g).real)) / r
-        return f, np.concatenate([gp.real, gp.imag])
+    def embedded(x):
+        r = np.sqrt(_rowdot(x, x))[:, None]
+        u = x / r
+        f, g = fun_grad(u[:, :dim] + 1j * u[:, dim:])
+        g = np.concatenate([g.real, g.imag], axis=1)
+        return f, (g - u * _rowdot(u, g)[:, None]) / r
 
-    found = []
-    for v0 in start_vectors:
-        x0 = np.concatenate([np.asarray(v0).real, np.asarray(v0).imag])
-        res = minimize(
-            wrapped,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-15},
-        )
-        x = res.x
-        v = x[:dim] + 1j * x[dim:]
-        v = snap_vector(fix_phase(v / np.linalg.norm(v)))
-        f, _ = fun_grad(v)
-        found.append((float(f), v))
+    starts, n = x.shape
+    memory = min(LBFGS_MEMORY, n)
+    f, g = embedded(x)
+    s_mem = np.zeros((memory, starts, n))
+    y_mem = np.zeros((memory, starts, n))
+    rho_mem = np.zeros((memory, starts))  # 0 marks an empty or skipped pair
+    alpha = np.zeros((memory, starts))
+    gamma = np.ones(starts)
+    active = np.abs(g).max(axis=1) > gtol
+    for it in range(maxiter):
+        if not active.any():
+            break
+        # two-loop recursion, newest pair first
+        slots = [(it - 1 - k) % memory for k in range(min(it, memory))]
+        q = g.copy()
+        for k in slots:
+            alpha[k] = rho_mem[k] * _rowdot(s_mem[k], q)
+            q -= alpha[k][:, None] * y_mem[k]
+        q *= gamma[:, None]
+        for k in reversed(slots):
+            q += (alpha[k] - rho_mem[k] * _rowdot(y_mem[k], q))[:, None] * s_mem[k]
+        d = -q
+        slope = _rowdot(g, d)
+        # a start whose direction does not descend drops its pairs; a start
+        # without pairs takes a steepest-descent step of length at most 1
+        uphill = slope >= 0.0
+        rho_mem[:, uphill] = 0.0
+        gamma[uphill] = 1.0
+        fresh = (rho_mem == 0.0).all(axis=0)
+        d = np.where(fresh[:, None], -g, d)
+        d[~active] = 0.0
+        slope = np.where(fresh, -_rowdot(g, g), slope)
+        t = np.where(fresh, 1.0 / np.maximum(np.linalg.norm(d, axis=1), 1.0), 1.0)
+
+        # line search, one batched evaluation per trial: halve the step
+        # until it gives sufficient decrease, or double an accepted step
+        # while the slope along d is still steep and the value still falls
+        pending = active.copy()
+        moved = np.zeros(starts, dtype=bool)
+        x_new, f_new, g_new = x, f, g
+        scale = np.maximum(np.abs(f), 1.0)
+        for _ in range(MAX_TRIALS):
+            x_try = x + t[:, None] * d
+            f_try, g_try = embedded(x_try)
+            better = pending & (f_try <= f + ARMIJO * t * slope) & (f_try < f_new)
+            x_new = np.where(better[:, None], x_try, x_new)
+            f_new = np.where(better, f_try, f_new)
+            g_new = np.where(better[:, None], g_try, g_new)
+            expand = better & (_rowdot(g_try, d) < WOLFE * slope) & (t < MAX_EXPANSION)
+            shrink = pending & ~moved & ~better
+            moved |= better
+            t = np.where(expand, 2.0 * t, np.where(shrink, 0.5 * t, t))
+            # a start stops shrinking once the decrease it could still make is below ftol
+            pending = expand | (shrink & (-t * slope > LBFGS_FTOL * scale))
+            if not pending.any():
+                break
+
+        step, dg = x_new - x, g_new - g
+        sy = _rowdot(step, dg)
+        yy = _rowdot(dg, dg)
+        keep = moved & (sy > np.finfo(float).eps * yy)
+        slot = it % memory
+        s_mem[slot] = step
+        y_mem[slot] = dg
+        rho_mem[slot] = np.where(keep, 1.0 / np.where(keep, sy, 1.0), 0.0)
+        gamma = np.where(keep, sy / np.where(keep, yy, 1.0), gamma)
+
+        decrease = (f - f_new) / np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
+        x, f, g = x_new, f_new, g_new
+        active &= moved & (decrease > LBFGS_FTOL) & (np.abs(g).max(axis=1) > gtol)
+
+    v = x[:, :dim] + 1j * x[:, dim:]
+    v = np.array([snap_vector(fix_phase(row / np.linalg.norm(row))) for row in v])
+    values, _ = fun_grad(v)
+    found = [(float(val), row) for val, row in zip(values, v)]
 
     distinct = []
     for f, v in sorted(found, key=_sphere_sort_key):
@@ -142,21 +241,34 @@ def ascend_density_step(
 
 
 def log2_safe(mat: np.ndarray, clip: float = 1e-12) -> np.ndarray:
-    """log2 of a PSD matrix with sub-clip eigenvalues contributing nothing."""
+    """log2 of a PSD matrix with sub-clip eigenvalues contributing nothing.
+
+    A stack of matrices (..., d, d) gives the stack of their logs.
+    """
     eigs, vecs = np.linalg.eigh(mat)
     keep = eigs > clip
-    if not keep.any():
-        return np.zeros_like(mat)
-    v = vecs[:, keep]
-    return (v * np.log2(eigs[keep])) @ v.conj().T
+    logs = np.where(keep, np.log2(np.where(keep, eigs, 1.0)), 0.0)
+    return (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def renormalize_density(mat: np.ndarray) -> np.ndarray:
+    """Nearest-in-spirit density matrix: Hermitian part, negative eigenvalues
+    clipped to zero, unit trace."""
+    mat = (mat + mat.conj().T) / 2.0
+    eigs, vecs = np.linalg.eigh(mat)
+    eigs = np.clip(eigs, 0.0, None)
+    mat = (vecs * eigs) @ vecs.conj().T
+    return mat / mat.trace().real
 
 
 __all__ = [
     "LN2",
     "ascend_density_step",
+    "batched_objective",
     "line_max_concave",
     "log2_safe",
     "minimize_on_sphere",
     "psd_boundary_step",
+    "renormalize_density",
     "traceless_part",
 ]

@@ -17,6 +17,8 @@ from qchancap.core import (
     tensor,
 )
 from qchancap.c11 import (
+    ZERO_OUTCOME,
+    C11Options,
     c11,
     induced_classical_channel,
     measurement_lp,
@@ -276,3 +278,72 @@ def test_c11_alternation_monotone(trine_run):
 def test_c11_identity_unrestricted():
     res = c11(identity_channel(2), restarts=2, seed=1)
     assert res.value == pytest.approx(1.0, abs=1e-6)
+
+
+# --- batched measurement objective -------------------------------------------
+
+def _measurement_objective_loop(probs, mats, avg, lam):
+    """Reference: the objective one vector at a time, one state at a time."""
+
+    def fun_grad(v):
+        b = float(np.vdot(v, avg @ v).real)
+        if b < ZERO_OUTCOME:
+            return float(np.vdot(v, lam @ v).real), 2.0 * (lam @ v)
+        value = 0.0
+        grad = np.zeros_like(v)
+        for p, m in zip(probs, mats):
+            a = float(np.vdot(v, m @ v).real)
+            if p > 0.0 and a > ZERO_OUTCOME:
+                ratio = np.log2(a / b)
+                value += p * a * ratio
+                grad = grad + p * ratio * (m @ v)
+        return -(value - float(np.vdot(v, lam @ v).real)), -2.0 * (grad - lam @ v)
+
+    return fun_grad
+
+
+def test_measurement_objective_batch_matches_single_rows():
+    rng = np.random.default_rng(21)
+    e = np.eye(3)
+    for trial in range(20):
+        # two states on span{e0, e1}, one of them pure; on odd trials the
+        # full-rank third state gets zero weight, and then e2 and its
+        # neighbours make outcomes that never occur
+        mats = [np.outer(e[0], e[0]), random_density(rng, 2).mat, random_density(rng, 3).mat]
+        mats[1] = np.pad(mats[1], ((0, 1), (0, 1)))
+        probs = rng.dirichlet(np.ones(3))
+        probs[2] = 0.0 if trial % 2 else probs[2]
+        avg = sum(p * m for p, m in zip(probs, mats))
+        lam = random_density(rng, 3).mat * rng.normal()
+        batch = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        batch = np.vstack([batch, e[2], e[2] + 1e-9 * e[0], e[0], e[1]])
+        batch /= np.linalg.norm(batch, axis=1)[:, None]
+        fun_grad = _measurement_objective(probs, mats, avg, lam)
+        reference = _measurement_objective_loop(probs, mats, avg, lam)
+        values, grads = fun_grad(batch)
+        assert values.shape == (batch.shape[0],) and grads.shape == batch.shape
+        for v, f_row, g_row in zip(batch, values, grads):
+            f_one, g_one = fun_grad(v)
+            f_ref, g_ref = reference(v)
+            assert isinstance(f_one, float) and g_one.shape == v.shape
+            assert abs(f_row - f_one) <= 1e-12 and np.abs(g_row - g_one).max() <= 1e-12
+            assert abs(f_row - f_ref) <= 1e-12 and np.abs(g_row - g_ref).max() <= 1e-12
+
+
+# --- status ------------------------------------------------------------------
+
+def test_c11_status_is_that_of_the_returned_restart():
+    # restart 0 converges after two alternations; the returned restart 2
+    # still gains at its third and last one
+    alternations = 3
+    opts = C11Options(restarts=3, seed=1, alternations=alternations)
+    res = c11(identity_channel(2), restricted_signals=trine_signals(), restarts=3, seed=1, opts=opts)
+    running = {}
+    for row in res.trace:
+        vals = running.setdefault(row["restart"], {})
+        vals[row["alternation"]] = max(vals.get(row["alternation"], -np.inf), row["value"])
+    best = int(np.argmax(res.restart_values))
+    assert len(running[0]) < alternations
+    gains = np.diff(np.maximum.accumulate([running[best][a] for a in range(alternations)]))
+    assert len(running[best]) == alternations and gains[-1] >= opts.alt_tol
+    assert res.status == "round-limit"

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from qchancap.core import (
+    LN2,
     DensityMatrix,
     PureState,
+    adjoint_apply,
     binary_entropy,
     channel_ensemble,
+    channel_output_pure,
+    entropy_of_spectrum,
     identity_channel,
     random_channel,
+    random_density,
+    random_rank_one_povm,
     validate_channel,
 )
+from qchancap.c11 import induced_classical_channel
 from qchancap.c1inf import (
     C1InfOptions,
     C1InfProblem,
@@ -27,6 +34,7 @@ from qchancap.c1inf import (
 )
 from qchancap.info import arimoto_blahut, ClassicalChannel, holevo_chi
 from qchancap.lp import solve_lp
+from qchancap.optim import log2_safe
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -360,3 +368,51 @@ def test_c1inf_restricted_matches_simplex_enumeration():
     oracle, _ = simplex_enumerate_chi(ch, signals, step=1e-3)
     assert res.value == pytest.approx(oracle, abs=2e-3)
     assert res.value >= oracle - 2e-3
+
+
+# --- batched pricing objective -----------------------------------------------
+
+def _pricing_objective_loop(ch, tau_mat):
+    """Reference: the objective one vector at a time, one Kraus operator at a time."""
+
+    def fun_grad(v):
+        out = channel_output_pure(ch, v)
+        if ch.diagonal_output:
+            probs = np.clip(out.diagonal().real, 0.0, None)
+            keep = probs > 1e-12
+            f_ent = float(-(probs[keep] * np.log2(probs[keep])).sum())
+            logm = np.diag(np.where(keep, np.log2(np.where(keep, probs, 1.0)), 0.0))
+        else:
+            f_ent = entropy_of_spectrum(np.linalg.eigvalsh(out))
+            logm = log2_safe(out)
+        f = f_ent - float(np.vdot(v, tau_mat @ v).real)
+        return f, -2.0 * (adjoint_apply(ch, logm) @ v + v / LN2 + tau_mat @ v)
+
+    return fun_grad
+
+
+def test_pricing_objective_batch_matches_single_rows():
+    rng = np.random.default_rng(22)
+    channels = [random_channel(rng, d, d, k) for d in (2, 3) for k in (1, 2, 3)]
+    channels.append(dephasing(0.25))
+    # measurement-induced channels have diagonal outputs and take the
+    # eigendecomposition-free path
+    channels += [induced_classical_channel(ch, random_rank_one_povm(rng, ch.dim_out, ch.dim_out + 1))
+                 for ch in channels[:3]]
+    assert any(ch.diagonal_output for ch in channels)
+    for ch in channels:
+        d = ch.dim_in
+        tau = random_density(rng, d).mat * rng.normal()
+        batch = rng.normal(size=(7, d)) + 1j * rng.normal(size=(7, d))
+        batch = np.vstack([batch, np.eye(d)])  # pure outputs: zero eigenvalues
+        batch /= np.linalg.norm(batch, axis=1)[:, None]
+        fun_grad = _pricing_objective(ch, tau)
+        reference = _pricing_objective_loop(ch, tau)
+        values, grads = fun_grad(batch)
+        assert values.shape == (batch.shape[0],) and grads.shape == batch.shape
+        for v, f_row, g_row in zip(batch, values, grads):
+            f_one, g_one = fun_grad(v)
+            f_ref, g_ref = reference(v)
+            assert isinstance(f_one, float) and g_one.shape == v.shape
+            assert abs(f_row - f_one) <= 1e-12 and np.abs(g_row - g_one).max() <= 1e-12
+            assert abs(f_row - f_ref) <= 1e-12 and np.abs(g_row - g_ref).max() <= 1e-12

@@ -1,9 +1,11 @@
 """Tests for the simplex solver and the column-generation driver."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from qchancap.lp import (
     LinearProgram,
@@ -219,3 +221,100 @@ def test_lp_validation_errors():
         LinearProgram(c=[np.inf], A=[[1.0]], b=[1.0])
     with pytest.raises(LpError):
         LinearProgram(c=[1.0], A=[[1.0]], b=[1.0], sense="argmax")
+
+
+# --- regressions and a differential check against HiGHS ---------------------
+
+CAPTURED = Path(__file__).parent / "data" / "captured_lps.npz"
+
+
+def _captured(name):
+    data = np.load(CAPTURED)
+    lp = LinearProgram(c=data[f"{name}_c"], A=data[f"{name}_A"], b=data[f"{name}_b"])
+    return lp, tuple(int(j) for j in data[f"{name}_warm"])
+
+
+def _highs(lp):
+    sign = 1.0 if lp.sense == "min" else -1.0
+    res = linprog(sign * lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return sign * res.fun, sign * res.eqlin.marginals
+
+
+def test_captured_qutrit_master_does_not_cycle():
+    # a c1inf master on a random qutrit channel (9 rows, 234 columns) on which
+    # a leaving rule without Bland's tie-break cycled with zero step length
+    lp, warm = _captured("cycling")
+    best, _ = _highs(lp)
+    for start in (warm, None):
+        sol = solve_lp(lp, warm_basis=start, max_pivots=20_000)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(best, abs=1e-8)
+        _assert_optimal_dual(lp, sol, best)
+
+
+def test_captured_tiny_pivot_master_stays_feasible():
+    # a c1inf master whose ratio test offered a 1e-8 pivot on a degenerate
+    # row; pivoting on it led to a near-singular basis and then to a
+    # terminal basis with a negative basic variable
+    lp, warm = _captured("tiny_pivot")
+    best, _ = _highs(lp)
+    for start in (warm, None):
+        sol = solve_lp(lp, warm_basis=start)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(best, abs=1e-9)
+        assert np.abs(lp.A @ sol.x - lp.b).max() <= 1e-9
+        _assert_optimal_dual(lp, sol, best)
+
+
+def _assert_optimal_dual(lp, sol, objective):
+    """y is an optimal dual: it attains the objective and is dual feasible."""
+    scale = 1.0 + abs(objective)
+    assert sol.duals @ lp.b == pytest.approx(objective, abs=1e-7 * scale)
+    slack = lp.c - sol.duals @ lp.A
+    if lp.sense == "max":
+        slack = -slack
+    assert slack.min() >= -1e-7 * scale
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_random_lps_match_highs(sense):
+    rng = np.random.default_rng(11 if sense == "min" else 12)
+    for _ in range(30):
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(m + 1, 4 * m + 2))
+        a = rng.normal(size=(m, n))
+        b = a @ rng.uniform(0.1, 1.0, size=n)  # strictly feasible: a nondegenerate optimum
+        c = rng.uniform(0.1, 1.0, size=n) * (1.0 if sense == "min" else -1.0)
+        lp = LinearProgram(c=c, A=a, b=b, sense=sense)
+        best, duals = _highs(lp)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(best, abs=1e-8 * (1 + abs(best)))
+        np.testing.assert_allclose(sol.duals, duals, atol=1e-7 * (1 + np.abs(duals).max()))
+        _assert_optimal_dual(lp, sol, best)
+
+
+def test_degenerate_lps_match_highs():
+    # right-hand sides spanned by fewer than m columns, repeated columns and
+    # a redundant row: optimal bases are degenerate and duals not unique, so
+    # the duals are checked for optimality rather than compared entrywise
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        m = int(rng.integers(3, 8))
+        n = int(rng.integers(m + 2, 3 * m + 2))
+        a = rng.normal(size=(m, n))
+        a[:, -1] = a[:, 0]
+        a[-1] = a[0] + a[1]
+        x0 = np.zeros(n)
+        x0[rng.choice(n - 1, size=m - 2, replace=False)] = rng.uniform(0.5, 1.5, size=m - 2)
+        b = a @ x0
+        c = np.abs(rng.normal(size=n)).round(1) + 0.1  # ties between columns
+        lp = LinearProgram(c=c, A=a, b=b)
+        best, _ = _highs(lp)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(best, abs=1e-8 * (1 + abs(best)))
+        assert np.abs(a @ sol.x - b).max() <= 1e-8 * (1 + np.abs(b).max())
+        _assert_optimal_dual(lp, sol, best)
+
