@@ -416,3 +416,16 @@ def test_pricing_objective_batch_matches_single_rows():
             assert isinstance(f_one, float) and g_one.shape == v.shape
             assert abs(f_row - f_one) <= 1e-12 and np.abs(g_row - g_one).max() <= 1e-12
             assert abs(f_row - f_ref) <= 1e-12 and np.abs(g_row - g_ref).max() <= 1e-12
+
+
+# --- qutrit channels ------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_c1inf_random_qutrit_channel_converges_with_certificates(seed):
+    ch = random_channel(np.random.default_rng(seed), 3, 3, 3)
+    res = c1inf(C1InfProblem(ch))
+    assert res.status == "converged"
+    for row in res.trace:
+        assert row["master_objective"] >= row["tr_tau_rho"] - 1e-7
+    assert res.pricing_residual < 1e-6
+    assert holevo_chi(channel_ensemble(ch, res.ensemble)) == pytest.approx(res.value, abs=1e-8)

@@ -129,6 +129,22 @@ def test_oracle_subcommand(capsys):
     assert float(fields["value_bits"]) == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("name", ["accinfo", "qmi", "coherent", "simplex-chi"])
+@pytest.mark.parametrize("step", ["-0.1", "0", "nan"])
+def test_oracle_subcommand_rejects_bad_step(capsys, name, step):
+    code = main(["oracle", "--channel", "trine.qch", "--name", name, "--step", step])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "step must be finite and positive" in captured.err
+
+
+def test_oracle_subcommand_rejects_simplex_step_above_one(capsys):
+    code = main(["oracle", "--channel", "trine.qch", "--name", "simplex-chi", "--step", "3"])
+    assert code == 1
+    assert "simplex step must be at most 1" in capsys.readouterr().err
+
+
 def test_limited_ea_cli(capsys):
     code, fields = run_text(
         capsys, ["limited-ea", "--channel", "identity.qch", "--B", "0.5"]

@@ -1,5 +1,7 @@
 """Tests for the brute-force grid oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,18 @@ from qchancap.core import (
     Ensemble,
     PureState,
     binary_entropy,
+    entropy_of_spectrum,
     identity_channel,
+    random_density,
     validate_channel,
 )
 from qchancap.oracles import (
     GridSpec,
+    _compositions,
+    _entropy_batch,
+    _projective_sweep,
+    _trine_sweep,
+    bloch_vector,
     grid_accessible_info_2d,
     grid_density_objective,
     simplex_enumerate_chi,
@@ -29,8 +38,156 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def test_grid_spec_validation():
     GridSpec(0.01, "bloch-ball")
+    GridSpec(1.0, "simplex")
+    GridSpec(3.0, "sphere-angles")
+    for bad in (0.0, -0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            GridSpec(bad, "simplex")
     with pytest.raises(ValueError):
-        GridSpec(0.0, "simplex")
+        GridSpec(1.5, "simplex")
+
+
+BAD_STEPS = [0.0, -0.1, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("step", BAD_STEPS)
+def test_oracles_reject_bad_steps(step):
+    ens = Ensemble([(1 / 3, PureState(v)) for v in TRINE])
+    with pytest.raises(ValueError, match="step"):
+        grid_accessible_info_2d(ens, step)
+    for objective in ("qmi", "coherent"):
+        with pytest.raises(ValueError, match="step"):
+            grid_density_objective(identity_channel(2), objective, step)
+    with pytest.raises(ValueError, match="step"):
+        simplex_enumerate_chi(identity_channel(2), [PureState(v) for v in TRINE], step)
+
+
+def test_simplex_rejects_step_above_one():
+    with pytest.raises(ValueError, match="step"):
+        simplex_enumerate_chi(identity_channel(2), [PureState(v) for v in TRINE], 3.0)
+    value, p = simplex_enumerate_chi(identity_channel(2), [PureState(v) for v in TRINE], 1.0)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert sorted(p) == [0.0, 0.0, 1.0]  # step 1 leaves only the vertices
+
+
+# --- the array kernels against plain references ---------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_compositions_match_product_reference(k):
+    for n in range(9):
+        reference = [row for row in itertools.product(range(n + 1), repeat=k) if sum(row) == n]
+        got = _compositions(n, k)
+        assert got.dtype == np.int64 and got.shape == (len(reference), k)
+        assert [tuple(row) for row in got.tolist()] == reference
+
+
+def _hermitian_stacks(rng):
+    g = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    mixed = g @ g.conj().transpose(0, 2, 1)
+    mixed /= np.trace(mixed, axis1=1, axis2=2).real[:, None, None]
+    v = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    pure = v[:, :, None] * v[:, None, :].conj()
+    diagonal = np.zeros((200, 2, 2), dtype=complex)
+    diagonal[:, 0, 0] = rng.uniform(0, 1, 200)
+    diagonal[:, 1, 1] = 1.0 - diagonal[:, 0, 0].real
+    near = np.eye(2)[None] / 2 + np.logspace(-16, -4, 200)[:, None, None] * mixed[:1]
+    return {
+        "random": mixed,
+        "pure": pure,
+        "maximally mixed": np.broadcast_to(np.eye(2) / 2, (5, 2, 2)).astype(complex),
+        "diagonal": diagonal,
+        "basis": np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex),
+        "near-degenerate": near,
+        "real": mixed.real.copy(),
+    }
+
+
+def test_entropy_batch_closed_form_matches_eigvalsh():
+    rng = np.random.default_rng(5)
+    for name, mats in _hermitian_stacks(rng).items():
+        got = _entropy_batch(mats)
+        reference = entropy_of_spectrum(np.linalg.eigvalsh(mats))
+        assert got.shape == mats.shape[:-2], name
+        assert np.abs(got - reference).max() <= 1e-12, name
+        assert np.array_equal(_entropy_batch(mats, closed_2x2=False), reference), name
+    stack = np.stack([[m.mat for m in (random_density(rng, 2), random_density(rng, 2))]] * 3)
+    assert _entropy_batch(stack).shape == (3, 2)
+
+
+def _info(probs, cond):
+    """Mutual information of a measurement from the outcome probabilities cond[i, j]."""
+    def xlogx(x):
+        return x * np.log2(x) if x > 1e-12 else 0.0
+
+    q = [sum(p * row[j] for p, row in zip(probs, cond)) for j in range(len(cond[0]))]
+    return (sum(p * xlogx(c) for p, row in zip(probs, cond) for c in row)
+            - sum(xlogx(x) for x in q))
+
+
+def _projective_loop(probs, blochs, step):
+    best = -np.inf
+    for theta in np.arange(0.0, np.pi / 2 + step, step):
+        for phi in np.arange(0.0, 2 * np.pi, step):
+            n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+            up = [0.5 * (1.0 + float(b @ n)) for b in blochs]
+            best = max(best, _info(probs, [[u, 1.0 - u] for u in up]))
+    return best
+
+
+def _trine_loop(probs, blochs, step):
+    best = -np.inf
+    for beta in np.arange(0.0, np.pi, max(step, np.pi / max(1, int(np.pi / step)))):
+        e2 = np.array([0.0, np.sin(beta), np.cos(beta)])
+        for gamma in np.arange(0.0, 2 * np.pi / 3, step):
+            dirs = [np.cos(gamma + 2 * np.pi * j / 3) * np.array([1.0, 0.0, 0.0])
+                    + np.sin(gamma + 2 * np.pi * j / 3) * e2 for j in range(3)]
+            best = max(best, _info(probs, [[(1.0 + float(b @ m)) / 3 for m in dirs] for b in blochs]))
+    return best
+
+
+def test_accinfo_sweeps_match_point_loops():
+    rng = np.random.default_rng(9)
+    ensembles = [
+        Ensemble([(1 / 3, PureState(v)) for v in TRINE]),
+        Ensemble(list(zip(rng.dirichlet(np.ones(3)), [random_density(rng, 2) for _ in range(3)]))),
+        Ensemble([(0.4, PureState([1, 0])), (0.6, PureState([np.cos(0.3), 1j * np.sin(0.3)]))]),
+    ]
+    for ens in ensembles:
+        probs = np.asarray(ens.probs)
+        blochs = np.stack([bloch_vector(m) for m in ens.density_mats()])
+        assert abs(_projective_sweep(probs, blochs, 0.05) - _projective_loop(probs, blochs, 0.05)) <= 1e-12
+        assert abs(_trine_sweep(probs, blochs, 0.05) - _trine_loop(probs, blochs, 0.05)) <= 1e-12
+
+
+def _first_argmax_p(states, step):
+    """Reference: chi at every lattice point in lexicographic order, first maximum."""
+    n = int(round(1.0 / step))
+    blochs = np.stack([bloch_vector(s.projector()) for s in states])
+    best, best_p = -np.inf, None
+    for row in itertools.product(range(n + 1), repeat=len(states)):
+        if sum(row) != n:
+            continue
+        p = np.array(row) / n
+        chi = binary_entropy(0.5 * (1.0 + np.linalg.norm(p @ blochs)))
+        if chi > best:
+            best, best_p = chi, p
+    return best, best_p
+
+
+@pytest.mark.parametrize("vectors", [
+    [[1, 0], [1, 0], [0, 1]],
+    [[1, 0], [0, 1], [1, 0]],
+    [[1, 0], [0, 1], [1, 0], [0, 1]],
+])
+def test_simplex_ties_go_to_first_lattice_point(vectors):
+    # pure basis states: every split of weight 1/2 between the copies of |0>
+    # gives chi = 1 exactly on the dyadic lattice
+    states = [PureState(v) for v in vectors]
+    value, p = simplex_enumerate_chi(identity_channel(2), states, 0.125)
+    ref_value, ref_p = _first_argmax_p(states, 0.125)
+    assert value == ref_value == 1.0
+    assert np.array_equal(p, ref_p)
 
 
 def test_grid_accinfo_two_state():
