@@ -20,7 +20,6 @@ from .core import (
     HermitianMatrix,
     PureState,
     QuantumChannel,
-    adjoint_apply,
     channel_apply_mat,
     channel_output_pure,
     coords_to_hermitian,
@@ -32,6 +31,7 @@ from .core import (
 )
 from .lp import LinearProgram, LpSolution, solve_lp
 from .optim import (
+    EntropySum,
     ascend_density_step,
     batched_objective,
     line_max_concave,
@@ -209,18 +209,9 @@ def _nearest_class(v, start_vecs, classes) -> str:
     return classes[int(np.argmin(dists))]
 
 
-def _g_gradient(ch: QuantumChannel, tau_mat: np.ndarray):
-    """Gradient of g(rho) = H(N(rho)) - Tr(tau rho)."""
-
-    def grad(mat):
-        out = channel_apply_mat(ch, mat)
-        return -adjoint_apply(ch, log2_safe(out)) - np.eye(ch.dim_in) / LN2 - tau_mat
-
-    return grad
-
-
-def g_value(ch: QuantumChannel, tau_mat: np.ndarray, mat: np.ndarray) -> float:
-    return output_entropy_mat(ch, mat) - float(np.trace(tau_mat @ mat).real)
+def g_objective(ch: QuantumChannel, tau_mat: np.ndarray) -> EntropySum:
+    """g(rho) = H(N(rho)) - Tr(tau rho), the average-state ascent's objective."""
+    return EntropySum([(1.0, ch)], linear=-tau_mat)
 
 
 def update_rho(ch: QuantumChannel, tau: HermitianMatrix, rho: DensityMatrix) -> DensityMatrix:
@@ -230,25 +221,26 @@ def update_rho(ch: QuantumChannel, tau: HermitianMatrix, rho: DensityMatrix) -> 
     PSD boundary, with a 12-round derivative bisection for the step length.
     Returns rho unchanged when no ascent direction of norm above 1e-9 exists.
     """
-    new_mat, moved = ascend_density_step(_g_gradient(ch, tau.mat), rho.mat)
+    g = g_objective(ch, tau.mat)
+    new_mat, moved = ascend_density_step(g.grad, rho.mat, line_deriv=g.line_deriv)
     if not moved:
         return rho
-    if g_value(ch, tau.mat, new_mat) < g_value(ch, tau.mat, rho.mat):
+    if g.value(new_mat) < g.value(rho.mat):
         return rho
     return DensityMatrix(renormalize_density(new_mat))
 
 
 def _ascend_rho(ch, tau_mat, rho_mat, steps, tol):
     """Repeat single ascent steps; returns (new_mat, total_gain)."""
-    grad = _g_gradient(ch, tau_mat)
-    base = g_value(ch, tau_mat, rho_mat)
+    g = g_objective(ch, tau_mat)
+    base = g.value(rho_mat)
     cur, cur_val = rho_mat, base
     for _ in range(steps):
-        nxt, moved = ascend_density_step(grad, cur, bisect_rounds=30)
+        nxt, moved = ascend_density_step(g.grad, cur, bisect_rounds=30, line_deriv=g.line_deriv)
         if not moved:
             break
         nxt = renormalize_density(nxt)
-        val = g_value(ch, tau_mat, nxt)
+        val = g.value(nxt)
         if val <= cur_val + tol / 10.0:
             if val > cur_val:
                 cur, cur_val = nxt, val
@@ -263,16 +255,16 @@ def _ascend_rho_in_hull(ch, tau_mat, projectors, q, steps, tol):
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
     mats = np.stack(projectors)
-    grad = _g_gradient(ch, tau_mat)
+    g_obj = g_objective(ch, tau_mat)
 
     def rho_of(qv):
         return np.tensordot(qv, mats, axes=(0, 0))
 
-    base = g_value(ch, tau_mat, rho_of(q))
+    base = g_obj.value(rho_of(q))
     cur_val = base
     for _ in range(steps):
         rho = rho_of(q)
-        g = grad(rho)
+        g = g_obj.grad(rho)
         scores = np.array([float(np.trace(g @ m).real) for m in mats])
         fw = int(np.argmax(scores))
         support = np.flatnonzero(q > 1e-12)
@@ -290,16 +282,12 @@ def _ascend_rho_in_hull(ch, tau_mat, projectors, q, steps, tol):
             dir_q[away] -= 1.0
             t_hi = q[away] / (1.0 - q[away]) if q[away] < 1.0 else 1.0
         d_mat = np.tensordot(dir_q, mats, axes=(0, 0))
-
-        def deriv(t):
-            return float(np.trace(grad(rho + t * d_mat) @ d_mat).real)
-
-        t = line_max_concave(deriv, t_hi, rounds=20)
+        t = line_max_concave(g_obj.line_deriv(rho, d_mat), t_hi, rounds=20)
         if t <= 0.0:
             break
         q = np.clip(q + t * dir_q, 0.0, None)
         q = q / q.sum()
-        cur_val = g_value(ch, tau_mat, rho_of(q))
+        cur_val = g_obj.value(rho_of(q))
     return q, cur_val - base
 
 

@@ -205,23 +205,18 @@ def environment_output(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
     Its entropy equals the entropy of (N (x) I) applied to any purification of
     rho, since the system+reference+environment state is pure.
     """
-    k = len(ch.kraus)
-    imgs = [a @ mat for a in ch.kraus]
-    out = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = np.trace(imgs[i] @ ch.kraus[j].conj().T)
-    return out
+    kraus = np.stack(ch.kraus)
+    return np.einsum("krp,pq,jrq->kj", kraus, mat, kraus.conj())
 
 
-def environment_adjoint(ch: QuantumChannel, x: np.ndarray) -> np.ndarray:
-    """Adjoint of environment_output: sum_{jk} X_jk A_j^dag A_k."""
-    k = len(ch.kraus)
-    out = np.zeros((ch.dim_in, ch.dim_in), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            out += x[i, j] * (ch.kraus[i].conj().T @ ch.kraus[j])
-    return out
+def complementary_channel(ch: QuantumChannel) -> QuantumChannel:
+    """The channel rho -> environment_output(ch, rho), in Kraus form.
+
+    Its Kraus operators B_r have entries (B_r)_kp = (A_k)_rp, one per output
+    row of the A_k.
+    """
+    kraus = np.stack(ch.kraus)
+    return QuantumChannel(list(kraus.swapaxes(0, 1)))
 
 
 def tensor(a, b):

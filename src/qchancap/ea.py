@@ -17,12 +17,12 @@ from .core import (
     DensityMatrix,
     Ensemble,
     QuantumChannel,
-    adjoint_apply,
     channel_apply_mat,
+    complementary_channel,
     coords_to_mat,
     entropy_of_spectrum,
-    environment_adjoint,
     environment_output,
+    identity_channel,
     mat_to_coords,
     von_neumann_entropy,
 )
@@ -30,6 +30,7 @@ from .c1inf import C1InfOptions, C1InfProblem, c1inf
 from .info import limited_ea_objective, quantum_mutual_information
 from .lp import LinearProgram, solve_lp
 from .optim import (
+    EntropySum,
     ascend_density_step,
     batched_objective,
     line_max_concave,
@@ -59,60 +60,48 @@ def _entropy(mat: np.ndarray) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(mat))
 
 
-def _qmi_value(ch: QuantumChannel, mat: np.ndarray) -> float:
-    return (
-        _entropy(mat)
-        + _entropy(channel_apply_mat(ch, mat))
-        - _entropy(environment_output(ch, mat))
-    )
+def qmi_objective(ch: QuantumChannel) -> EntropySum:
+    """S(rho) + S(N(rho)) - S(N^c(rho)), the quantum mutual information."""
+    return EntropySum([(1.0, identity_channel(ch.dim_in)), (1.0, ch),
+                       (-1.0, complementary_channel(ch))])
 
 
-def _qmi_grad(ch: QuantumChannel):
-    eye = np.eye(ch.dim_in)
-
-    def grad(mat):
-        out = channel_apply_mat(ch, mat)
-        env = environment_output(ch, mat)
-        return (
-            -log2_safe(mat)
-            - adjoint_apply(ch, log2_safe(out))
-            + environment_adjoint(ch, log2_safe(env))
-            - eye / LN2
-        )
-
-    return grad
+def coherent_objective(ch: QuantumChannel) -> EntropySum:
+    """S(N(rho)) - S(N^c(rho)), the coherent information."""
+    return EntropySum([(1.0, ch), (-1.0, complementary_channel(ch))])
 
 
-def _coherent_value(ch: QuantumChannel, mat: np.ndarray) -> float:
-    return _entropy(channel_apply_mat(ch, mat)) - _entropy(environment_output(ch, mat))
-
-
-def _coherent_grad(ch: QuantumChannel):
-    def grad(mat):
-        out = channel_apply_mat(ch, mat)
-        env = environment_output(ch, mat)
-        return -adjoint_apply(ch, log2_safe(out)) + environment_adjoint(ch, log2_safe(env))
-
-    return grad
-
-
-def _fw_step(value_fn, grad_fn, mat):
-    """One Frank-Wolfe step: gap, and the line-searched move toward the
-    maximizing vertex (a pure state of the gradient's top eigenvector)."""
-    g = grad_fn(mat)
+def _fw_step(obj: EntropySum, mat, val):
+    """One Frank-Wolfe step from `mat`, whose value is `val`: the gap, and the
+    line-searched move toward the maximizing vertex (a pure state of the
+    gradient's top eigenvector) with its value."""
+    g = obj.grad(mat)
     eigs, vecs = np.linalg.eigh(g)
     gap = float(eigs[-1] - np.trace(g @ mat).real)
     vertex = np.outer(vecs[:, -1], vecs[:, -1].conj())
     direction = vertex - mat
+    t = line_max_concave(obj.line_deriv(mat, direction), 1.0, rounds=40)
+    if t > 0:
+        nxt = mat + t * direction
+        nxt_val = obj.value(nxt)
+        if nxt_val >= val:
+            return gap, nxt, nxt_val
+    return gap, mat, val
 
-    def deriv(t):
-        return float(np.trace(grad_fn(mat + t * direction) @ direction).real)
 
-    t = line_max_concave(deriv, 1.0, rounds=40)
-    nxt = mat + t * direction if t > 0 else mat
-    if value_fn(nxt) < value_fn(mat):
-        nxt = mat
-    return gap, nxt
+def _refine(obj: EntropySum, mat, val, steps):
+    """Up to `steps` projected-gradient steps, each kept only if it gains."""
+    for _ in range(steps):
+        nxt, moved = ascend_density_step(obj.grad, mat, bisect_rounds=30,
+                                         line_deriv=obj.line_deriv)
+        if not moved:
+            break
+        nxt = renormalize_density(nxt)
+        nxt_val = obj.value(nxt)
+        if nxt_val <= val:
+            break
+        mat, val = nxt, nxt_val
+    return mat, val
 
 
 def c_ea(ch: QuantumChannel, tol: float = 1e-7, max_iter: int = 300) -> CEResult:
@@ -125,23 +114,15 @@ def c_ea(ch: QuantumChannel, tol: float = 1e-7, max_iter: int = 300) -> CEResult
     d = ch.dim_in
     mix = np.eye(d) / d
     mat = mix.copy()
-    grad_fn = _qmi_grad(ch)
-    value_fn = lambda m: _qmi_value(ch, m)
+    obj = qmi_objective(ch)
     gap = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         mat = (1.0 - 1e-9) * mat + 1e-9 * mix
-        gap, mat = _fw_step(value_fn, grad_fn, mat)
+        gap, mat, val = _fw_step(obj, mat, obj.value(mat))
         if gap < tol:
             break
-        for _ in range(4):
-            nxt, moved = ascend_density_step(grad_fn, mat, bisect_rounds=30)
-            if not moved:
-                break
-            nxt = renormalize_density(nxt)
-            if value_fn(nxt) <= value_fn(mat):
-                break
-            mat = nxt
+        mat, _ = _refine(obj, mat, val, 4)
     rho_star = DensityMatrix(renormalize_density(mat))
     return CEResult(
         value=quantum_mutual_information(ch, rho_star),
@@ -164,8 +145,7 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
         raise ValueError("starts must be >= 1")
     d = ch.dim_in
     rng = np.random.default_rng(seed)
-    grad_fn = _coherent_grad(ch)
-    value_fn = lambda m: _coherent_value(ch, m)
+    obj = coherent_objective(ch)
 
     start_mats = [np.eye(d) / d]
     for _ in range(max(starts, d)):
@@ -181,22 +161,14 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
 
     locals_found = []
     for mat in start_mats:
-        prev = value_fn(mat)
+        val = obj.value(mat)
         for _ in range(200):
-            _, mat = _fw_step(value_fn, grad_fn, mat)
-            for _ in range(3):
-                nxt, moved = ascend_density_step(grad_fn, mat, bisect_rounds=30)
-                if not moved:
-                    break
-                nxt = renormalize_density(nxt)
-                if value_fn(nxt) <= value_fn(mat):
-                    break
-                mat = nxt
-            cur = value_fn(mat)
-            if cur - prev < 1e-9:
+            prev = val
+            _, mat, val = _fw_step(obj, mat, val)
+            mat, val = _refine(obj, mat, val, 3)
+            if val - prev < 1e-9:
                 break
-            prev = cur
-        locals_found.append((value_fn(mat), renormalize_density(mat)))
+        locals_found.append((val, renormalize_density(mat)))
 
     distinct = []
     for val, mat in sorted(locals_found, key=lambda t: -t[0]):
@@ -386,11 +358,9 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
                 cur = nxt
 
         # dual-guided move of the average state, accepted on true improvement
-        def u_grad(mat):
-            out = channel_apply_mat(ch, mat)
-            return -adjoint_apply(ch, log2_safe(out)) - eye / LN2 + tau
-
-        cand, moved = ascend_density_step(u_grad, cur["rho"], bisect_rounds=30)
+        u = EntropySum([(1.0, ch)], linear=tau)
+        cand, moved = ascend_density_step(u.grad, cur["rho"], bisect_rounds=30,
+                                          line_deriv=u.line_deriv)
         if moved:
             cand = renormalize_density(cand)
             delta = cand - cur["rho"]

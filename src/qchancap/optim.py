@@ -1,13 +1,21 @@
 """Shared smooth-optimization machinery for the capacity engines.
 
-Multistart local minimization over unit state vectors, line maximization of
-concave objectives along density-matrix segments, and the step-to-boundary
+Multistart local minimization over unit state vectors, the entropy-sum
+objectives of the density-matrix ascents, line maximization of concave
+objectives along density-matrix segments, and the step-to-boundary
 computation that keeps iterates positive semidefinite.
 """
 
 import numpy as np
 
-from .core import LN2, fix_phase, snap_vector
+from .core import (
+    LN2,
+    adjoint_apply,
+    channel_apply_mat,
+    entropy_of_spectrum,
+    fix_phase,
+    snap_vector,
+)
 
 STEP_CAP = 1e6
 LBFGS_MEMORY = 10  # correction pairs kept per start, at most one per real variable
@@ -16,6 +24,7 @@ ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 WOLFE = 0.9  # a step is extended while the slope along d stays below this share
 MAX_EXPANSION = 64.0  # longest step the line search extends to; the first trial is at most 1
 MAX_TRIALS = 60  # line-search evaluations per iteration
+LINE_LEVEL = 5  # bisection rounds per derivative call: 2**5 - 1 points at once
 
 
 def batched_objective(fun_grad_rows):
@@ -183,23 +192,44 @@ def psd_boundary_step(rho: np.ndarray, direction: np.ndarray) -> float:
 def line_max_concave(deriv, t_max: float, rounds: int = 12) -> float:
     """Maximize a concave function on [0, t_max] given its derivative.
 
-    Bisects on the sign of the derivative; assumes deriv(0) >= 0.  The upper
-    end is probed just inside t_max: on the PSD boundary itself the clipped
-    matrix log would report 0 where the true derivative diverges to -inf.
+    deriv maps a 1-D array of points to the derivatives there.  The result is
+    the point derivative bisection returns: it keeps the last point whose
+    derivative is >= 0 after `rounds` halvings, and it assumes deriv(0) >= 0.
+    The bisection points are evaluated one level at a time: each call gets
+    the 2**LINE_LEVEL - 1 midpoints the next LINE_LEVEL rounds could visit,
+    computed as bisection computes them, and the rounds replay bisection's
+    decisions on their signs.  The upper end is probed just inside t_max
+    (in the first call): on the PSD boundary itself the clipped matrix log
+    would report 0 where the true derivative diverges to -inf.
     """
     if t_max <= 0.0:
         return 0.0
     probe = t_max * (1.0 - 1e-9)
-    if deriv(probe) >= 0.0:
-        return probe
     lo, hi = 0.0, probe
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    extra = [probe]
+    while True:
+        depth = max(min(LINE_LEVEL, rounds), 0)
+        n = 2**depth
+        edges = np.empty(n + 1)
+        edges[0], edges[n] = lo, hi
+        for level in range(depth):  # midpoints of the intervals bisection reaches at this level
+            step = 2 ** (depth - level)
+            edges[step // 2::step] = 0.5 * (edges[:-1:step] + edges[step::step])
+        values = deriv(np.concatenate([edges[1:-1], extra])).tolist()
+        if extra and values[-1] >= 0.0:
+            return probe
+        extra = []
+        i, j = 0, n
+        while j - i > 1:
+            mid = (i + j) // 2
+            if values[mid - 1] >= 0.0:
+                i = mid
+            else:
+                j = mid
+        lo, hi = float(edges[i]), float(edges[j])
+        rounds -= depth
+        if rounds <= 0:
+            return lo
 
 
 def traceless_part(mat: np.ndarray) -> np.ndarray:
@@ -212,12 +242,17 @@ def ascend_density_step(
     rho: np.ndarray,
     min_direction_norm: float = 1e-9,
     bisect_rounds: int = 12,
+    *,
+    line_deriv,
 ):
     """One projected-gradient ascent step over the density-matrix set.
 
-    grad_fn(rho) -> Hermitian gradient ndarray.  The move direction is the
-    traceless projection of the gradient, clipped at the PSD boundary, with
-    the step length fixed by derivative bisection (concave objectives).
+    grad_fn(rho) -> Hermitian gradient ndarray, called once per step.  The
+    move direction is the traceless projection of the gradient, normalized
+    and clipped at the PSD boundary.  line_deriv(rho, direction) returns the
+    derivative of t -> f(rho + t*direction) as a function of an array of t
+    (EntropySum.line_deriv); line_max_concave fixes the step length from it
+    in `bisect_rounds` bisection rounds (concave objectives).
     Returns (new_rho, moved: bool).
     """
     grad = grad_fn(rho)
@@ -229,15 +264,14 @@ def ascend_density_step(
     t_hi = psd_boundary_step(rho, direction)
     if t_hi <= 0.0:
         return rho, False
-
-    def deriv(t):
-        g = grad_fn(rho + t * direction)
-        return float(np.trace(g @ direction).real)
-
-    t = line_max_concave(deriv, t_hi, rounds=bisect_rounds)
+    t = line_max_concave(line_deriv(rho, direction), t_hi, rounds=bisect_rounds)
     if t <= 0.0:
         return rho, False
     return rho + t * direction, True
+
+
+def _log2_clipped(eigs: np.ndarray, clip: float = 1e-12) -> np.ndarray:
+    return np.log2(np.where(eigs > clip, eigs, 1.0))  # log2(1) = 0 for the clipped ones
 
 
 def log2_safe(mat: np.ndarray, clip: float = 1e-12) -> np.ndarray:
@@ -246,9 +280,95 @@ def log2_safe(mat: np.ndarray, clip: float = 1e-12) -> np.ndarray:
     A stack of matrices (..., d, d) gives the stack of their logs.
     """
     eigs, vecs = np.linalg.eigh(mat)
-    keep = eigs > clip
-    logs = np.where(keep, np.log2(np.where(keep, eigs, 1.0)), 0.0)
+    logs = _log2_clipped(eigs, clip)
     return (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+class EntropySum:
+    """f(rho) = sum_k c_k S(Phi_k(rho)) + Tr(L rho) over density matrices.
+
+    `terms` lists pairs (c_k, Phi_k), each Phi_k a trace-preserving
+    QuantumChannel (identity_channel gives S(rho) itself,
+    complementary_channel the environment's entropy); `linear` is the
+    Hermitian L, or None.  S is the entropy in bits, eigenvalues at most
+    1e-12 contributing nothing, as in log2_safe.
+    """
+
+    def __init__(self, terms, linear=None):
+        self.terms = list(terms)
+        self.linear = linear
+
+    def value(self, mat: np.ndarray) -> float:
+        val = sum(c * entropy_of_spectrum(np.linalg.eigvalsh(channel_apply_mat(ch, mat)))
+                  for c, ch in self.terms)
+        if self.linear is not None:
+            val += float(np.trace(self.linear @ mat).real)
+        return val
+
+    def grad(self, mat: np.ndarray) -> np.ndarray:
+        """Hermitian gradient L - sum_k c_k (Phi_k^dag(log2 Phi_k(rho)) + I/ln 2)."""
+        eye = np.eye(mat.shape[0])
+        out = np.zeros_like(eye, dtype=complex) if self.linear is None else self.linear
+        for c, ch in self.terms:
+            out = out - c * (adjoint_apply(ch, log2_safe(channel_apply_mat(ch, mat))) + eye / LN2)
+        return out
+
+    def line_deriv(self, mat: np.ndarray, direction: np.ndarray):
+        """t -> d/dt f(mat + t*direction), for a 1-D array of t.
+
+        Works on the output side: with A = Phi_k(mat) and B = Phi_k(direction),
+        formed once, d/dt S(A + tB) = -Tr(B log2(A + tB)) - Tr(B)/ln 2, so a
+        call costs one stacked eigh of the small output matrices per term (a
+        closed-form spectrum for 2x2 outputs).
+        """
+        const = 0.0 if self.linear is None else float(np.trace(self.linear @ direction).real)
+        lines = []
+        for c, ch in self.terms:
+            b = channel_apply_mat(ch, direction)
+            const -= c * float(np.trace(b).real) / LN2
+            lines.append((c, _trace_log2_along(channel_apply_mat(ch, mat), b)))
+
+        def deriv(ts):
+            ts = np.asarray(ts, dtype=float)
+            out = np.full(ts.shape, const)
+            for c, trace_log2 in lines:
+                out -= c * trace_log2(ts)
+            return out
+
+        return deriv
+
+
+def _trace_log2_along(a: np.ndarray, b: np.ndarray):
+    """ts -> Tr(B log2(A + tB)) for each t, eigenvalues at most 1e-12 contributing 0.
+
+    With eigenpairs (l_j, v_j) of A + tB this is sum_j log2(l_j) v_j^dag B v_j:
+    one stacked eigh, or for 2x2 matrices the closed-form spectrum mid +- r,
+    where v^dag B v = Tr(B)/2 +- Tr(B0 M0)/(2r) with B0 and M0 the traceless
+    parts of B and A + tB.
+    """
+    if a.shape[0] != 2:
+        def general(ts):
+            eigs, vecs = np.linalg.eigh(a + ts[:, None, None] * b)
+            b_diag = np.einsum("tij,ik,tkj->tj", vecs.conj(), b, vecs).real  # of V^dag B V
+            return (_log2_clipped(eigs) * b_diag).sum(axis=-1)
+
+        return general
+
+    a_mid, a_half = 0.5 * float((a[0, 0] + a[1, 1]).real), 0.5 * float((a[0, 0] - a[1, 1]).real)
+    b_mid, b_half = 0.5 * float((b[0, 0] + b[1, 1]).real), 0.5 * float((b[0, 0] - b[1, 1]).real)
+    a_off, b_off = complex(a[0, 1]), complex(b[0, 1])
+    # Tr(B0 M0)/2 = b_half * x + Re(conj(b_off) y) is linear in t
+    along_0 = b_half * a_half + (b_off.conjugate() * a_off).real
+    along_1 = b_half * b_half + abs(b_off) ** 2
+
+    def closed_2x2(ts):
+        mid = a_mid + ts * b_mid
+        r = np.hypot(a_half + ts * b_half, np.abs(a_off + ts * b_off))
+        along = (along_0 + ts * along_1) / np.where(r > 0.0, r, np.inf)
+        log_lo, log_hi = _log2_clipped(mid - r), _log2_clipped(mid + r)
+        return (log_hi + log_lo) * b_mid + (log_hi - log_lo) * along
+
+    return closed_2x2
 
 
 def renormalize_density(mat: np.ndarray) -> np.ndarray:
@@ -263,6 +383,7 @@ def renormalize_density(mat: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "LN2",
+    "EntropySum",
     "ascend_density_step",
     "batched_objective",
     "line_max_concave",

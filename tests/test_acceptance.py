@@ -25,8 +25,7 @@ from qchancap.c1inf import (
     C1InfOptions,
     C1InfProblem,
     c1inf,
-    g_value,
-    _g_gradient,
+    g_objective,
     _pricing_objective,
 )
 from qchancap.c11 import C11Options, c11, optimize_measurement, _ensemble_arrays, _measurement_objective
@@ -38,7 +37,7 @@ from qchancap.channels import (
     two_copy_trine_signals,
 )
 from qchancap.cli import main
-from qchancap.ea import c_ea, limited_ea, _qmi_grad, _qmi_value
+from qchancap.ea import c_ea, limited_ea, qmi_objective
 from qchancap.info import (
     ClassicalChannel,
     accessible_information_given,
@@ -212,14 +211,14 @@ def _check_pricing_grad(ch, tau, rng):
 
 def _check_g_grad(ch, tau, rng):
     rho = random_density(rng, ch.dim_in)
-    grad = _g_gradient(ch, tau)(rho.mat)
-    _assert_density_fd(lambda m: g_value(ch, tau, m), rho.mat, grad, rng)
+    g = g_objective(ch, tau)
+    _assert_density_fd(g.value, rho.mat, g.grad(rho.mat), rng)
 
 
 def _check_qmi_grad(ch, rng):
     rho = random_density(rng, ch.dim_in)
-    grad = _qmi_grad(ch)(rho.mat)
-    _assert_density_fd(lambda m: _qmi_value(ch, m), rho.mat, grad, rng)
+    qmi = qmi_objective(ch)
+    _assert_density_fd(qmi.value, rho.mat, qmi.grad(rho.mat), rng)
 
 
 def _check_measurement_grad(ch, rng):

@@ -25,11 +25,10 @@ from qchancap.c1inf import (
     build_fixed_rho_lp,
     c1inf,
     dual_tau,
-    g_value,
+    g_objective,
     output_entropy_pure,
     pricing_search,
     update_rho,
-    _g_gradient,
     _pricing_objective,
 )
 from qchancap.info import arimoto_blahut, ClassicalChannel, holevo_chi
@@ -61,17 +60,16 @@ def bsc_embed(p):
 def simplex_grid_min(ch, states, rho, step=1e-3):
     """Brute-force oracle for the fixed-rho master on 3 states: dense grid
     over the probability simplex, keeping only grids matching rho."""
-    costs = [output_entropy_pure(ch, v.vec) for v in states]
-    projs = [v.projector() for v in states]
-    best = np.inf
+    costs = np.array([output_entropy_pure(ch, v.vec) for v in states])
+    projs = np.stack([v.projector() for v in states])
     n = int(round(1.0 / step))
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            p = np.array([i, j, n - i - j], dtype=float) / n
-            avg = sum(pk * pr for pk, pr in zip(p, projs))
-            if np.abs(avg - rho.mat).max() < 2e-3:
-                best = min(best, float(p @ costs))
-    return best
+    counts = n + 1 - np.arange(n + 1)  # lattice points (i, j, n - i - j) for each i
+    i = np.repeat(np.arange(n + 1), counts)
+    j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    p = np.stack([i, j, n - i - j], axis=1) / n
+    avg = np.einsum("sk,kab->sab", p, projs)
+    keep = np.abs(avg - rho.mat).max(axis=(1, 2)) < 2e-3
+    return float((p[keep] @ costs).min()) if keep.any() else np.inf
 
 
 # --- master LP ---------------------------------------------------------------
@@ -249,10 +247,11 @@ def test_update_rho_ascends_toward_maximally_mixed():
     tau = HermitianMatrix(np.zeros((2, 2)))
     rho = DensityMatrix(np.diag([0.9, 0.1]))
     cur = rho
-    vals = [g_value(ch, tau.mat, cur.mat)]
+    g = g_objective(ch, tau.mat)
+    vals = [g.value(cur.mat)]
     for _ in range(50):
         cur = update_rho(ch, tau, cur)
-        vals.append(g_value(ch, tau.mat, cur.mat))
+        vals.append(g.value(cur.mat))
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # fixed point is the entropy maximizer I/2 (12-round steps cap the state
     # resolution, so compare in value and coarsely in state)
@@ -266,10 +265,11 @@ def test_update_rho_monotone_and_matches_grid_dephasing():
     ch = dephasing(0.25)
     tau = HermitianMatrix(np.array([[0.3, 0.05], [0.05, 0.1]], dtype=complex))
     cur = DensityMatrix(np.diag([0.8, 0.2]))
-    vals = [g_value(ch, tau.mat, cur.mat)]
+    g = g_objective(ch, tau.mat)
+    vals = [g.value(cur.mat)]
     for _ in range(50):
         cur = update_rho(ch, tau, cur)
-        vals.append(g_value(ch, tau.mat, cur.mat))
+        vals.append(g.value(cur.mat))
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # Bloch-ball grid oracle, step 0.01
     best = -np.inf
@@ -278,7 +278,7 @@ def test_update_rho_monotone_and_matches_grid_dephasing():
             if x * x + z * z > 1.0:
                 continue
             mat = 0.5 * (np.eye(2) + x * np.array([[0, 1], [1, 0]]) + z * SZ)
-            best = max(best, g_value(ch, tau.mat, mat))
+            best = max(best, g.value(mat))
     assert vals[-1] == pytest.approx(best, abs=1e-4)
 
 
@@ -291,13 +291,14 @@ def test_g_gradient_matches_finite_differences():
         ch = random_channel(rng, d, d, 2)
         tau = random_density(rng, d).mat * rng.normal()
         rho = random_density(rng, d)
-        grad = _g_gradient(ch, tau)(rho.mat)
+        obj = g_objective(ch, tau)
+        grad = obj.grad(rho.mat)
         # traceless Hermitian probe direction
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         delta = (g + g.conj().T) / 2
         delta -= (np.trace(delta) / d) * np.eye(d)
         h = 1e-5
-        fd = (g_value(ch, tau, rho.mat + h * delta) - g_value(ch, tau, rho.mat - h * delta)) / (2 * h)
+        fd = (obj.value(rho.mat + h * delta) - obj.value(rho.mat - h * delta)) / (2 * h)
         analytic = float(np.trace(grad @ delta).real)
         assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
 

@@ -16,6 +16,7 @@ from qchancap.core import (
     apply_channel,
     binary_entropy,
     channel_apply_mat,
+    complementary_channel,
     coords_to_hermitian,
     environment_output,
     fidelity,
@@ -505,3 +506,25 @@ def test_channel_apply_mat_linearity():
     lhs = channel_apply_mat(ch, 0.3 * a.mat + 0.7 * b.mat)
     rhs = 0.3 * channel_apply_mat(ch, a.mat) + 0.7 * channel_apply_mat(ch, b.mat)
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def _environment_output_loop(ch, mat):
+    k = len(ch.kraus)
+    out = np.empty((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            out[i, j] = np.trace(ch.kraus[i] @ mat @ ch.kraus[j].conj().T)
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1), (2, 2, 3), (3, 3, 2), (2, 3, 4), (4, 2, 2)])
+def test_environment_output_and_complementary_channel_match_loop(dims):
+    rng = np.random.default_rng(dims)
+    d_in, d_out, k = dims
+    ch = random_channel(rng, d_in, d_out, k)
+    # a density matrix and a non-Hermitian matrix: both maps are linear
+    g = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    for mat in (random_density(rng, d_in).mat, g):
+        want = _environment_output_loop(ch, mat)
+        assert np.abs(environment_output(ch, mat) - want).max() < 1e-12
+        assert np.abs(channel_apply_mat(complementary_channel(ch), mat) - want).max() < 1e-12

@@ -14,8 +14,7 @@ from qchancap.ea import (
     c_ea,
     coherent_info_max,
     limited_ea,
-    _qmi_grad,
-    _qmi_value,
+    qmi_objective,
 )
 from qchancap.info import coherent_information, quantum_mutual_information
 
@@ -86,12 +85,13 @@ def test_qmi_gradient_matches_finite_differences():
         d = int(rng.integers(2, 4))
         ch = random_channel(rng, d, d, 2)
         rho = random_density(rng, d)
-        grad = _qmi_grad(ch)(rho.mat)
+        qmi = qmi_objective(ch)
+        grad = qmi.grad(rho.mat)
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         delta = (g + g.conj().T) / 2
         delta -= (np.trace(delta) / d) * np.eye(d)
         h = 1e-5
-        fd = (_qmi_value(ch, rho.mat + h * delta) - _qmi_value(ch, rho.mat - h * delta)) / (2 * h)
+        fd = (qmi.value(rho.mat + h * delta) - qmi.value(rho.mat - h * delta)) / (2 * h)
         analytic = float(np.trace(grad @ delta).real)
         assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
 

@@ -226,9 +226,9 @@ def test_grid_density_fixed_dual():
     ch = validate_channel([np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * SZ])
     tau = np.array([[0.3, 0.05], [0.05, 0.1]], dtype=complex)
     value, rho = grid_density_objective(ch, "fixed-dual", 0.01, tau=tau)
-    from qchancap.c1inf import g_value
+    from qchancap.c1inf import g_objective
 
-    assert value == pytest.approx(g_value(ch, tau, rho.mat), abs=1e-12)
+    assert value == pytest.approx(g_objective(ch, tau).value(rho.mat), abs=1e-12)
 
 
 def test_grid_density_unknown_objective():
