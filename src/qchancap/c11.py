@@ -2,7 +2,12 @@
 
 The measurement half is an LP over rank-one POVM weights solved by column
 generation (the POVM completeness constraint supplies the d^2 rows, mutual
-information is linear in the weights).  The ensemble half fixes the
+information is linear in the weights).  Its stopping certificate is the
+bound Tr lam + d max(0, max_w [c(w) - w^dag lam w]) on the information of
+every complete rank-one POVM, valid for any Hermitian lam since the weights
+of such a POVM sum to d: the loop stops once it is within d * tol of the
+master's objective, for the LP dual or for the stationarity dual of the
+master's support.  The ensemble half fixes the
 measurement, which turns the channel into a classical-output channel, and
 reuses the C_{1,inf} engine on it unchanged.  Neither half is guaranteed to
 find a global optimum, so runs are restarted and per-restart values kept.
@@ -23,6 +28,7 @@ from .core import (
     QuantumChannel,
     channel_ensemble,
     coords_to_hermitian,
+    coords_to_mat,
     fix_phase,
     mat_to_coords,
     normalized_state,
@@ -148,7 +154,8 @@ def measurement_pricing(
 
     Returns a PricingOutcome whose columns carry the POVM coordinate vector,
     the coefficient c(w), and the direction itself as the tag.  Reduced costs
-    use the minimization convention (negative improves).
+    use the minimization convention (negative improves); best_reduced_cost
+    is minus the largest violation found, clipped at 0, tol or not.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -163,10 +170,10 @@ def measurement_pricing(
     best = 0.0
     for f, v in minima:
         violation = -f  # c(w) - w^dag lam w
+        best = max(best, violation)
         if violation > tol:
             w = PureState(v)
             columns.append((mat_to_coords(w.projector()), info_coefficient(probs, mats, avg, v), w))
-            best = max(best, violation)
     return PricingOutcome(columns=columns, best_reduced_cost=-best)
 
 
@@ -196,24 +203,90 @@ def _seed_directions(out_ens: Ensemble) -> list:
     return out
 
 
+def stationarity_dual(out_ens: Ensemble, weights, directions) -> HermitianMatrix:
+    """The Hermitian lam that best solves lam w_j = grad c(w_j) / 2 over the
+    support directions w_j, in least squares weighted by their weights q_j.
+
+    At an optimal POVM each support direction maximizes c(w) - w^dag lam w
+    for the optimal dual lam, with value 0, so that dual solves these
+    equations exactly, even when the master's vertex dual is a different
+    one.  Since c is homogeneous of degree 2, w^dag grad c(w) = 2 c(w)
+    (Euler), and an exact solution also gives w_j^dag lam w_j = c(w_j).
+    """
+    probs, mats, avg = _ensemble_arrays(out_ens)
+    d = out_ens.dim
+    vecs = np.stack([w.vec for w in directions])
+    # the objective at lam = 0 is -c, so its gradient is -grad c
+    _, neg_grad = _measurement_objective(probs, mats, avg, np.zeros((d, d)))(vecs)
+    basis = np.stack([coords_to_mat(e, d) for e in np.eye(d * d)])
+    root_q = np.sqrt(np.asarray(weights, dtype=float))[:, None]
+    images = root_q[:, :, None] * np.einsum("kab,jb->jak", basis, vecs)  # lam w_j per coordinate
+    target = -0.5 * root_q * neg_grad
+    rows = images.reshape(-1, d * d)
+    coords, *_ = np.linalg.lstsq(
+        np.concatenate([rows.real, rows.imag]),
+        np.concatenate([target.real.ravel(), target.imag.ravel()]),
+        rcond=None,
+    )
+    return HermitianMatrix(coords_to_mat(coords, d))
+
+
+def information_bound(lam: HermitianMatrix, violation: float) -> float:
+    """Upper bound Tr lam + d max(0, violation) on the information of every
+    rank-one POVM, where violation is max_w c(w) - w^dag lam w.
+
+    A complete rank-one POVM has sum_j q_j = d, so its information
+    sum_j q_j c(w_j) = Tr lam + sum_j q_j (c(w_j) - w_j^dag lam w_j) is at most
+    the bound, for any Hermitian lam.
+    """
+    return float(np.trace(lam.mat).real) + lam.dim * max(0.0, violation)
+
+
 def optimize_measurement(out_ens: Ensemble, opts: C11Options = None, rng=None):
     """Best rank-one POVM for a fixed output ensemble, by column generation.
 
-    Returns (povm, accessible information).  The final weights are re-fit by
-    nonnegative least squares on the selected directions so completeness
-    holds to POVM tolerance despite LP roundoff.
+    Returns (povm, accessible information, status).  The status is
+    "converged" once information_bound(lam) <= objective + d * pricing_tol
+    for a priced dual lam, "round-limit" if measurement_rounds master
+    re-solves pass first.  On the first round, and after a round that
+    raised the objective by at most d * pricing_tol, the stationarity dual
+    of the master's support is priced first: it certifies a master that
+    already holds an optimal POVM, where the vertex dual of a degenerate
+    master need not.  If it neither certifies nor yields a column that
+    improves the master, the round prices at the LP dual (trace equal to the
+    objective, so its certificate is "no column beats the dual by more than
+    pricing_tol").  The final weights are re-fit by nonnegative least
+    squares on the selected directions so completeness holds to POVM
+    tolerance despite LP roundoff.
     """
     opts = opts or C11Options()
     if rng is None:
         rng = np.random.default_rng(opts.seed)
+    d = out_ens.dim
     master = measurement_lp(out_ens, _seed_directions(out_ens))
-    probs, mats, avg = _ensemble_arrays(out_ens)
+    slack = d * opts.pricing_tol
+    previous = None  # master objective when pricing last ran
 
-    def pricing(duals):
-        lam = coords_to_hermitian(HermitianCoords(out_ens.dim, duals))
+    def price(lam):
         return measurement_pricing(out_ens, lam, opts.starts, rng, tol=opts.pricing_tol)
 
-    sol, rounds, converged = column_generation(
+    def pricing(sol):
+        nonlocal previous
+        stalled = previous is None or sol.objective - previous <= slack
+        previous = sol.objective
+        if stalled:
+            support = np.flatnonzero(sol.x > 1e-10)
+            lam = stationarity_dual(out_ens, sol.x[support], [master.tags[j] for j in support])
+            outcome = price(lam)
+            if information_bound(lam, -outcome.best_reduced_cost) - sol.objective <= slack:
+                return PricingOutcome(columns=[])
+            improving = [col for col in outcome.columns
+                         if col[1] - sol.duals @ col[0] > opts.pricing_tol]
+            if improving:
+                return PricingOutcome(columns=improving)
+        return price(coords_to_hermitian(HermitianCoords(d, sol.duals)))
+
+    sol, _, converged = column_generation(
         master, pricing, tol=opts.pricing_tol, max_rounds=opts.measurement_rounds
     )
     keep = sol.x > 1e-10
@@ -221,9 +294,10 @@ def optimize_measurement(out_ens: Ensemble, opts: C11Options = None, rng=None):
     # re-fit the weights on the selected directions only (an enlarged fit
     # would be degenerate and free to walk away from the optimized POVM)
     a = np.stack([mat_to_coords(w.projector()) for w in directions], axis=1)
-    weights, _ = nnls(a, mat_to_coords(np.eye(out_ens.dim)))
-    povm = _complete_povm(weights, directions, out_ens.dim)
-    return povm, accessible_information_given(out_ens, povm)
+    weights, _ = nnls(a, mat_to_coords(np.eye(d)))
+    povm = _complete_povm(weights, directions, d)
+    status = "converged" if converged else "round-limit"
+    return povm, accessible_information_given(out_ens, povm), status
 
 
 def _complete_povm(weights, directions, dim: int) -> Povm:
@@ -321,7 +395,7 @@ def c11(
         converged = False
         for alt in range(opts.alternations):
             out_ens = channel_ensemble(ch, ens)
-            povm, v_meas = optimize_measurement(out_ens, opts, rng)
+            povm, v_meas, _ = optimize_measurement(out_ens, opts, rng)
             trace.append(
                 {"restart": r, "alternation": alt, "step": "measurement",
                  "value": v_meas, "chi": holevo_chi(out_ens)}

@@ -170,9 +170,9 @@ def _cmd_accinfo(args) -> RunReport:
         seed=args.seed, starts=args.starts,
         pricing_tol=args.tol, measurement_rounds=args.max_rounds,
     )
-    povm, value = optimize_measurement(out_ens, opts, np.random.default_rng(args.seed))
+    povm, value, status = optimize_measurement(out_ens, opts, np.random.default_rng(args.seed))
     return RunReport(
-        capacity="accinfo", value_bits=value, status="converged", seed=args.seed,
+        capacity="accinfo", value_bits=value, status=status, seed=args.seed,
         certificates={"holevo_gap": holevo_chi(out_ens) - value},
         dumps={"ensemble": dump_ensemble(ens), "povm": dump_povm(povm)},
     )
@@ -294,7 +294,7 @@ def fig1_rows(steps: int, seed: int = 0, tol: float = 1e-7):
         ens = Ensemble([(0.5, s) for s in two_state_signals(theta)])
         h_vn = von_neumann_entropy(ens.average_density())
         opts = C11Options(seed=seed, pricing_tol=tol)
-        _, i_acc = optimize_measurement(
+        _, i_acc, _ = optimize_measurement(
             channel_ensemble(ch, ens), opts, np.random.default_rng(seed)
         )
         rows.append((theta, i_acc, h_vn))

@@ -405,10 +405,13 @@ def column_generation(
 ):
     """Generic column-generation loop.
 
-    `pricing(duals) -> PricingOutcome` proposes columns; ones that genuinely
-    improve the master (reduced cost beyond tol, not duplicating an existing
-    column within dedup_tol in the coordinate max-norm) are added and the
-    master is re-solved from the previous basis.  Returns
+    `pricing(sol) -> PricingOutcome` gets the master's current LpSolution and
+    proposes columns; ones that genuinely improve the master (reduced cost
+    against `sol.duals` beyond tol, not duplicating an existing column within
+    dedup_tol in the coordinate max-norm) are added and the master is
+    re-solved from the previous basis.  A round that adds nothing ends the
+    loop with converged=True, so a pricing callback that has certified the
+    master stops it by returning no columns.  Returns
     (solution, rounds, converged); rounds counts master re-solves.
     """
     sol = solve_lp(master)
@@ -418,7 +421,7 @@ def column_generation(
     rounds = 0
     converged = False
     while rounds < max_rounds:
-        outcome = pricing(sol.duals)
+        outcome = pricing(sol)
         added = 0
         for col, coef, tag in outcome.columns:
             col = np.asarray(col, dtype=float).reshape(-1)

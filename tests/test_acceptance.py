@@ -285,7 +285,7 @@ def test_criterion_8_oracle_agreement():
                       (0.5, PureState([np.cos(np.pi / 3), np.sin(np.pi / 3)]))]),
         ):
             out_ens = channel_ensemble(identity_channel(2), ens)
-            _, engine = optimize_measurement(out_ens)
+            _, engine, _ = optimize_measurement(out_ens)
             oracle_ai = grid_accessible_info_2d(out_ens, 1e-3)
             assert engine >= oracle_ai - 1e-6  # oracle is a lower bound
             assert abs(engine - oracle_ai) <= 1e-4 + grid_slack

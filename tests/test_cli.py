@@ -171,6 +171,17 @@ def test_round_limit_exit_code(capsys):
     assert code == 2
 
 
+def test_accinfo_round_limit_status(capsys):
+    # with no column-generation round the seed master's square-root
+    # measurement is returned, which falls short of the trine's log2(3) - 1
+    code, fields = run_text(capsys, ["accinfo", "--channel", "trine.qch", "--max-rounds", "0"])
+    assert fields["status"] == "round-limit"
+    assert code == 2
+    assert float(fields["value_bits"]) == pytest.approx(0.459147917027, abs=1e-11)
+    code, fields = run_text(capsys, ["accinfo", "--channel", "trine.qch"])
+    assert fields["status"] == "converged" and code == 0
+
+
 def test_emit_csv_empty_rows(tmp_path):
     path = tmp_path / "empty.csv"
     with open(path, "w", newline="") as fh:

@@ -149,12 +149,39 @@ def test_warm_start_matches_cold():
 def test_cg_no_columns_returned():
     lp = LinearProgram(c=[1.0], A=[[1.0]], b=[1.0])
 
-    def pricing(duals):
+    def pricing(sol):
         return PricingOutcome(columns=[], best_reduced_cost=0.0)
 
     sol, rounds, converged = column_generation(lp, pricing)
     assert converged and rounds == 0
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cg_certifying_callback_stops_without_resolve(monkeypatch):
+    # the callback sees the whole solution; returning no columns, even on a
+    # master that a column could still improve, ends the loop with no solve
+    import qchancap.lp as lp_module
+
+    solves = []
+    real_solve = lp_module.solve_lp
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting_solve)
+    lp = LinearProgram(c=[2.0, 3.0], A=[[1.0, 1.0]], b=[1.0])
+    seen = []
+
+    def pricing(sol):
+        seen.append(sol)
+        return PricingOutcome(columns=[])
+
+    sol, rounds, converged = column_generation(lp, pricing)
+    assert converged and rounds == 0
+    assert len(seen) == 1 and seen[0] is sol
+    assert sol.status == "optimal" and sol.objective == pytest.approx(2.0, abs=1e-12)
+    assert len(solves) == 1
 
 
 def cutting_stock_patterns(width, sizes):
@@ -186,10 +213,10 @@ def test_cg_cutting_stock_matches_enumeration():
         seeds.append(pat)
     master = LinearProgram(c=np.ones(3), A=np.stack(seeds, axis=1), b=demand)
 
-    def pricing(duals):
+    def pricing(sol):
         best, best_pat = 0.0, None
         for pat in pats:
-            value = float(duals @ pat)
+            value = float(sol.duals @ pat)
             if value > best + 1e-12:
                 best, best_pat = value, pat
         if best > 1.0 + 1e-9:
@@ -205,7 +232,7 @@ def test_cg_rejects_duplicate_columns():
     lp = LinearProgram(c=[1.0], A=[[1.0]], b=[1.0])
     calls = []
 
-    def pricing(duals):
+    def pricing(sol):
         calls.append(1)
         # claims an improvement but duplicates the existing column
         return PricingOutcome(columns=[(np.array([1.0]), 0.5, None)], best_reduced_cost=-0.5)

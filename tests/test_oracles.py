@@ -282,6 +282,6 @@ def test_oracle_values_are_lower_bounds():
     theta = np.pi / 4
     ens = Ensemble([(0.5, PureState([1, 0])), (0.5, PureState([np.cos(theta), np.sin(theta)]))])
     out = channel_ensemble(identity_channel(2), ens)
-    _, engine = optimize_measurement(out)
+    _, engine, _ = optimize_measurement(out)
     oracle = grid_accessible_info_2d(ens, 2e-3)
     assert engine >= oracle - 1e-5
