@@ -1,10 +1,10 @@
-"""The C_{1,inf} (Holevo) capacity engine.
-
-Three alternating steps: a fixed-average master LP over candidate signal
-states, a concave ascent of the average state against the LP dual, and a
-nonlinear pricing search for new signal states that violate the dual
-constraints.  Certificates (per-round duality data, the final pricing
-residual) are carried on the result rather than any global-optimality claim.
+"""The C_{1,inf} (Holevo) capacity engine: simplicial decomposition (fully
+corrective Frank-Wolfe; von Hohenbalken, Math. Prog. 13, 1977) over pure
+signal states, stopped on the divergence radius: for every average input
+rho, max_psi D(N(psi) || N(rho)) bounds C_{1,inf} from above, with equality
+at the optimum (Schumacher and Westmoreland, PRA 63, 022308, 2001).  The
+pricing search that finds violators is multistart local, so "converged" is
+a claim about the states it visited, not a global certificate.
 """
 
 from dataclasses import dataclass, field
@@ -13,32 +13,36 @@ import numpy as np
 
 from .core import (
     LN2,
+    ENTROPY_CLIP,
     DensityMatrix,
     DimensionError,
     Ensemble,
-    HermitianCoords,
     HermitianMatrix,
     PureState,
     QuantumChannel,
-    channel_apply_mat,
-    channel_output_pure,
-    coords_to_hermitian,
+    adjoint_apply,
     entropy_of_spectrum,
     fix_phase,
-    mat_to_coords,
     random_pure,
-    shannon_entropy,
 )
-from .lp import LinearProgram, LpSolution, solve_lp
 from .optim import (
+    STEP_CAP,
     EntropySum,
-    ascend_density_step,
+    _log2_clipped,
+    _trace_log2_along,
     batched_objective,
     line_max_concave,
     log2_safe,
     minimize_on_sphere,
     renormalize_density,
 )
+
+MASTER_GAP = 1e-10  # the master stops at this Frank-Wolfe gap
+MASTER_ITERS = 1000
+NEWTON_SHARE = 0.1  # Newton on the face while its gap exceeds this share of the FW gap
+LINE_ROUNDS = 40  # bisection rounds of the master's line searches
+NULL_TOL = 1e-10  # relative singular value below which the support's outputs are dependent
+DEDUP_TOL = 1e-7  # projectors closer than this (max-norm) are the same column
 
 
 @dataclass
@@ -47,7 +51,6 @@ class C1InfOptions:
     starts: int = 8
     seed: int = 0
     max_rounds: int = 200
-    inner_rho_steps: int = 40
     pricing_tol: float = 1e-7
     initial_weights: tuple = None  # restricted mode: starting ensemble weights
 
@@ -62,12 +65,9 @@ class C1InfProblem:
     options: C1InfOptions = field(default_factory=C1InfOptions)
 
     def __post_init__(self):
-        if self.restricted_signals:
-            for s in self.restricted_signals:
-                if s.dim != self.channel.dim_in:
-                    raise DimensionError(
-                        f"signal dim {s.dim} != channel input dim {self.channel.dim_in}"
-                    )
+        for s in self.restricted_signals or ():
+            if s.dim != self.channel.dim_in:
+                raise DimensionError(f"signal dim {s.dim} != channel input dim {self.channel.dim_in}")
 
 
 @dataclass
@@ -85,56 +85,9 @@ class C1InfResult:
     tau: HermitianMatrix
     dual_gap: float
     pricing_residual: float
-    status: str  # "converged" | "round-limit"
+    status: str  # "converged" | "round-limit" | "stalled"
     rounds: int
     trace: list  # one dict per round with duality data
-
-
-def output_entropy_pure(ch: QuantumChannel, vec: np.ndarray) -> float:
-    out = channel_output_pure(ch, vec)
-    if ch.diagonal_output:
-        return shannon_entropy(np.clip(out.diagonal().real, 0.0, None))
-    return entropy_of_spectrum(np.linalg.eigvalsh(out))
-
-
-def output_entropy_mat(ch: QuantumChannel, mat: np.ndarray) -> float:
-    out = channel_apply_mat(ch, mat)
-    if ch.diagonal_output:
-        return shannon_entropy(np.clip(out.diagonal().real, 0.0, None))
-    return entropy_of_spectrum(np.linalg.eigvalsh(out))
-
-
-def build_fixed_rho_lp(
-    ch: QuantumChannel, states: list, rho: DensityMatrix
-) -> LinearProgram:
-    """Master LP: minimize sum_i p_i H(N(v_i v_i^dag)) with the ensemble
-    average pinned to rho.
-
-    The matrix equality contributes d^2 real rows (the Hermitian coordinate
-    encoding); the probability normalization is implicit in the trace rows.
-    """
-    if rho.dim != ch.dim_in:
-        raise DimensionError(f"rho dim {rho.dim} != channel input dim {ch.dim_in}")
-    cols, costs = [], []
-    for v in states:
-        if v.dim != ch.dim_in:
-            raise DimensionError(f"state dim {v.dim} != channel input dim {ch.dim_in}")
-        cols.append(mat_to_coords(v.projector()))
-        costs.append(output_entropy_pure(ch, v.vec))
-    return LinearProgram(
-        c=np.array(costs),
-        A=np.stack(cols, axis=1),
-        b=mat_to_coords(rho.mat),
-        sense="min",
-        tags=list(states),
-    )
-
-
-def dual_tau(sol: LpSolution, dim: int) -> HermitianMatrix:
-    """Reconstruct the dual Hermitian matrix tau from the master duals."""
-    if sol.status != "optimal":
-        raise ValueError(f"dual extraction needs an optimal solution, got {sol.status}")
-    return coords_to_hermitian(HermitianCoords(dim, sol.duals))
 
 
 def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
@@ -142,7 +95,9 @@ def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
 
     The returned fun_grad takes a batch of shape (S, d) and returns values of
     shape (S,) and gradients of shape (S, d); a single vector of shape (d,)
-    gives (float, gradient of shape (d,)).
+    gives (float, gradient of shape (d,)).  tau_mat is one (d, d) matrix or
+    a stack (S, d, d) with one matrix per row of the batch.  H is the entropy
+    of the spectrum as it is, so an unnormalized v is priced as well.
     """
     kraus = np.stack(ch.kraus)
     kraus_h = kraus.conj()
@@ -160,7 +115,7 @@ def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
             out = np.einsum("ski,skj->sij", imgs, imgs.conj())
             f_ent = entropy_of_spectrum(np.linalg.eigvalsh(out))
             log_imgs = np.einsum("sij,skj->ski", log2_safe(out), imgs)
-        tau_v = v @ tau_mat.T
+        tau_v = v @ tau_mat.T if tau_mat.ndim == 2 else np.einsum("sij,sj->si", tau_mat, v)
         f = f_ent - np.einsum("si,si->s", v.conj(), tau_v).real
         adjoint = np.einsum("kji,skj->si", kraus_h, log_imgs)  # N^dag(log N(v v^dag)) v
         return f, -2.0 * (adjoint + v / LN2 + tau_v)
@@ -187,21 +142,12 @@ def pricing_search(
         raise ValueError("starts must be >= 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    fun_grad = _pricing_objective(ch, tau.mat)
-    start_vecs = []
-    classes = []
-    for v in support:
-        start_vecs.append(v.vec)
-        classes.append("support")
-    for _ in range(starts):
-        start_vecs.append(random_pure(rng, ch.dim_in).vec)
-        classes.append("random")
-    minima = minimize_on_sphere(fun_grad, ch.dim_in, start_vecs)
-    reports = []
-    for f, v in minima:
-        if f < -tol:
-            reports.append(PricingReport(PureState(v), float(f), _nearest_class(v, start_vecs, classes)))
-    return reports
+    support = list(support)
+    start_vecs = [v.vec for v in support] + [random_pure(rng, ch.dim_in).vec for _ in range(starts)]
+    classes = ["support"] * len(support) + ["random"] * starts
+    minima = minimize_on_sphere(_pricing_objective(ch, tau.mat), ch.dim_in, start_vecs)
+    return [PricingReport(PureState(v), float(f), _nearest_class(v, start_vecs, classes))
+            for f, v in minima if f < -tol]
 
 
 def _nearest_class(v, start_vecs, classes) -> str:
@@ -210,263 +156,315 @@ def _nearest_class(v, start_vecs, classes) -> str:
 
 
 def g_objective(ch: QuantumChannel, tau_mat: np.ndarray) -> EntropySum:
-    """g(rho) = H(N(rho)) - Tr(tau rho), the average-state ascent's objective."""
+    """g(rho) = H(N(rho)) - Tr(tau rho), the fixed-average master's dual objective."""
     return EntropySum([(1.0, ch)], linear=-tau_mat)
 
 
-def update_rho(ch: QuantumChannel, tau: HermitianMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """One ascent step of g(rho) = H(N(rho)) - Tr(tau rho).
+def divergence_tau(ch: QuantumChannel, omega: np.ndarray, chi: float) -> np.ndarray:
+    """tau = -N^dag(log2 omega) - chi I, so that the pricing objective is
+    f(psi) = chi - D(N(psi) || omega) on unit vectors."""
+    return -adjoint_apply(ch, log2_safe(omega)) - chi * np.eye(ch.dim_in)
 
-    The move follows the traceless projection of the gradient, clipped at the
-    PSD boundary, with a 12-round derivative bisection for the step length.
-    Returns rho unchanged when no ascent direction of norm above 1e-9 exists.
+
+# --- the master: chi over the weights of fixed columns ------------------------
+
+class ChiMaster:
+    """chi(p) = S(sum_i p_i sigma_i) - sum_i p_i h_i over the weights p of
+    fixed columns: the rows v_i of vecs, with outputs sigma_i = N(v_i v_i^dag)
+    (shape (m, n, n)) and entropies h_i.
+
+    The gradient is D_i = D(sigma_i || omega) up to a constant, with omega
+    the average output, and chi = sum_i p_i D_i.
     """
-    g = g_objective(ch, tau.mat)
-    new_mat, moved = ascend_density_step(g.grad, rho.mat, line_deriv=g.line_deriv)
-    if not moved:
-        return rho
-    if g.value(new_mat) < g.value(rho.mat):
-        return rho
-    return DensityMatrix(renormalize_density(new_mat))
+
+    def __init__(self, ch: QuantumChannel, vecs):
+        self.ch = ch
+        self.vecs = np.asarray(vecs, dtype=complex)
+        imgs = np.einsum("kij,mj->mki", np.stack(ch.kraus), self.vecs)
+        self.outputs = np.einsum("mki,mkj->mij", imgs, imgs.conj())
+        outs = self.outputs
+        spectra = np.einsum("mii->mi", outs).real if ch.diagonal_output else np.linalg.eigvalsh(outs)
+        self.entropies = np.atleast_1d(entropy_of_spectrum(spectra))
+
+    def average(self, p: np.ndarray) -> np.ndarray:
+        return np.tensordot(p, self.outputs, axes=(0, 0))
+
+    def divergences(self, omega: np.ndarray):
+        """D(sigma_i || omega) for every column, plus omega's spectrum and the
+        outputs in its eigenbasis (for the Hessian)."""
+        eigs, vecs = np.linalg.eigh(omega)
+        rot = vecs.conj().T @ self.outputs @ vecs
+        div = -self.entropies - np.einsum("mii->mi", rot).real @ _log2_clipped(eigs)
+        return div, eigs, rot
+
+    def hessian(self, idx: np.ndarray, eigs: np.ndarray, rot: np.ndarray) -> np.ndarray:
+        """d^2 chi / dp_i dp_j = -Tr(sigma_i Dlog2[omega](sigma_j)) on the columns idx:
+        in omega's eigenbasis Dlog2 multiplies entry (a, b) by the divided
+        difference of log2 at the eigenvalues (floored at the entropy clip).
+        """
+        lam = np.maximum(eigs, ENTROPY_CLIP)
+        a, b = lam[:, None], lam[None, :]
+        gap = a - b
+        close = np.abs(gap) <= 1e-8 * np.maximum(a, b)
+        # log1p keeps the quotient accurate for nearby eigenvalues; 2/(a+b)
+        # is its limit to second order
+        divided = np.where(close, 2.0 / (a + b), np.log1p(gap / b) / np.where(close, 1.0, gap)) / LN2
+        s = rot[idx]
+        return -np.einsum("iab,ab,jab->ij", s.conj(), divided, s).real
+
+    def line_deriv(self, omega: np.ndarray, direction: np.ndarray):
+        """t -> d/dt chi(p + t*direction) for a direction summing to zero,
+        with omega the average at p (vectorized in t)."""
+        along = _trace_log2_along(omega, self.average(direction))
+        linear = float(direction @ self.entropies)
+        return lambda ts: -along(ts) - linear
 
 
-def _ascend_rho(ch, tau_mat, rho_mat, steps, tol):
-    """Repeat single ascent steps; returns (new_mat, total_gain)."""
-    g = g_objective(ch, tau_mat)
-    base = g.value(rho_mat)
-    cur, cur_val = rho_mat, base
-    for _ in range(steps):
-        nxt, moved = ascend_density_step(g.grad, cur, bisect_rounds=30, line_deriv=g.line_deriv)
-        if not moved:
+def caratheodory(master: ChiMaster, p: np.ndarray) -> np.ndarray:
+    """Shrink the support while its outputs are affinely dependent.
+
+    Moves p along a null direction n (sum_i n_i sigma_i = 0, which keeps the
+    average and gives sum_i n_i = 0) of the sign with -n.h >= 0, until a
+    weight hits zero; chi never decreases.
+    """
+    while True:
+        support = np.flatnonzero(p > 0.0)
+        outs = master.outputs[support].reshape(support.size, -1)
+        coords = np.concatenate([outs.real, outs.imag], axis=1)
+        _, sing, vt = np.linalg.svd(coords.T)
+        if support.size <= sing.size and sing[-1] > NULL_TOL * sing[0]:
+            return p
+        null = np.zeros_like(p)
+        null[support] = vt[-1]
+        if null @ master.entropies > 0.0:
+            null = -null
+        p = _step_to(p, null, *_ratio_test(p, null))
+
+
+def _ratio_test(p, direction):
+    """Largest t <= STEP_CAP with p + t*direction >= 0, and the index of the
+    weight that reaches zero there (-1 if none does)."""
+    neg = np.flatnonzero(direction < 0.0)
+    ratios = p[neg] / -direction[neg]
+    if not neg.size or ratios.min() > STEP_CAP:
+        return STEP_CAP, -1
+    k = int(np.argmin(ratios))
+    return float(ratios[k]), int(neg[k])
+
+
+def _step_to(p, direction, t, blocker):
+    new = p + t * direction
+    if blocker >= 0:
+        new[blocker] = 0.0
+    new = np.clip(new, 0.0, None)
+    return new / new.sum()
+
+
+def _newton_direction(master, p, support, div, eigs, rot):
+    """Maximizer of chi's quadratic model on the support's face, or None if
+    the KKT system is singular or its solution does not ascend."""
+    f = support.size
+    kkt = np.zeros((f + 1, f + 1))
+    kkt[:f, :f] = master.hessian(support, eigs, rot)
+    kkt[:f, f] = kkt[f, :f] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, np.concatenate([-div[support], [0.0]]))
+    except np.linalg.LinAlgError:
+        return None
+    step = np.zeros_like(p)
+    step[support] = sol[:f]
+    return step if np.isfinite(step).all() and step @ div > 0.0 else None
+
+
+def _line_step(master, p, omega, direction):
+    """Exact line search along direction, clipped by the ratio test; returns
+    the new weights, or None when no step ascends."""
+    t_hi, blocker = _ratio_test(p, direction)
+    t = line_max_concave(master.line_deriv(omega, direction), t_hi, rounds=LINE_ROUNDS)
+    if t <= 0.0:
+        return None
+    if t >= t_hi * (1.0 - 1e-9):  # the search ended at the ratio-test bound
+        return _step_to(p, direction, t_hi, blocker)
+    return _step_to(p, direction, t, -1)
+
+
+def maximize_chi(master: ChiMaster, p: np.ndarray, max_iters: int = MASTER_ITERS):
+    """Maximize chi over the simplex from the weights p (warm start).
+
+    Each iteration applies the Caratheodory step, then a Newton step on the
+    support's face while the face gap (spread of D on the support) exceeds
+    NEWTON_SHARE times the Frank-Wolfe gap max D - chi, else (or when Newton
+    fails) a Frank-Wolfe step toward argmax D; chi never decreases.  Stops at
+    a Frank-Wolfe gap of MASTER_GAP, after max_iters iterations, or when no
+    step ascends.  Returns p, chi and the divergences D.
+    """
+    p = np.asarray(p, dtype=float)
+    for it in range(max_iters + 1):
+        p = caratheodory(master, p)
+        omega = master.average(p)
+        div, eigs, rot = master.divergences(omega)
+        best = int(np.argmax(div))
+        fw_gap = div[best] - p @ div
+        if fw_gap <= MASTER_GAP or it == max_iters:
             break
-        nxt = renormalize_density(nxt)
-        val = g.value(nxt)
-        if val <= cur_val + tol / 10.0:
-            if val > cur_val:
-                cur, cur_val = nxt, val
+        support = np.flatnonzero(p > 0.0)
+        new = None
+        if np.ptp(div[support]) > NEWTON_SHARE * fw_gap:
+            step = _newton_direction(master, p, support, div, eigs, rot)
+            if step is not None:
+                new = _line_step(master, p, omega, step)
+        if new is None:
+            step = -p
+            step[best] += 1.0
+            new = _line_step(master, p, omega, step)
+        if new is None:
             break
-        cur, cur_val = nxt, val
-    return cur, cur_val - base
+        p = new
+    return p, float(p @ div), div
 
 
-def _ascend_rho_in_hull(ch, tau_mat, projectors, q, steps, tol):
-    """Away-step Frank-Wolfe for g over the convex hull of fixed projectors."""
-    q = np.asarray(q, dtype=float)
-    q = np.clip(q, 0.0, None)
-    q = q / q.sum()
-    mats = np.stack(projectors)
-    g_obj = g_objective(ch, tau_mat)
+# --- polish: the support as one point of a sphere -----------------------------
 
-    def rho_of(qv):
-        return np.tensordot(qv, mats, axes=(0, 0))
+def polish_objective(ch: QuantumChannel, m: int):
+    """-chi of the ensemble x = (sqrt(p_i) psi_i)_i, a unit vector of C^{m d}.
 
-    base = g_obj.value(rho_of(q))
-    cur_val = base
-    for _ in range(steps):
-        rho = rho_of(q)
-        g = g_obj.grad(rho)
-        scores = np.array([float(np.trace(g @ m).real) for m in mats])
-        fw = int(np.argmax(scores))
-        support = np.flatnonzero(q > 1e-12)
-        away = int(support[np.argmin(scores[support])])
-        fw_gain = scores[fw] - float(scores @ q)
-        away_gain = float(scores @ q) - scores[away]
-        if max(fw_gain, away_gain) < tol / 10.0:
-            break
-        if fw_gain >= away_gain:
-            dir_q = -q.copy()
-            dir_q[fw] += 1.0
-            t_hi = 1.0
-        else:
-            dir_q = q.copy()
-            dir_q[away] -= 1.0
-            t_hi = q[away] / (1.0 - q[away]) if q[away] < 1.0 else 1.0
-        d_mat = np.tensordot(dir_q, mats, axes=(0, 0))
-        t = line_max_concave(g_obj.line_deriv(rho, d_mat), t_hi, rounds=20)
-        if t <= 0.0:
-            break
-        q = np.clip(q + t * dir_q, 0.0, None)
-        q = q / q.sum()
-        cur_val = g_obj.value(rho_of(q))
-    return q, cur_val - base
+    -chi(x) = sum_i f_tau(x_i) + sum_i p_i log2 p_i with p_i = |x_i|^2, f_tau
+    the pricing objective on the unnormalized rows and tau = -N^dag(log2
+    N(rho(x))); the gradient adds 2 log2(p_i) x_i to each row of f_tau's
+    (up to a multiple of x, which the sphere search projects out).  Batched
+    like the pricing objective: (S, m d) in, values (S,) and gradients out.
+    """
+    d = ch.dim_in
+    kraus = np.stack(ch.kraus)
+
+    @batched_objective
+    def fun_grad(x):
+        rows = x.reshape(x.shape[0], m, d)
+        rho = np.einsum("smi,smj->sij", rows, rows.conj())
+        omega = np.einsum("kai,sij,kbj->sab", kraus, rho, kraus.conj())
+        tau = -np.einsum("kai,sab,kbj->sij", kraus.conj(), log2_safe(omega), kraus)
+        f, g = _pricing_objective(ch, np.repeat(tau, m, axis=0))(rows.reshape(-1, d))
+        probs = (rows.real**2 + rows.imag**2).sum(axis=2)
+        logp = np.where(probs > 0.0, np.log2(np.where(probs > 0.0, probs, 1.0)), 0.0)
+        value = f.reshape(-1, m).sum(axis=1) + (probs * logp).sum(axis=1)
+        grad = g.reshape(rows.shape) + 2.0 * logp[..., None] * rows
+        return value, grad.reshape(x.shape)
+
+    return fun_grad
 
 
-def _dedup_add(states, coords_list, new_states, dedup_tol=1e-9, costs=None, ch=None):
-    added = []
-    for v in new_states:
-        col = mat_to_coords(v.projector())
-        if all(np.abs(col - c).max() > dedup_tol for c in coords_list):
-            states.append(v)
-            coords_list.append(col)
-            if costs is not None:
-                costs.append(output_entropy_pure(ch, v.vec))
-            added.append(v)
-    return added
+def _polish(ch, vecs, p):
+    """One sphere search from the current ensemble; returns (vecs, p)."""
+    m, d = vecs.shape
+    x0 = (np.sqrt(p)[:, None] * vecs).ravel()
+    _, x = minimize_on_sphere(polish_objective(ch, m), m * d, [x0])[0]
+    rows = x.reshape(m, d)
+    probs = (rows.real**2 + rows.imag**2).sum(axis=1)
+    keep = probs > 0.0
+    rows = np.array([fix_phase(r / np.linalg.norm(r)) for r in rows[keep]])
+    return rows, probs[keep] / probs[keep].sum()
+
+
+# --- the loop -----------------------------------------------------------------
+
+def _prune(master, p):
+    keep = p > 0.0
+    return ChiMaster(master.ch, master.vecs[keep]), p[keep]
+
+
+def _add_columns(master, p, states):
+    """Append states at weight 0, skipping any whose projector is within
+    DEDUP_TOL of a column's; returns the new (master, p)."""
+    vecs = list(master.vecs)
+    for s in states:
+        if all(np.abs(np.outer(s.vec, s.vec.conj()) - np.outer(v, v.conj())).max() > DEDUP_TOL
+               for v in vecs):
+            vecs.append(s.vec)
+    return ChiMaster(master.ch, vecs), np.concatenate([p, np.zeros(len(vecs) - len(p))])
+
+
+def _average_input(master, p):
+    return np.einsum("m,mi,mj->ij", p, master.vecs, master.vecs.conj())
+
+
+def _trace_row(rnd, master, p, tau, chi) -> dict:
+    return {
+        "round": rnd,
+        "master_objective": float(p @ master.entropies),
+        "tr_tau_rho": float(np.trace(tau @ _average_input(master, p)).real),
+        "value": chi,
+        "columns": len(p),
+    }
 
 
 def c1inf(problem: C1InfProblem) -> C1InfResult:
-    """Run the alternating master/ascent/pricing loop.
+    """Maximize chi by simplicial decomposition, certified by the divergence gap.
 
-    The dual-guided move of the average state is a "move and hope" step: the
-    dual is only valid on the current column set, so a candidate move is
-    accepted (after backtracking halvings) only if the true objective
-    H(N(rho)) - master(rho) improves, and is dropped otherwise.  With
-    restricted signals the pricing step evaluates the discrete set exactly
-    and the average-state ascent stays inside the signals' hull.  Per-round
-    duality data is kept on `trace`.
+    Unrestricted, each round runs the master, drops zero-weight columns,
+    polishes the support (kept if chi rises) and prices at tau =
+    -N^dag(log2 N(rho)) - chi I, where the pricing objective is chi -
+    D(N(psi) || N(rho)).  The largest divergence found minus chi is
+    `pricing_residual` and `dual_gap`: "converged" once it is at most tol,
+    "stalled" if a round neither raised chi nor found a new column,
+    "round-limit" otherwise.  With restricted signals the loop is the master
+    alone and the gap exact.  Trace rows hold master_objective = sum_i p_i
+    H(N(psi_i)) and tr_tau_rho = Tr(tau rho); tau is dual feasible for the
+    fixed-average LP at rho exactly when the gap is zero.
     """
     ch = problem.channel
     opts = problem.options
-    d = ch.dim_in
     rng = np.random.default_rng(opts.seed)
     restricted = bool(problem.restricted_signals)
 
     if restricted:
-        states = list(problem.restricted_signals)
-        coords_list = [mat_to_coords(v.projector()) for v in states]
-        costs = [output_entropy_pure(ch, v.vec) for v in states]
-        weights = np.full(len(states), 1.0 / len(states))
+        vecs = [v.vec for v in problem.restricted_signals]
+        weights = np.ones(len(vecs))
         if opts.initial_weights is not None:
-            weights = np.asarray(opts.initial_weights, dtype=float)
-            weights = np.clip(weights, 0.0, None)
-            weights = weights / weights.sum()
-        projectors = [v.projector() for v in states]
-        rho_mat = np.tensordot(weights, np.stack(projectors), axes=(0, 0))
+            weights = np.clip(opts.initial_weights, 0.0, None)
     else:
-        states = [PureState(e) for e in np.eye(d)]
-        coords_list = [mat_to_coords(v.projector()) for v in states]
-        costs = [output_entropy_pure(ch, v.vec) for v in states]
-        _dedup_add(states, coords_list, [random_pure(rng, d) for _ in range(opts.starts)],
-                   costs=costs, ch=ch)
-        rho_mat = np.eye(d) / d
-
-    def solve_at(mat, warm):
-        """Master solve at a given average state; returns None if infeasible.
-
-        Equivalent to solve_lp(build_fixed_rho_lp(...)) but reuses the cached
-        per-state coordinates and output entropies."""
-        rho = DensityMatrix(renormalize_density(mat))
-        lp = LinearProgram(
-            c=np.array(costs),
-            A=np.stack(coords_list, axis=1),
-            b=mat_to_coords(rho.mat),
-            sense="min",
-            tags=list(states),
-        )
-        sol = solve_lp(lp, warm_basis=warm)
-        if sol.status != "optimal":
-            return None
-        tau = dual_tau(sol, d)
-        return {
-            "rho": rho,
-            "sol": sol,
-            "tau": tau,
-            "value": output_entropy_mat(ch, rho.mat) - sol.objective,
-        }
-
-    def anchor(mat):
-        """Make `mat` representable by the master columns (unrestricted mode)."""
-        if restricted:
-            return
-        _, vecs = np.linalg.eigh(renormalize_density(mat))
-        _dedup_add(states, coords_list, [PureState(fix_phase(vecs[:, k])) for k in range(d)],
-                   costs=costs, ch=ch)
-
-    cur = solve_at(rho_mat, None)
-    if cur is None:
-        anchor(rho_mat)
-        cur = solve_at(rho_mat, None)
-    trace_rows = []
+        vecs = list(np.eye(ch.dim_in)) + [random_pure(rng, ch.dim_in).vec for _ in range(opts.starts)]
+        weights = np.ones(len(vecs))
+    master = ChiMaster(ch, vecs)
+    p, chi, div = maximize_chi(master, weights / np.sum(weights), MASTER_ITERS)
+    tau = divergence_tau(ch, master.average(p), chi)
+    gap = max(0.0, float(div.max()) - chi) if restricted else np.inf
+    trace_rows = [_trace_row(0, master, p, tau, chi)] if restricted else []
     status = "round-limit"
-    pricing_residual = np.inf
-    rounds_done = 0
-
-    for rnd in range(opts.max_rounds):
-        rounds_done = rnd + 1
-        value_before = cur["value"]
-        trace_rows.append(
-            {
-                "round": rnd,
-                "master_objective": cur["sol"].objective,
-                "tr_tau_rho": float(np.trace(cur["tau"].mat @ cur["rho"].mat).real),
-                "round_value": cur["value"],
-                "value": cur["value"],
-                "columns": len(states),
-            }
-        )
-
-        # pricing: hunt for signal states violating the dual constraint
-        if restricted:
-            f_values = [
-                output_entropy_pure(ch, v.vec)
-                - float(np.vdot(v.vec, cur["tau"].mat @ v.vec).real)
-                for v in states
-            ]
-            pricing_residual = max(0.0, -min(f_values))
-            added = []
-        else:
-            x = cur["sol"].x  # columns are append-only, so indices stay aligned
-            support = [states[j] for j in range(x.size) if x[j] > 1e-9]
-            reports = pricing_search(
-                ch, cur["tau"], opts.starts, rng, support=support, tol=opts.pricing_tol
-            )
-            pricing_residual = max(0.0, -min((r.reduced_cost for r in reports), default=0.0))
-            added = _dedup_add(states, coords_list, [r.state for r in reports],
-                               costs=costs, ch=ch)
-        if added:
-            nxt = solve_at(cur["rho"].mat, cur["sol"].basis)
-            if nxt is not None:
-                cur = nxt  # columns only improve the master
-
-        # dual-guided candidate for the average state
-        if restricted:
-            new_w, g_gain = _ascend_rho_in_hull(
-                ch, cur["tau"].mat, projectors, cur["sol"].x, opts.inner_rho_steps, opts.tol
-            )
-            cand_mat = np.tensordot(new_w, np.stack(projectors), axes=(0, 0))
-        else:
-            cand_mat, g_gain = _ascend_rho(
-                ch, cur["tau"].mat, cur["rho"].mat, opts.inner_rho_steps, opts.tol
-            )
-        rho_accepted = False
-        cols_before_trials = len(states)
-        if g_gain > opts.tol:
-            # anchoring the full candidate makes every fractional trial a
-            # convex combination of representable states, hence feasible
-            anchor(cand_mat)
-            delta = cand_mat - cur["rho"].mat
-            for frac in (1.0, 0.5, 0.25, 0.125, 0.0625):
-                trial_mat = cur["rho"].mat + frac * delta
-                trial = solve_at(trial_mat, cur["sol"].basis)
-                if trial is not None and trial["value"] > cur["value"] + opts.tol / 10.0:
-                    cur = trial
-                    rho_accepted = True
-                    break
-        if not rho_accepted and len(states) > cols_before_trials:
-            # trial anchoring grew the column set; keep cur in sync with it
-            refreshed = solve_at(cur["rho"].mat, cur["sol"].basis)
-            if refreshed is not None:
-                cur = refreshed
-
-        if not added and not rho_accepted and cur["value"] - value_before <= opts.tol:
-            status = "converged"
+    for rnd in range(0 if restricted else opts.max_rounds):
+        chi_start = chi
+        if rnd:
+            p, chi, _ = maximize_chi(master, p, MASTER_ITERS)
+        master, p = _prune(master, p)
+        vecs, weights = _polish(ch, master.vecs, p)
+        polished = ChiMaster(ch, vecs)
+        weights, chi_polished, _ = maximize_chi(polished, weights, MASTER_ITERS)
+        if chi_polished > chi:
+            (master, p), chi = _prune(polished, weights), chi_polished
+        tau = divergence_tau(ch, master.average(p), chi)
+        reports = pricing_search(ch, HermitianMatrix(tau), opts.starts, rng,
+                                 support=[PureState(v) for v in master.vecs], tol=0.0)
+        gap = max(0.0, -min((r.reduced_cost for r in reports), default=0.0))
+        trace_rows.append(_trace_row(rnd, master, p, tau, chi))
+        if gap <= opts.tol:
             break
+        # appended columns carry weight 0: chi, rho and tau stay as returned
+        size = len(p)
+        master, p = _add_columns(master, p, [r.state for r in reports
+                                             if r.reduced_cost < -opts.pricing_tol])
+        if len(p) == size and chi <= chi_start:
+            status = "stalled"
+            break
+    if gap <= opts.tol:
+        status = "converged"
 
-    sol = cur["sol"]
-    probs = np.clip(sol.x, 0.0, None)
-    keep = probs > 1e-9
-    probs = probs[keep] / probs[keep].sum()
-    members = [s for s, k in zip(states, keep) if k]
-    ensemble = Ensemble(list(zip(probs, members)))
     return C1InfResult(
-        value=cur["value"],
-        ensemble=ensemble,
-        rho=cur["rho"],
-        tau=cur["tau"],
-        dual_gap=pricing_residual + max(0.0, cur["sol"].objective
-                                        - float(np.trace(cur["tau"].mat @ cur["rho"].mat).real)),
-        pricing_residual=pricing_residual,
+        value=chi,
+        ensemble=Ensemble([(float(q), PureState(v)) for q, v in zip(p, master.vecs) if q > 0.0]),
+        rho=DensityMatrix(renormalize_density(_average_input(master, p))),
+        tau=HermitianMatrix(tau),
+        dual_gap=gap,
+        pricing_residual=gap,
         status=status,
-        rounds=rounds_done,
+        rounds=len(trace_rows),
         trace=trace_rows,
     )

@@ -387,7 +387,7 @@ def main(argv=None) -> int:
                 with open(args.out, "w") as fh:
                     fh.write(text)
             sys.stdout.write(text)
-        return 2 if report.status == "round-limit" else 0
+        return 0 if report.status == "converged" else 2
     except (ChannelFileError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -9,11 +9,11 @@ Phase-1 artificial variables handle feasibility; artificials stuck in the
 basis at zero level (redundant rows) are tolerated permanently with an
 extended ratio test, so duals always come back with one entry per original
 row.  The pivot rule is largest-coefficient.  After a run of degenerate
-pivots it switches to Bland's rule on both sides: the entering column is the
-eligible one of smallest index, and the leaving row, among those tied at the
-minimum ratio, the one whose basic variable has the smallest index.  In exact
-arithmetic that rules out cycling (Bland 1977); under roundoff the pivot cap
-still bounds the run.
+pivots it switches to Bland's rule on both sides for the rest of the solve:
+the entering column is the eligible one of smallest index, and the leaving
+row, among those tied at the minimum ratio, the one whose basic variable has
+the smallest index.  In exact arithmetic that rules out cycling (Bland 1977);
+under roundoff the pivot cap still bounds the run.
 """
 
 from dataclasses import dataclass, field
@@ -331,7 +331,7 @@ def _simplex(work, b, cost, basis, artificial, pivot_tol, max_pivots):
             if abs(d[leave]) < NEGLIGIBLE_PIVOT and not forced:
                 passed_over[j] = True
                 continue
-        degenerate_streak = degenerate_streak + 1 if best_t < 1e-12 else 0
+        degenerate_streak = degenerate_streak + 1 if (best_t < 1e-12 or bland) else 0
         basis[leave] = j
         pivots += 1
         passed_over[:] = False

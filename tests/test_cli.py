@@ -162,10 +162,10 @@ def test_limited_ea_cli(capsys):
 
 
 def test_round_limit_exit_code(capsys):
-    # a one-round cap on a channel that needs several rounds reports status
-    # round-limit and exits 2
+    # with no pricing round the initial master is returned uncertified: status
+    # round-limit, exit 2
     code, fields = run_text(
-        capsys, ["c1inf", "--channel", "amplitude_damping_0.3.qch", "--max-rounds", "1"]
+        capsys, ["c1inf", "--channel", "amplitude_damping_0.3.qch", "--max-rounds", "0"]
     )
     assert fields["status"] == "round-limit"
     assert code == 2

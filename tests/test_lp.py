@@ -294,6 +294,20 @@ def test_captured_tiny_pivot_master_stays_feasible():
         _assert_optimal_dual(lp, sol, best)
 
 
+def test_captured_ququart_master_terminates_under_bland():
+    # a fixed-average master of a random ququart channel (16 rows, 584
+    # columns): the largest-coefficient rule cycles on it, and a roundoff-sized
+    # step inside Bland's rule used to hand the choice back to it, forever
+    lp, warm = _captured("ququart")
+    best, _ = _highs(lp)
+    assert best == pytest.approx(0.910921378241, abs=1e-11)
+    for start in (warm, None):
+        sol = solve_lp(lp, warm_basis=start, max_pivots=20_000)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(best, abs=1e-9)
+        _assert_optimal_dual(lp, sol, best)
+
+
 def _assert_optimal_dual(lp, sol, objective):
     """y is an optimal dual: it attains the objective and is dual feasible."""
     scale = 1.0 + abs(objective)
