@@ -1,24 +1,41 @@
 """Brute-force grid oracles for desk-scale verification.
 
-Exhaustive, simple, and independent of the optimization engines: dense angle
-grids for accessible information, a Bloch-ball sweep for density objectives,
-and a probability-simplex enumeration for restricted Holevo chi.  Every grid
-point is evaluated, as array code: closed-form simplex compositions (the
-4-signal simplex streamed one leading coordinate at a time), closed-form 2x2
-spectra, the ball one z slice at a time, and the angle sweeps in blocks of a
-fixed number of points.  Everything here is limited to qubit inputs/outputs;
-grids blow up beyond d = 2.
+Simple and independent of the optimization engines: dense angle grids for
+accessible information, a Bloch-ball lattice for density objectives, and a
+probability-simplex enumeration for restricted Holevo chi, all as array code:
+closed-form simplex compositions (the 4-signal simplex streamed one leading
+coordinate at a time), closed-form 2x2 spectra, and the angle sweeps in blocks
+of a fixed number of points.  Every grid point is evaluated, except on the
+ball for the concave objectives.  Everything here is limited to qubit
+inputs/outputs; grids blow up beyond d = 2.
+
+The ball is swept one z slice at a time for "coherent".  "qmi" and
+"fixed-dual" are concave in the Bloch vector (mutual information is concave
+in the input state; H(N(rho)) is concave and Tr(tau rho) linear), so the
+tangent plane at any evaluated point a, f(a) + grad f(a).(n - a), bounds f on
+the whole ball.  An octree over the lattice indices evaluates each cell's
+centre and drops a cell once every plane it is given puts the cell's box more
+than _PRUNE_MARGIN below the best value found; the surviving cells are split
+down to single lattice points.  A plane is kept only where every spectrum in
+the objective is above _PLANE_FLOOR, where its gradient is finite and its
+roundoff far below the margin.  A dropped cell holds no point within the
+margin of the maximum, so every maximal point is evaluated, and ties go, as
+in the sweep, to the first in (z, x, y) index order.  The points are
+evaluated by the sweep's expressions (one batch per slice there, one per
+refinement step here), so the result is the sweep's bit for bit.
 
 All entropies go through the three module-level kernels `_h2`, `_xlog2x` and
 `_entropy_batch` (perfbench's tracer wraps them by name to count evaluations).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     ENTROPY_CLIP,
+    HERMITIAN_TOL,
     DensityMatrix,
     DimensionError,
     Ensemble,
@@ -32,8 +49,23 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SX, SY, SZ)
 
-# grid points (times signals) evaluated per array block in the angle sweeps
+# grid points (times signals) evaluated per array block in the angle sweeps,
+# and cells (times planes) per block of the ball search's bounds
 _BLOCK_ELEMS = 1 << 16
+# the ball test of the Bloch lattice: |n|^2 <= 1 + _BALL_TOL
+_BALL_TOL = 1e-12
+# the ball search starts from about _START_CELLS^3 cells and keeps at most
+# _LIVE_CELLS of them per batch.  It makes a tangent plane only where every
+# eigenvalue in the objective exceeds _PLANE_FLOOR: an eigenvalue's roundoff
+# (about 1e-15) then moves log2 of it by at most about 1e-11, so a plane's
+# error across the ball stays well under _PRUNE_MARGIN, the amount by which a
+# cell's bound must fall below the incumbent before the cell is dropped
+_START_CELLS = 8
+_LIVE_CELLS = 4096
+_PLANE_FLOOR = 1e-4
+_PRUNE_MARGIN = 1e-9
+# the 8 corner offsets of a 2 x 2 x 2 box; as a mask, the upper half of each axis
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 
 
 @dataclass(frozen=True)
@@ -173,55 +205,254 @@ def _environment_affine(ch: QuantumChannel):
     return w0, ws
 
 
-def grid_density_objective(
-    ch: QuantumChannel, objective: str, step: float, tau: np.ndarray = None
-):
-    """Exhaustive Bloch-ball maximization of a named density functional.
+class _BallObjective:
+    """One of the Bloch-ball objectives as a function of the Bloch vector n."""
 
-    objective is one of "qmi" (quantum mutual information), "coherent"
-    (coherent information), or "fixed-dual" (H(N(rho)) - Tr(tau rho), tau
-    required).  The ball is swept one z slice of the cubic lattice at a time.
-    Returns (value, maximizing DensityMatrix).
-    """
+    def __init__(self, ch: QuantumChannel, objective: str, tau):
+        self.objective = objective
+        self.m, self.t = _qubit_channel_affine(ch)
+        if objective == "fixed-dual":
+            self.tau_tr, self.tau_bloch = float(np.trace(tau).real), bloch_vector(tau)
+        else:
+            w0, ws = _environment_affine(ch)
+            self.w0, self.ws = w0, np.stack(ws)
+
+    def _env(self, n):
+        return self.w0[None, :, :] + np.tensordot(n, self.ws, axes=(1, 0))
+
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """Values at the points n (P, 3)."""
+        n_out = n @ self.m.T + self.t
+        h_out = _h2(0.5 * (1.0 + np.linalg.norm(n_out, axis=1)))
+        if self.objective == "fixed-dual":
+            return h_out - 0.5 * (self.tau_tr + n @ self.tau_bloch)
+        h_env = _entropy_batch(self._env(n))
+        if self.objective == "coherent":
+            return h_out - h_env
+        h_in = _h2(0.5 * (1.0 + np.linalg.norm(n, axis=1)))
+        return h_in + h_out - h_env
+
+    def gradients(self, n: np.ndarray):
+        """Gradients at the points n (P, 3) of "qmi" or "fixed-dual", and
+        whether each spectrum in the objective is above _PLANE_FLOOR there."""
+        g_out, ok = _bloch_entropy_grad(n @ self.m.T + self.t)
+        grad = g_out @ self.m
+        if self.objective == "fixed-dual":
+            return grad - 0.5 * self.tau_bloch, ok
+        g_in, ok_in = _bloch_entropy_grad(n)
+        lam, vec = np.linalg.eigh(self._env(n))
+        log_env = (vec * np.log2(np.maximum(lam, _PLANE_FLOOR))[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+        # -S(env) has partial derivatives Tr(W_a log2 env), since Tr W_a = 0
+        g_env = np.einsum("ajk,pkj->pa", self.ws, log_env).real
+        return grad + g_in + g_env, ok & ok_in & (lam[:, 0] > _PLANE_FLOOR)
+
+
+def _bloch_entropy_grad(n: np.ndarray):
+    """Gradient in n of h2((1 + |n|) / 2) for rows n (P, 3), and whether both
+    eigenvalues (1 ± |n|) / 2 exceed _PLANE_FLOOR."""
+    r = np.linalg.norm(n, axis=1)
+    # the gradient is -artanh(r) / (r ln 2) n, tending to 0 at r = 0; r is
+    # capped where the floor rejects the plane anyway
+    capped = np.arctanh(np.minimum(r, 1.0 - 2.0 * _PLANE_FLOOR))
+    scale = np.divide(capped, r, out=np.ones_like(r), where=r > 0)
+    return -(scale / np.log(2.0))[:, None] * n, 0.5 * (1.0 - r) > _PLANE_FLOOR
+
+
+def _ball_problem(ch: QuantumChannel, objective: str, step: float, tau):
     GridSpec(step, "bloch-ball")
     if objective not in ("qmi", "coherent", "fixed-dual"):
         raise ValueError(f"unknown objective {objective!r}")
-    if objective == "fixed-dual" and tau is None:
-        raise ValueError("fixed-dual needs tau")
-    m, t = _qubit_channel_affine(ch)
-    if objective != "fixed-dual":
-        w0, ws = _environment_affine(ch)
-        ws = np.stack(ws)
-    if tau is not None:
-        tau_tr = float(np.trace(tau).real)
-        tau_bloch = bloch_vector(tau)
+    if objective == "fixed-dual":
+        if tau is None:
+            raise ValueError("fixed-dual needs tau")
+        tau = np.asarray(tau)
+        if (tau.shape != (2, 2) or not np.isfinite(tau).all()
+                or np.abs(tau - tau.conj().T).max() > HERMITIAN_TOL):
+            raise ValueError(f"tau must be a Hermitian 2x2 matrix, got {tau!r}")
+    elif tau is not None:
+        raise ValueError(f"objective {objective!r} takes no tau")
+    return _BallObjective(ch, objective, tau), np.arange(-1.0, 1.0 + step / 2, step)
 
-    axis = np.arange(-1.0, 1.0 + step / 2, step)
+
+def _density_result(value: float, n: np.ndarray):
+    rho = 0.5 * (np.eye(2) + n[0] * SX + n[1] * SY + n[2] * SZ)
+    return value, DensityMatrix(rho)
+
+
+def grid_density_objective(
+    ch: QuantumChannel, objective: str, step: float, tau: np.ndarray = None
+):
+    """Maximum of a named density functional over the Bloch-ball lattice.
+
+    objective is one of "qmi" (quantum mutual information), "coherent"
+    (coherent information), or "fixed-dual" (H(N(rho)) - Tr(tau rho), tau a
+    Hermitian 2x2, required, and taken by no other objective).  The lattice
+    has spacing `step` on each axis.  "coherent" is swept one z slice at a
+    time; the concave "qmi" and "fixed-dual" are searched by branch-and-bound
+    with the same result.  Returns (value, maximizing DensityMatrix), the
+    first maximal point in (z, x, y) index order.
+    """
+    f, axis = _ball_problem(ch, objective, step, tau)
+    if objective == "coherent":
+        return _density_result(*_sweep(f, axis))
+    return _density_result(*_LatticeSearch(f, axis).run())
+
+
+def _swept_density_objective(ch: QuantumChannel, objective: str, step: float, tau=None):
+    """grid_density_objective by the exhaustive sweep, for every objective."""
+    return _density_result(*_sweep(*_ball_problem(ch, objective, step, tau)))
+
+
+def _sweep(f: _BallObjective, axis: np.ndarray):
+    """Evaluate every lattice point in the ball, one z slice at a time."""
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     r2_xy = xs**2 + ys**2
     best_val, best_n = -np.inf, np.zeros(3)
     for z in axis:
-        keep = r2_xy + z**2 <= 1.0 + 1e-12
+        keep = r2_xy + z**2 <= 1.0 + _BALL_TOL
         if not keep.any():
             continue
         n = np.stack([xs[keep], ys[keep], np.full(keep.sum(), z)], axis=1)  # (N, 3)
-        n_out = n @ m.T + t
-        h_out = _h2(0.5 * (1.0 + np.linalg.norm(n_out, axis=1)))
-        if objective == "fixed-dual":
-            vals = h_out - 0.5 * (tau_tr + n @ tau_bloch)
-        else:
-            env = w0[None, :, :] + np.tensordot(n, ws, axes=(1, 0))
-            h_env = _entropy_batch(env)
-            if objective == "coherent":
-                vals = h_out - h_env
-            else:
-                h_in = _h2(0.5 * (1.0 + np.linalg.norm(n, axis=1)))
-                vals = h_in + h_out - h_env
+        vals = f.values(n)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_n = float(vals[k]), n[k]
-    rho = 0.5 * (np.eye(2) + best_n[0] * SX + best_n[1] * SY + best_n[2] * SZ)
-    return best_val, DensityMatrix(rho)
+    return best_val, best_n
+
+
+def _lone_slices(sq: np.ndarray) -> np.ndarray:
+    """Whether each z slice of the ball holds exactly one lattice point.
+
+    sq holds the squared axis values.  (i0, i1), the two x indices nearest 0,
+    gives two points of every slice that holds it either way round; the
+    others (the poles) have few candidates and are counted.
+    """
+    lone = np.zeros(sq.size, dtype=bool)
+    i0 = int(np.argmin(sq))
+    i1 = i0 + 1 if i0 + 1 < sq.size else i0 - 1
+    two = (sq[i0] + sq[i1]) + sq <= 1.0 + _BALL_TOL
+    for iz in np.flatnonzero(~two):
+        near = sq[sq + sq[iz] <= 1.0 + _BALL_TOL]
+        lone[iz] = np.count_nonzero((near[:, None] + near[None, :]) + sq[iz] <= 1.0 + _BALL_TOL) == 1
+    return lone
+
+
+class _LatticeSearch:
+    """Octree branch-and-bound for the first maximal lattice point of a
+    concave ball objective, in the sweep's (z, x, y) index order.
+
+    Cells are index boxes (lo, hi inclusive; x, y, z).  Each evaluated cell
+    centre whose spectra clear _PLANE_FLOOR adds a tangent plane, stored as
+    f(a) - g.a and g; it bounds a box of centre c and half-widths h by
+    f(a) - g.a + g.c + |g|.h.  A cell is bounded by the planes of the
+    starting cells' centres and of its own ancestors' centres, and dropped
+    when that bound is below the incumbent minus _PRUNE_MARGIN.
+    """
+
+    def __init__(self, f: _BallObjective, axis: np.ndarray):
+        self.f, self.axis, self.sq = f, axis, axis**2
+        self.lone = _lone_slices(self.sq)
+        self.best, self.key = -np.inf, -1
+        self.offset, self.grad = np.empty(0), np.empty((0, 3))
+        self.shared = 0  # planes [0, shared) bound every cell
+
+    def run(self):
+        size = self.axis.size
+        side = -(-size // _START_CELLS)
+        starts = np.arange(0, size, side)
+        lo = np.stack(np.meshgrid(starts, starts, starts, indexing="ij"), axis=-1).reshape(-1, 3)
+        hi = np.minimum(lo + side - 1, size - 1)
+        lo, hi = self._meets_ball(lo, hi)
+        lo, hi, ids = self._refine(lo, hi, np.empty((lo.shape[0], 0), dtype=np.int64))
+        self.shared = self.offset.size
+        self._descend(lo, hi, ids[:, 1:])
+        if self.key < 0:
+            return self.best, np.zeros(3)
+        iz, rest = divmod(self.key, size * size)
+        return self.best, self.axis[[rest // size, rest % size, iz]]
+
+    def _descend(self, lo, hi, ids):
+        """Refine the cells until each is evaluated or dropped, at most
+        _LIVE_CELLS of them at a time."""
+        while lo.shape[0]:
+            if lo.shape[0] > _LIVE_CELLS:
+                for part in np.array_split(np.arange(lo.shape[0]), -(-lo.shape[0] // _LIVE_CELLS)):
+                    self._descend(lo[part], hi[part], ids[part])
+                return
+            lo, hi, ids = self._refine(lo, hi, ids)
+
+    def _refine(self, lo, hi, ids):
+        """Drop the cells the planes certify, evaluate every point of the
+        leaves (sides of 1 or 2) and the centres of the rest; returns the
+        children of the rest, each with its parent's plane ids plus the one
+        made at the parent's centre (-1: none)."""
+        keep = self._bound(lo, hi, ids) >= self.best - _PRUNE_MARGIN
+        lo, hi, ids = lo[keep], hi[keep], ids[keep]
+        leaf = (hi - lo <= 1).all(axis=1)
+        points = lo[leaf][:, None, :] + _CORNERS
+        self._evaluate(points[(points <= hi[leaf][:, None, :]).all(axis=2)])
+        lo, hi, ids = lo[~leaf], hi[~leaf], ids[~leaf]
+        inside, n, vals = self._evaluate((lo + hi) // 2)
+        grad, ok = self.f.gradients(n)
+        own = np.full(lo.shape[0], -1)
+        own[np.flatnonzero(inside)[ok]] = self.offset.size + np.arange(np.count_nonzero(ok))
+        self.offset = np.concatenate([self.offset, vals[ok] - np.einsum("pa,pa->p", grad[ok], n[ok])])
+        self.grad = np.concatenate([self.grad, grad[ok]])
+        mid = ((lo + hi) // 2)[:, None, :]
+        kid_lo = np.where(_CORNERS, mid + 1, lo[:, None, :])
+        kid_hi = np.where(_CORNERS, hi[:, None, :], mid)
+        real = (kid_lo <= kid_hi).all(axis=2)
+        kid_ids = np.repeat(np.column_stack([ids, own])[:, None, :], 8, axis=1)
+        return self._meets_ball(kid_lo[real], kid_hi[real], kid_ids[real])
+
+    def _meets_ball(self, lo, hi, *rest):
+        """The boxes (and their rows of `rest`) that reach into the ball, with
+        room for roundoff above the ball test."""
+        near = np.maximum(0.0, np.maximum(self.axis[lo], -self.axis[hi]))
+        keep = (near**2).sum(axis=1) <= 1.0 + 1e-9
+        return (lo[keep], hi[keep]) + tuple(r[keep] for r in rest)
+
+    def _bound(self, lo, hi, ids):
+        """Least plane bound of each cell (inf without planes)."""
+        if self.offset.size == 0 or lo.shape[0] == 0:
+            return np.full(lo.shape[0], np.inf)
+        c = 0.5 * (self.axis[lo] + self.axis[hi])
+        h = 0.5 * (self.axis[hi] - self.axis[lo])
+        g = self.grad[ids]  # (cells, ancestors, 3)
+        own = self.offset[ids] + np.einsum("cda,ca->cd", g, c) + np.einsum("cda,ca->cd", np.abs(g), h)
+        out = np.where(ids >= 0, own, np.inf).min(axis=1, initial=np.inf)
+        if self.shared:
+            g, off = self.grad[:self.shared], self.offset[:self.shared]
+            for rows in _blocks(np.arange(lo.shape[0]), self.shared):
+                shared = (off + c[rows] @ g.T + h[rows] @ np.abs(g).T).min(axis=1)
+                out[rows] = np.minimum(out[rows], shared)
+        return out
+
+    def _evaluate(self, idx):
+        """Evaluate the lattice points idx (P, 3) that pass the sweep's ball
+        test, as the sweep computes them, and update the incumbent; returns
+        (mask of those points, their coordinates, their values)."""
+        inside = (self.sq[idx[:, 0]] + self.sq[idx[:, 1]]) + self.sq[idx[:, 2]] <= 1.0 + _BALL_TOL
+        idx = idx[inside]
+        n = self.axis[idx]
+        vals = np.empty(idx.shape[0])
+        # numpy's matrix products take a vector path, with other roundoff, for
+        # a single row; the sweep meets one only in a lone slice, so points of
+        # lone slices go alone and any other single point is padded to two rows
+        lone = self.lone[idx[:, 2]]
+        for i in np.flatnonzero(lone):
+            vals[i] = self.f.values(n[i:i + 1])[0]
+        rest = np.flatnonzero(~lone)
+        if rest.size:
+            vals[rest] = self.f.values(n[np.resize(rest, max(2, rest.size))])[:rest.size]
+        if vals.size:
+            size = self.axis.size
+            top = vals.max()
+            keys = (idx[:, 2] * size + idx[:, 0]) * size + idx[:, 1]
+            first = int(keys[vals == top].min())
+            if top > self.best or (top == self.best and first < self.key):
+                self.best, self.key = float(top), first
+        return inside, n, vals
 
 
 def simplex_enumerate_chi(ch: QuantumChannel, states: list, step: float):

@@ -5,13 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
+from qchancap import oracles
+from qchancap.channels import amplitude_damping, depolarizing
 from qchancap.core import (
     DimensionError,
     Ensemble,
     PureState,
+    QuantumChannel,
     binary_entropy,
     entropy_of_spectrum,
     identity_channel,
+    random_channel,
     random_density,
     validate_channel,
 )
@@ -20,6 +24,7 @@ from qchancap.oracles import (
     _compositions,
     _entropy_batch,
     _projective_sweep,
+    _swept_density_objective,
     _trine_sweep,
     bloch_vector,
     grid_accessible_info_2d,
@@ -236,6 +241,111 @@ def test_grid_density_unknown_objective():
         grid_density_objective(identity_channel(2), "capacity", 0.01)
     with pytest.raises(ValueError):
         grid_density_objective(identity_channel(2), "fixed-dual", 0.01)
+
+
+def test_grid_density_rejects_misplaced_tau():
+    tau = np.diag([0.2, -0.1]).astype(complex)
+    for objective in ("qmi", "coherent"):
+        with pytest.raises(ValueError, match="tau"):
+            grid_density_objective(identity_channel(2), objective, 0.1, tau=tau)
+    bad_taus = [
+        np.eye(3),
+        np.array([0.1, 0.2]),
+        np.array([[0.1, 0.2], [0.0, 0.3]]),
+        np.array([[0.1, 1j], [1j, 0.3]]),
+        np.array([[np.nan, 0.0], [0.0, 0.1]]),
+    ]
+    for tau in bad_taus:
+        with pytest.raises(ValueError, match="Hermitian 2x2"):
+            grid_density_objective(identity_channel(2), "fixed-dual", 0.1, tau=tau)
+    grid_density_objective(identity_channel(2), "fixed-dual", 0.1, tau=[[0.1, 1j], [-1j, 0.3]])
+
+
+# --- branch-and-bound against the exhaustive sweep --------------------------------
+
+def _random_tau(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return (g + g.conj().T) / 2
+
+
+def _assert_same_as_sweep(ch, objective, step, tau=None):
+    value, rho = grid_density_objective(ch, objective, step, tau=tau)
+    swept, swept_rho = _swept_density_objective(ch, objective, step, tau=tau)
+    assert value == swept
+    assert np.array_equal(rho.mat, swept_rho.mat)
+    return value, rho
+
+
+def _equivalence_channels():
+    rng = np.random.default_rng(2027)
+    unitary = random_channel(rng, 2, 2, 1).kraus[0]
+    channels = [identity_channel(2), QuantumChannel([a @ unitary for a in depolarizing(0.3).kraus])]
+    channels += [random_channel(rng, 2, 2, 1 + i % 4) for i in range(20)]
+    return rng, channels
+
+
+@pytest.mark.parametrize("step", [3.0, 1.5, 0.7, 0.3, 0.13, 0.05, 0.04, 0.02])
+def test_branch_and_bound_matches_sweep(step):
+    rng, channels = _equivalence_channels()
+    for ch in channels:
+        _assert_same_as_sweep(ch, "qmi", step)
+        _assert_same_as_sweep(ch, "fixed-dual", step, tau=_random_tau(rng))
+
+
+def test_branch_and_bound_matches_sweep_fine_depolarizing():
+    rng = np.random.default_rng(11)
+    unitary = random_channel(rng, 2, 2, 1).kraus[0]
+    ch = QuantumChannel([a @ unitary for a in depolarizing(0.3).kraus])
+    value, _ = _assert_same_as_sweep(ch, "qmi", 0.01)
+    # the maximally mixed input is a lattice point: C_E = 2 - H(0.7, 0.1, 0.1, 0.1)
+    assert value == pytest.approx(2 + 0.7 * np.log2(0.7) + 0.3 * np.log2(0.1), abs=1e-12)
+    _assert_same_as_sweep(ch, "fixed-dual", 0.01, tau=_random_tau(rng))
+
+
+def _replacement(sigma_eigs, unitary):
+    """The channel sending every input to U diag(sigma_eigs) U^dag."""
+    return QuantumChannel([np.sqrt(s) * np.outer(unitary[:, j], np.eye(2)[i])
+                           for j, s in enumerate(sigma_eigs) for i in range(2)])
+
+
+def test_branch_and_bound_degenerate_inputs():
+    rng = np.random.default_rng(4)
+    unitary = random_channel(rng, 2, 2, 1).kraus[0]
+    replacement = _replacement([0.7, 0.3], unitary)
+    # a constant objective: every lattice point ties, so the first one (the
+    # south pole, alone in the first slice) is returned
+    value, rho = _assert_same_as_sweep(replacement, "fixed-dual", 0.05, tau=np.zeros((2, 2)))
+    assert value == pytest.approx(binary_entropy(0.3), abs=1e-12)
+    assert np.abs(rho.mat - np.diag([0.0, 1.0])).max() < 1e-12
+    # I = 0 in exact arithmetic, so the lattice maximum is a roundoff tie-break
+    value, _ = _assert_same_as_sweep(replacement, "qmi", 0.05)
+    assert abs(value) < 1e-12
+    for ch in (
+        # linearly dependent Kraus operators: the environment state is singular
+        # everywhere, so no qmi tangent plane is kept
+        QuantumChannel([a / np.sqrt(2) for a in amplitude_damping(0.4).kraus for _ in range(2)]),
+        amplitude_damping(1.0),  # a pure output everywhere
+        random_channel(rng, 2, 2, 1),  # a unitary: 1 x 1 environment
+    ):
+        for step in (0.05, 0.04):
+            _assert_same_as_sweep(ch, "qmi", step)
+            _assert_same_as_sweep(ch, "fixed-dual", step, tau=_random_tau(rng))
+
+
+def test_coherent_sweeps_every_lattice_point(monkeypatch):
+    step = 0.1
+    axis = np.arange(-1.0, 1.0 + step / 2, step)
+    ball = sum(x * x + y * y + z * z <= 1.0 + 1e-12 for x in axis for y in axis for z in axis)
+    evaluated = []
+    values = oracles._BallObjective.values
+    monkeypatch.setattr(oracles._BallObjective, "values",
+                        lambda self, n: evaluated.append(n.shape[0]) or values(self, n))
+    ch = amplitude_damping(0.3)
+    grid_density_objective(ch, "coherent", step)
+    assert sum(evaluated) == ball
+    evaluated.clear()
+    grid_density_objective(ch, "qmi", step)
+    assert 0 < sum(evaluated) < ball / 4
 
 
 def test_simplex_chi_trine():
