@@ -392,15 +392,15 @@ class _LatticeSearch:
         points = lo[leaf][:, None, :] + _CORNERS
         self._evaluate(points[(points <= hi[leaf][:, None, :]).all(axis=2)])
         lo, hi, ids = lo[~leaf], hi[~leaf], ids[~leaf]
-        inside, n, vals = self._evaluate((lo + hi) // 2)
+        mid = (lo + hi) // 2
+        inside, n, vals = self._evaluate(mid)
         grad, ok = self.f.gradients(n)
         own = np.full(lo.shape[0], -1)
         own[np.flatnonzero(inside)[ok]] = self.offset.size + np.arange(np.count_nonzero(ok))
         self.offset = np.concatenate([self.offset, vals[ok] - np.einsum("pa,pa->p", grad[ok], n[ok])])
         self.grad = np.concatenate([self.grad, grad[ok]])
-        mid = ((lo + hi) // 2)[:, None, :]
-        kid_lo = np.where(_CORNERS, mid + 1, lo[:, None, :])
-        kid_hi = np.where(_CORNERS, hi[:, None, :], mid)
+        kid_lo = np.where(_CORNERS, mid[:, None, :] + 1, lo[:, None, :])
+        kid_hi = np.where(_CORNERS, hi[:, None, :], mid[:, None, :])
         real = (kid_lo <= kid_hi).all(axis=2)
         kid_ids = np.repeat(np.column_stack([ids, own])[:, None, :], 8, axis=1)
         return self._meets_ball(kid_lo[real], kid_hi[real], kid_ids[real])
