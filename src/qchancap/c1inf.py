@@ -5,6 +5,9 @@ rho, max_psi D(N(psi) || N(rho)) bounds C_{1,inf} from above, with equality
 at the optimum (Schumacher and Westmoreland, PRA 63, 022308, 2001).  The
 pricing search that finds violators is multistart local, so "converged" is
 a claim about the states it visited, not a global certificate.
+
+The master (ChiMaster, maximize_chi) takes general columns and an optional
+linear budget row; ea.limited_ea runs it over density columns.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +45,7 @@ MASTER_ITERS = 1000
 NEWTON_SHARE = 0.1  # Newton on the face while its gap exceeds this share of the FW gap
 LINE_ROUNDS = 40  # bisection rounds of the master's line searches
 NULL_TOL = 1e-10  # relative singular value below which the support's outputs are dependent
+BUDGET_TOL = 1e-12  # bits of slack within which the budget row counts as active
 DEDUP_TOL = 1e-7  # projectors closer than this (max-norm) are the same column
 
 
@@ -170,31 +174,41 @@ def divergence_tau(ch: QuantumChannel, omega: np.ndarray, chi: float) -> np.ndar
 
 class ChiMaster:
     """chi(p) = S(sum_i p_i sigma_i) - sum_i p_i h_i over the weights p of
-    fixed columns: the rows v_i of vecs, with outputs sigma_i = N(v_i v_i^dag)
-    (shape (m, n, n)) and entropies h_i.
+    fixed columns: unit-trace outputs sigma_i (shape (m, n, n)) and linear
+    costs h_i.  `columns` holds the inputs they stand for (signal vectors
+    here, density matrices for limited-EA).
 
-    The gradient is D_i = D(sigma_i || omega) up to a constant, with omega
-    the average output, and chi = sum_i p_i D_i.
+    The gradient is D_i = -h_i - Tr(sigma_i log2 omega) up to a constant,
+    with omega the average output, and chi = sum_i p_i D_i; for pure columns
+    (h_i = S(sigma_i)) D_i = D(sigma_i || omega).
     """
 
-    def __init__(self, ch: QuantumChannel, vecs):
-        self.ch = ch
-        self.vecs = np.asarray(vecs, dtype=complex)
-        imgs = np.einsum("kij,mj->mki", np.stack(ch.kraus), self.vecs)
-        self.outputs = np.einsum("mki,mkj->mij", imgs, imgs.conj())
-        outs = self.outputs
+    def __init__(self, outputs, costs, columns):
+        self.outputs = outputs
+        self.costs = np.atleast_1d(costs)
+        self.columns = columns
+
+    @classmethod
+    def pure(cls, ch: QuantumChannel, vecs):
+        """Columns v_i with sigma_i = N(v_i v_i^dag) and h_i = S(sigma_i)."""
+        vecs = np.asarray(vecs, dtype=complex)
+        imgs = np.einsum("kij,mj->mki", np.stack(ch.kraus), vecs)
+        outs = np.einsum("mki,mkj->mij", imgs, imgs.conj())
         spectra = np.einsum("mii->mi", outs).real if ch.diagonal_output else np.linalg.eigvalsh(outs)
-        self.entropies = np.atleast_1d(entropy_of_spectrum(spectra))
+        return cls(outs, entropy_of_spectrum(spectra), vecs)
+
+    def take(self, keep) -> "ChiMaster":
+        return ChiMaster(self.outputs[keep], self.costs[keep], self.columns[keep])
 
     def average(self, p: np.ndarray) -> np.ndarray:
         return np.tensordot(p, self.outputs, axes=(0, 0))
 
     def divergences(self, omega: np.ndarray):
-        """D(sigma_i || omega) for every column, plus omega's spectrum and the
-        outputs in its eigenbasis (for the Hessian)."""
+        """D_i for every column, plus omega's spectrum and the outputs in its
+        eigenbasis (for the Hessian)."""
         eigs, vecs = np.linalg.eigh(omega)
         rot = vecs.conj().T @ self.outputs @ vecs
-        div = -self.entropies - np.einsum("mii->mi", rot).real @ _log2_clipped(eigs)
+        div = -self.costs - np.einsum("mii->mi", rot).real @ _log2_clipped(eigs)
         return div, eigs, rot
 
     def hessian(self, idx: np.ndarray, eigs: np.ndarray, rot: np.ndarray) -> np.ndarray:
@@ -216,40 +230,49 @@ class ChiMaster:
         """t -> d/dt chi(p + t*direction) for a direction summing to zero,
         with omega the average at p (vectorized in t)."""
         along = _trace_log2_along(omega, self.average(direction))
-        linear = float(direction @ self.entropies)
+        linear = float(direction @ self.costs)
         return lambda ts: -along(ts) - linear
 
 
-def caratheodory(master: ChiMaster, p: np.ndarray) -> np.ndarray:
-    """Shrink the support while its outputs are affinely dependent.
+def caratheodory(master: ChiMaster, p: np.ndarray, budget=None) -> np.ndarray:
+    """Shrink the support while its outputs (and, with a budget (s, B), the
+    entries of s) are affinely dependent.
 
     Moves p along a null direction n (sum_i n_i sigma_i = 0, which keeps the
-    average and gives sum_i n_i = 0) of the sign with -n.h >= 0, until a
-    weight hits zero; chi never decreases.
+    average and gives sum_i n_i = 0; sum_i n_i s_i = 0 with a budget) of the
+    sign with -n.h >= 0, until a weight hits zero; chi never decreases.
     """
     while True:
         support = np.flatnonzero(p > 0.0)
         outs = master.outputs[support].reshape(support.size, -1)
-        coords = np.concatenate([outs.real, outs.imag], axis=1)
+        parts = [outs.real, outs.imag] + ([] if budget is None else [budget[0][support, None]])
+        coords = np.concatenate(parts, axis=1)
         _, sing, vt = np.linalg.svd(coords.T)
         if support.size <= sing.size and sing[-1] > NULL_TOL * sing[0]:
             return p
         null = np.zeros_like(p)
         null[support] = vt[-1]
-        if null @ master.entropies > 0.0:
+        if null @ master.costs > 0.0:
             null = -null
         p = _step_to(p, null, *_ratio_test(p, null))
 
 
-def _ratio_test(p, direction):
-    """Largest t <= STEP_CAP with p + t*direction >= 0, and the index of the
-    weight that reaches zero there (-1 if none does)."""
+def _ratio_test(p, direction, budget=None):
+    """Largest t <= STEP_CAP with p + t*direction >= 0 and, with a budget
+    (s, B), s.(p + t*direction) <= B; and the index of the weight that
+    reaches zero there (-1 if none does)."""
     neg = np.flatnonzero(direction < 0.0)
     ratios = p[neg] / -direction[neg]
-    if not neg.size or ratios.min() > STEP_CAP:
-        return STEP_CAP, -1
-    k = int(np.argmin(ratios))
-    return float(ratios[k]), int(neg[k])
+    t, blocker = STEP_CAP, -1
+    if neg.size and ratios.min() <= STEP_CAP:
+        k = int(np.argmin(ratios))
+        t, blocker = float(ratios[k]), int(neg[k])
+    if budget is not None:
+        s, bound = budget
+        rise = float(direction @ s)
+        if rise > 0.0 and (bound - p @ s) / rise < t:
+            return max(0.0, (bound - p @ s) / rise), -1
+    return t, blocker
 
 
 def _step_to(p, direction, t, blocker):
@@ -260,15 +283,46 @@ def _step_to(p, direction, t, blocker):
     return new / new.sum()
 
 
-def _newton_direction(master, p, support, div, eigs, rot):
-    """Maximizer of chi's quadratic model on the support's face, or None if
-    the KKT system is singular or its solution does not ascend."""
+def _fw_vertex(div, p, budget):
+    """The best point q of the simplex (with a budget (s, B), of its part
+    s.q <= B) for the linear objective div.q, and mu, the budget row's
+    smallest optimal multiplier in that linear program.  With a budget the
+    candidates are p, each column with s_i <= B and each mix of two columns
+    on the line s.q = B."""
+    if budget is None:
+        return np.eye(div.size)[np.argmax(div)], 0.0
+    s, bound = budget
+    q, best = p, float(p @ div)
+    lo, hi = np.flatnonzero(s < bound), np.flatnonzero(s > bound)
+    feasible = np.flatnonzero(s <= bound)
+    if feasible.size and div[feasible].max() > best:
+        k = feasible[np.argmax(div[feasible])]
+        q, best = np.eye(div.size)[k], float(div[k])
+    if lo.size and hi.size:
+        w = (bound - s[lo])[:, None] / (s[hi] - s[lo][:, None])  # weight of the hi column
+        mixes = div[lo][:, None] + w * (div[hi] - div[lo][:, None])
+        a, b = np.unravel_index(np.argmax(mixes), mixes.shape)
+        if mixes[a, b] > best:
+            q, best = np.zeros_like(div), float(mixes[a, b])
+            q[lo[a]], q[hi[b]] = 1.0 - w[a, b], w[a, b]
+    # the dual of max div.q: mu >= (div_i - best) / (s_i - bound) for s_i > bound
+    mu = max(0.0, float(((div[hi] - best) / (s[hi] - bound)).max())) if hi.size else 0.0
+    return q, mu
+
+
+def _newton_direction(master, p, support, div, eigs, rot, row=None):
+    """Maximizer of chi's quadratic model on the support's face (and on the
+    budget row's level set when row is given), or None if the KKT system is
+    singular or its solution does not ascend."""
     f = support.size
-    kkt = np.zeros((f + 1, f + 1))
+    rows = [np.ones(f)] + ([] if row is None else [row[support]])
+    c = len(rows)
+    kkt = np.zeros((f + c, f + c))
     kkt[:f, :f] = master.hessian(support, eigs, rot)
-    kkt[:f, f] = kkt[f, :f] = 1.0
+    for j, r in enumerate(rows):
+        kkt[:f, f + j] = kkt[f + j, :f] = r
     try:
-        sol = np.linalg.solve(kkt, np.concatenate([-div[support], [0.0]]))
+        sol = np.linalg.solve(kkt, np.concatenate([-div[support], np.zeros(c)]))
     except np.linalg.LinAlgError:
         return None
     step = np.zeros_like(p)
@@ -276,10 +330,11 @@ def _newton_direction(master, p, support, div, eigs, rot):
     return step if np.isfinite(step).all() and step @ div > 0.0 else None
 
 
-def _line_step(master, p, omega, direction):
-    """Exact line search along direction, clipped by the ratio test; returns
-    the new weights, or None when no step ascends."""
-    t_hi, blocker = _ratio_test(p, direction)
+def _line_step(master, p, omega, direction, budget=None):
+    """Exact line search along direction, clipped by the ratio test (with
+    the budget row, if given); returns the new weights, or None when no
+    step ascends."""
+    t_hi, blocker = _ratio_test(p, direction, budget)
     t = line_max_concave(master.line_deriv(omega, direction), t_hi, rounds=LINE_ROUNDS)
     if t <= 0.0:
         return None
@@ -288,39 +343,49 @@ def _line_step(master, p, omega, direction):
     return _step_to(p, direction, t, -1)
 
 
-def maximize_chi(master: ChiMaster, p: np.ndarray, max_iters: int = MASTER_ITERS):
-    """Maximize chi over the simplex from the weights p (warm start).
+def maximize_chi(master: ChiMaster, p: np.ndarray, max_iters: int = MASTER_ITERS, budget=None):
+    """Maximize chi over the simplex from the weights p (warm start), and,
+    with budget = (s, B), over its part with s.p <= B (p must lie in it).
 
     Each iteration applies the Caratheodory step, then a Newton step on the
-    support's face while the face gap (spread of D on the support) exceeds
-    NEWTON_SHARE times the Frank-Wolfe gap max D - chi, else (or when Newton
-    fails) a Frank-Wolfe step toward argmax D; chi never decreases.  Stops at
+    support's face while the face gap (spread of D on the support, less its
+    best fit lambda + mu' s on an active budget row)
+    exceeds NEWTON_SHARE times the Frank-Wolfe gap, else (or when Newton
+    fails) a Frank-Wolfe step toward the best vertex (_fw_vertex).  The budget row
+    joins Newton's KKT system while it is active (within BUDGET_TOL) and
+    clips Newton's step while it is slack.  chi never decreases.  Stops at
     a Frank-Wolfe gap of MASTER_GAP, after max_iters iterations, or when no
-    step ascends.  Returns p, chi and the divergences D.
+    step ascends.  Returns p, chi, the divergences D and the budget row's
+    multiplier mu (0 without a budget or while the row is slack).
     """
     p = np.asarray(p, dtype=float)
     for it in range(max_iters + 1):
-        p = caratheodory(master, p)
+        p = caratheodory(master, p, budget)
         omega = master.average(p)
         div, eigs, rot = master.divergences(omega)
-        best = int(np.argmax(div))
-        fw_gap = div[best] - p @ div
+        vertex, mu = _fw_vertex(div, p, budget)
+        row = None if budget is None or budget[1] - budget[0] @ p > BUDGET_TOL else budget[0]
+        mu = 0.0 if row is None else mu
+        fw_gap = vertex @ div - p @ div
         if fw_gap <= MASTER_GAP or it == max_iters:
             break
         support = np.flatnonzero(p > 0.0)
+        face = div[support]
+        if row is not None:  # the residual of D = lambda + mu' s, fitted on the support
+            a = np.stack([np.ones(support.size), row[support]], axis=1)
+            face = face - a @ np.linalg.lstsq(a, face, rcond=None)[0]
         new = None
-        if np.ptp(div[support]) > NEWTON_SHARE * fw_gap:
-            step = _newton_direction(master, p, support, div, eigs, rot)
+        if np.ptp(face) > NEWTON_SHARE * fw_gap:
+            step = _newton_direction(master, p, support, div, eigs, rot, row)
             if step is not None:
-                new = _line_step(master, p, omega, step)
-        if new is None:
-            step = -p
-            step[best] += 1.0
-            new = _line_step(master, p, omega, step)
+                # on the active row the step keeps s.p; off it the row clips the step
+                new = _line_step(master, p, omega, step, budget if row is None else None)
+        if new is None:  # the vertex is feasible, and so is every point before it
+            new = _line_step(master, p, omega, vertex - p)
         if new is None:
             break
         p = new
-    return p, float(p @ div), div
+    return p, float(p @ div), div, mu
 
 
 # --- polish: the support as one point of a sphere -----------------------------
@@ -369,28 +434,28 @@ def _polish(ch, vecs, p):
 
 def _prune(master, p):
     keep = p > 0.0
-    return ChiMaster(master.ch, master.vecs[keep]), p[keep]
+    return master.take(keep), p[keep]
 
 
-def _add_columns(master, p, states):
+def _add_columns(ch, master, p, states):
     """Append states at weight 0, skipping any whose projector is within
     DEDUP_TOL of a column's; returns the new (master, p)."""
-    vecs = list(master.vecs)
+    vecs = list(master.columns)
     for s in states:
         if all(np.abs(np.outer(s.vec, s.vec.conj()) - np.outer(v, v.conj())).max() > DEDUP_TOL
                for v in vecs):
             vecs.append(s.vec)
-    return ChiMaster(master.ch, vecs), np.concatenate([p, np.zeros(len(vecs) - len(p))])
+    return ChiMaster.pure(ch, vecs), np.concatenate([p, np.zeros(len(vecs) - len(p))])
 
 
 def _average_input(master, p):
-    return np.einsum("m,mi,mj->ij", p, master.vecs, master.vecs.conj())
+    return np.einsum("m,mi,mj->ij", p, master.columns, master.columns.conj())
 
 
 def _trace_row(rnd, master, p, tau, chi) -> dict:
     return {
         "round": rnd,
-        "master_objective": float(p @ master.entropies),
+        "master_objective": float(p @ master.costs),
         "tr_tau_rho": float(np.trace(tau @ _average_input(master, p)).real),
         "value": chi,
         "columns": len(p),
@@ -424,8 +489,8 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
     else:
         vecs = list(np.eye(ch.dim_in)) + [random_pure(rng, ch.dim_in).vec for _ in range(opts.starts)]
         weights = np.ones(len(vecs))
-    master = ChiMaster(ch, vecs)
-    p, chi, div = maximize_chi(master, weights / np.sum(weights), MASTER_ITERS)
+    master = ChiMaster.pure(ch, vecs)
+    p, chi, div, _ = maximize_chi(master, weights / np.sum(weights), MASTER_ITERS)
     tau = divergence_tau(ch, master.average(p), chi)
     gap = max(0.0, float(div.max()) - chi) if restricted else np.inf
     trace_rows = [_trace_row(0, master, p, tau, chi)] if restricted else []
@@ -433,23 +498,23 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
     for rnd in range(0 if restricted else opts.max_rounds):
         chi_start = chi
         if rnd:
-            p, chi, _ = maximize_chi(master, p, MASTER_ITERS)
+            p, chi, _, _ = maximize_chi(master, p, MASTER_ITERS)
         master, p = _prune(master, p)
-        vecs, weights = _polish(ch, master.vecs, p)
-        polished = ChiMaster(ch, vecs)
-        weights, chi_polished, _ = maximize_chi(polished, weights, MASTER_ITERS)
+        vecs, weights = _polish(ch, master.columns, p)
+        polished = ChiMaster.pure(ch, vecs)
+        weights, chi_polished, _, _ = maximize_chi(polished, weights, MASTER_ITERS)
         if chi_polished > chi:
             (master, p), chi = _prune(polished, weights), chi_polished
         tau = divergence_tau(ch, master.average(p), chi)
         reports = pricing_search(ch, HermitianMatrix(tau), opts.starts, rng,
-                                 support=[PureState(v) for v in master.vecs], tol=0.0)
+                                 support=[PureState(v) for v in master.columns], tol=0.0)
         gap = max(0.0, -min((r.reduced_cost for r in reports), default=0.0))
         trace_rows.append(_trace_row(rnd, master, p, tau, chi))
         if gap <= opts.tol:
             break
         # appended columns carry weight 0: chi, rho and tau stay as returned
         size = len(p)
-        master, p = _add_columns(master, p, [r.state for r in reports
+        master, p = _add_columns(ch, master, p, [r.state for r in reports
                                              if r.reduced_cost < -opts.pricing_tol])
         if len(p) == size and chi <= chi_start:
             status = "stalled"
@@ -459,7 +524,7 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
 
     return C1InfResult(
         value=chi,
-        ensemble=Ensemble([(float(q), PureState(v)) for q, v in zip(p, master.vecs) if q > 0.0]),
+        ensemble=Ensemble([(float(q), PureState(v)) for q, v in zip(p, master.columns) if q > 0.0]),
         rho=DensityMatrix(renormalize_density(_average_input(master, p))),
         tau=HermitianMatrix(tau),
         dual_gap=gap,

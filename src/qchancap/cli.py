@@ -241,9 +241,9 @@ def _cmd_coherent(args) -> RunReport:
 def _cmd_limited_ea(args) -> RunReport:
     cf = parse_channel(args.channel)
     opts = LimitedEaOptions(seed=args.seed, tol=max(args.tol, 1e-8))
-    value, ens = limited_ea(cf.channel, args.B, opts)
+    value, ens, status = limited_ea(cf.channel, args.B, opts)
     return RunReport(
-        capacity="limited-ea", value_bits=value, status="converged", seed=args.seed,
+        capacity="limited-ea", value_bits=value, status=status, seed=args.seed,
         certificates={"budget_bits": args.B},
         extras={"experimental": True},
         dumps={"ensemble": dump_ensemble(ens)},

@@ -4,8 +4,9 @@ C_E is a concave maximization over input states, solved Frank-Wolfe style
 (linearize, move toward the best vertex, exact line search) with projected
 gradient refinement; the Frank-Wolfe gap at the returned iterate is a true
 upper bound on suboptimality.  The single-letter coherent information gets a
-multistart ascent with no global claim.  The limited-entanglement formula is
-evaluated by a column-generation heuristic and flagged experimental.
+multistart ascent with no global claim.  The limited-entanglement formula
+runs on c1inf's chi master over density columns, with the entanglement
+budget as one linear row, and density pricing; it is flagged experimental.
 """
 
 from dataclasses import dataclass, field
@@ -13,22 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ENTROPY_CLIP,
     LN2,
     DensityMatrix,
     Ensemble,
     QuantumChannel,
     channel_apply_mat,
     complementary_channel,
-    coords_to_mat,
     entropy_of_spectrum,
     environment_output,
     identity_channel,
-    mat_to_coords,
     von_neumann_entropy,
 )
-from .c1inf import C1InfOptions, C1InfProblem, c1inf
+from .c1inf import C1InfOptions, C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
 from .info import limited_ea_objective, quantum_mutual_information
-from .lp import LinearProgram, solve_lp
 from .optim import (
     EntropySum,
     ascend_density_step,
@@ -179,7 +178,7 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
 
 
 # ---------------------------------------------------------------------------
-# Limited-entanglement capacity formula (experimental heuristic).
+# Limited-entanglement capacity formula (experimental).
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -191,36 +190,17 @@ class LimitedEaOptions:
     c1inf: C1InfOptions = field(default_factory=C1InfOptions)
 
 
-@dataclass
-class _DensityColumn:
-    mat: np.ndarray
-    coords: np.ndarray
-    entropy: float
-    gain: float  # H(rho) - H_env(rho), the p-linear objective piece
-
-
-def _make_column(ch: QuantumChannel, mat: np.ndarray) -> _DensityColumn:
-    h = _entropy(mat)
-    return _DensityColumn(
-        mat=mat,
-        coords=mat_to_coords(mat),
-        entropy=h,
-        gain=h - _entropy(environment_output(ch, mat)),
-    )
-
-
-def _limited_master(columns, rho_bar, budget):
-    d = rho_bar.shape[0]
-    rows = d * d + 1
-    a = np.zeros((rows, len(columns) + 1))
-    c = np.zeros(len(columns) + 1)
-    for j, col in enumerate(columns):
-        a[: d * d, j] = col.coords
-        a[d * d, j] = col.entropy
-        c[j] = col.gain
-    a[d * d, len(columns)] = 1.0  # slack for the entropy budget row
-    b = np.concatenate([mat_to_coords(rho_bar), [budget]])
-    return LinearProgram(c=c, A=a, b=b, sense="max")
+def _density_master(ch: QuantumChannel, mats):
+    """The chi master over density columns rho_i: outputs N(rho_i) and costs
+    h_i = S(N^c(rho_i)) - S(rho_i), so that chi is the limited-entanglement
+    formula; and the budget row s_i = S(rho_i), with entropies below
+    ENTROPY_CLIP (a pure state's roundoff) set to 0."""
+    mats = np.asarray(mats, dtype=complex)
+    s = entropy_of_spectrum(np.linalg.eigvalsh(mats))
+    s = np.where(s < ENTROPY_CLIP, 0.0, s)
+    env = np.array([_entropy(environment_output(ch, m)) for m in mats])
+    outputs = np.stack([channel_apply_mat(ch, m) for m in mats])
+    return ChiMaster(outputs, env - s, mats), s
 
 
 def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
@@ -261,9 +241,8 @@ def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
         p = g - np.einsum("sij,sji->s", g, rho).real[:, None, None] * eye
         return -phi, -(2.0 * (p @ m) / t).reshape(-1, d * d)
 
-    start_mats = [np.linalg.cholesky(
-        (1 - 1e-9) * col.mat + 1e-9 * eye / d) for col in columns[-3:]]
-    start_mats.append(np.linalg.cholesky((1 - 1e-9) * rho_bar + 1e-9 * eye / d))
+    start_mats = [np.linalg.cholesky((1 - 1e-9) * mat + 1e-9 * eye / d)
+                  for mat in [*columns[-3:], rho_bar]]
     for _ in range(starts):
         start_mats.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     start_vecs = [m.ravel() / np.linalg.norm(m) for m in start_mats]
@@ -278,107 +257,60 @@ def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
 
 
 def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None):
-    """EXPERIMENTAL: value of the limited-entanglement capacity formula.
+    """EXPERIMENTAL: value of the limited-entanglement capacity formula
+    (Shor, quant-ph/0402129): max S(N(rho)) - sum_i p_i [S(N^c(rho_i)) -
+    S(rho_i)] over ensembles of densities with sum_i p_i S(rho_i) <= budget.
 
-    Maximizes over ensembles of density matrices whose average input entropy
-    stays within `budget` bits, via a column-generation master over density
-    columns, dual-guided pricing, and average-state moves accepted only on
-    true-objective improvement.  Returns (value, Ensemble).  The endpoints
-    reproduce the unassisted Holevo engine (budget 0) and c_ea (budget >=
-    log2 d); in between the value is a heuristic lower evaluation of the
-    formula with no capacity claim.
+    The formula is c1inf's chi master over density columns with the budget
+    as one linear row.  The columns start as c1inf's ensemble, c_ea's rho*
+    and I/d, weighted on the time-sharing line: lambda = min(1, budget /
+    S(rho*)) on rho*, the rest on c1inf's ensemble.  Each round runs the
+    master (which never descends), drops zero-weight columns and prices
+    densities at the gradient dual of the average output and the row's
+    multiplier.  Returns (value, Ensemble, status): "converged" once pricing
+    finds no violator, "stalled" when a round neither gains nor admits a
+    column, "round-limit" after outer_rounds.  A zero budget admits only
+    pure states, where the formula is chi: c1inf's ensemble and status are
+    returned.  Pricing is multistart local, so no capacity is claimed.
     """
     if budget < 0:
         raise ValueError("entanglement budget must be nonnegative")
     opts = opts or LimitedEaOptions()
     rng = np.random.default_rng(opts.seed)
-    d = ch.dim_in
-    eye = np.eye(d)
-
     base = c1inf(C1InfProblem(ch, options=opts.c1inf))
+    pure = [s.projector() for s in base.ensemble.states]
+    if budget == 0.0:
+        ensemble = Ensemble([(q, DensityMatrix(m)) for q, m in zip(base.ensemble.probs, pure)])
+        return limited_ea_objective(ch, ensemble)[0], ensemble, base.status
+
     top = c_ea(ch)
-
-    columns = []
-    coords_seen = []
-
-    def add_column(mat):
-        col = _make_column(ch, renormalize_density(mat))
-        if budget <= 1e-12 and col.entropy > 1e-12:
-            return False  # a zero budget admits only pure columns
-        if all(np.abs(col.coords - s).max() > 1e-9 for s in coords_seen):
-            columns.append(col)
-            coords_seen.append(col.coords)
-            return True
-        return False
-
-    for p, s in base.ensemble.items():
-        add_column(s.projector())
-    add_column(top.rho_star.mat)
-    add_column(eye / d)
-
-    def anchor(mat):
-        _, vecs = np.linalg.eigh(renormalize_density(mat))
-        for k in range(d):
-            add_column(np.outer(vecs[:, k], vecs[:, k].conj()))
-
-    def solve_at(rho_bar):
-        lp = _limited_master(columns, rho_bar, budget)
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
-            return None
-        total = _entropy(channel_apply_mat(ch, rho_bar)) + sol.objective
-        return {"sol": sol, "rho": rho_bar, "total": total}
-
-    # pick the best feasible starting average state
-    candidates = [base.rho.mat, top.rho_star.mat, eye / d]
-    cur = None
-    for mat in candidates:
-        mat = renormalize_density(mat)
-        anchor(mat)
-        trial = solve_at(mat)
-        if trial is not None and (cur is None or trial["total"] > cur["total"]):
-            cur = trial
-    if cur is None:
-        raise RuntimeError("limited-entanglement master could not be seeded")
-
+    d = ch.dim_in
+    master, s = _density_master(ch, pure + [top.rho_star.mat, np.eye(d) / d])
+    share = 1.0 if top.entanglement_rate <= budget else budget / top.entanglement_rate
+    p = np.concatenate([(1.0 - share) * base.ensemble.probs, [share, 0.0]])
+    status, last = "round-limit", -np.inf
     for _ in range(opts.outer_rounds):
-        total_before = cur["total"]
-        duals = cur["sol"].duals
-        tau = coords_to_mat(duals[: d * d], d)
-        mu = max(float(duals[d * d]), 0.0)
-
-        added = False
-        for _violation, rho in _limited_pricing(
-            ch, tau, mu, columns, cur["rho"], opts.pricing_starts, rng, opts.tol
-        ):
-            added = add_column(rho) or added
-        if added:
-            nxt = solve_at(cur["rho"])
-            if nxt is not None:
-                cur = nxt
-
-        # dual-guided move of the average state, accepted on true improvement
-        u = EntropySum([(1.0, ch)], linear=tau)
-        cand, moved = ascend_density_step(u.grad, cur["rho"], bisect_rounds=30,
-                                          line_deriv=u.line_deriv)
-        if moved:
-            cand = renormalize_density(cand)
-            delta = cand - cur["rho"]
-            for frac in (1.0, 0.5, 0.25, 0.125):
-                trial_mat = renormalize_density(cur["rho"] + frac * delta)
-                anchor(trial_mat)
-                trial = solve_at(trial_mat)
-                if trial is not None and trial["total"] > cur["total"] + opts.tol / 10.0:
-                    cur = trial
-                    break
-        if not added and cur["total"] - total_before <= opts.tol:
+        p, value, _, mu = maximize_chi(master, p, budget=(s, budget))
+        keep = p > 0.0
+        master, s, p = master.take(keep), s[keep], p[keep]
+        # tau = N^dag(log2 omega) + lambda I with lambda = chi - mu s.p makes the
+        # pricing objective D_rho - mu S(rho) - lambda, 0 on the support at the optimum
+        tau = -divergence_tau(ch, master.average(p), value - mu * (s @ p))
+        rho_bar = np.tensordot(p, master.columns, axes=(0, 0))
+        found = _limited_pricing(ch, tau, mu, master.columns, rho_bar,
+                                 opts.pricing_starts, rng, opts.tol)
+        if not found:
+            status = "converged"
             break
+        new = [rho for _, rho in found
+               if all(np.abs(rho - m).max() > 1e-9 for m in master.columns)]
+        if not new and value <= last:
+            status = "stalled"
+            break
+        last = value
+        master, s = _density_master(ch, list(master.columns) + new)
+        p = np.concatenate([p, np.zeros(len(new))])
 
-    sol = cur["sol"]
-    probs = np.clip(sol.x[: len(columns)], 0.0, None)
-    keep = probs > 1e-9
-    probs = probs[keep] / probs[keep].sum()
-    members = [DensityMatrix(c.mat) for c, k in zip(columns, keep) if k]
-    ensemble = Ensemble(list(zip(probs, members)))
+    ensemble = Ensemble([(q, DensityMatrix(m)) for q, m in zip(p, master.columns) if q > 0.0])
     value, _ = limited_ea_objective(ch, ensemble)
-    return value, ensemble
+    return value, ensemble, status

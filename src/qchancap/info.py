@@ -15,12 +15,10 @@ from .core import (
     InvariantError,
     Povm,
     QuantumChannel,
-    apply_channel,
     channel_apply_mat,
-    identity_channel,
+    entropy_of_spectrum,
+    environment_output,
     povm_probabilities,
-    purify,
-    tensor,
     von_neumann_entropy,
 )
 
@@ -124,24 +122,22 @@ def accessible_information_given(ens: Ensemble, povm) -> float:
     return mutual_information(JointDistribution(table))
 
 
-def _joint_output_entropy(ch: QuantumChannel, rho: DensityMatrix) -> float:
-    """Entropy of (N (x) I) applied to a purification of rho."""
-    phi = purify(rho)
-    r = phi.dim // rho.dim
-    joint = apply_channel(tensor(ch, identity_channel(r)), phi.density())
-    return von_neumann_entropy(joint)
+def _environment_entropy(ch: QuantumChannel, rho: DensityMatrix) -> float:
+    """Entropy of the environment output N^c(rho), which equals that of
+    (N (x) I) applied to any purification of rho."""
+    return entropy_of_spectrum(np.linalg.eigvalsh(environment_output(ch, rho.mat)))
 
 
 def coherent_information(ch: QuantumChannel, rho: DensityMatrix) -> float:
-    """H(N(rho)) - H((N (x) I) Phi_rho); may be negative."""
+    """H(N(rho)) - H(N^c(rho)); may be negative."""
     if rho.dim != ch.dim_in:
         raise DimensionError(f"state dim {rho.dim} != channel input dim {ch.dim_in}")
     out = DensityMatrix(channel_apply_mat(ch, rho.mat))
-    return von_neumann_entropy(out) - _joint_output_entropy(ch, rho)
+    return von_neumann_entropy(out) - _environment_entropy(ch, rho)
 
 
 def quantum_mutual_information(ch: QuantumChannel, rho: DensityMatrix) -> float:
-    """H(rho) + H(N(rho)) - H((N (x) I) Phi_rho).
+    """H(rho) + H(N(rho)) - H(N^c(rho)).
 
     Built as H(rho) + coherent_information so the identity
     qmi = coherent + H(rho) holds exactly, sharing intermediates.
@@ -166,7 +162,7 @@ def limited_ea_objective(ch: QuantumChannel, ens: Ensemble) -> tuple:
         rho_i = DensityMatrix(m)
         h_i = von_neumann_entropy(rho_i)
         avg_entropy += p * h_i
-        value += p * (h_i - _joint_output_entropy(ch, rho_i))
+        value += p * (h_i - _environment_entropy(ch, rho_i))
     return value, avg_entropy
 
 

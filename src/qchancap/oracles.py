@@ -271,7 +271,11 @@ def _ball_problem(ch: QuantumChannel, objective: str, step: float, tau):
             raise ValueError(f"tau must be a Hermitian 2x2 matrix, got {tau!r}")
     elif tau is not None:
         raise ValueError(f"objective {objective!r} takes no tau")
-    return _BallObjective(ch, objective, tau), np.arange(-1.0, 1.0 + step / 2, step)
+    axis = np.arange(-1.0, 1.0 + step / 2, step)
+    near = (axis**2).min()
+    if (near + near) + near > 1.0 + _BALL_TOL:  # the sweep's ball test at the point nearest the centre
+        raise ValueError(f"no lattice point of step {step!r} lies in the Bloch ball")
+    return _BallObjective(ch, objective, tau), axis
 
 
 def _density_result(value: float, n: np.ndarray):

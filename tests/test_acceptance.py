@@ -298,9 +298,9 @@ def test_criterion_9_limited_ea_endpoints():
         for ch in (identity_channel(2), depolarizing(0.3)):
             base = c1inf(C1InfProblem(ch))
             top = c_ea(ch)
-            v0, _ = limited_ea(ch, 0.0)
+            v0, _, _ = limited_ea(ch, 0.0)
             assert v0 == pytest.approx(base.value, abs=2e-3)
-            v1, _ = limited_ea(ch, 1.0)
+            v1, _, _ = limited_ea(ch, 1.0)
             assert v1 == pytest.approx(top.value, abs=2e-3)
             sweep = [limited_ea(ch, b)[0] for b in (0.0, 0.25, 0.5, 0.75, 1.0)]
             assert all(b >= a - 1e-6 for a, b in zip(sweep, sweep[1:]))

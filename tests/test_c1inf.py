@@ -80,7 +80,7 @@ def _divergence(sigma, omega):
 
 
 def _master(ch, states):
-    return ChiMaster(ch, [v.vec for v in states])
+    return ChiMaster.pure(ch, [v.vec for v in states])
 
 
 DEPHASING_SIGNALS = [PureState([1.0, 0.0]), PureState([0.0, 1.0]),
@@ -96,14 +96,14 @@ def test_master_identity_channel_eigenvectors():
     rho = random_density(rng, 2)
     _, vecs = np.linalg.eigh(rho.mat)
     master = _master(identity_channel(2), [PureState(vecs[:, k]) for k in range(2)])
-    p, _, div = maximize_chi(master, np.array([0.9, 0.1]))
+    p, _, div, _ = maximize_chi(master, np.array([0.9, 0.1]))
     assert float(p @ div) == pytest.approx(1.0, abs=1e-9)
     assert np.abs(p - 0.5).max() < 1e-6
 
 
 def test_master_trine_identity():
     master = _master(identity_channel(2), [PureState(v) for v in TRINE])
-    p, _, div = maximize_chi(master, np.array([0.6, 0.3, 0.1]))
+    p, _, div, _ = maximize_chi(master, np.array([0.6, 0.3, 0.1]))
     assert float(p @ div) == pytest.approx(1.0, abs=1e-9)
     avg = np.einsum("m,mij->ij", p, master.outputs)
     assert np.abs(avg - np.eye(2) / 2).max() < 1e-6
@@ -114,7 +114,7 @@ def test_master_dephasing_matches_simplex_grid():
     diagonal = PureState([np.sqrt(0.5), -np.sqrt(0.5)])
     for signals, step in ((DEPHASING_SIGNALS, 1e-3), (DEPHASING_SIGNALS + [diagonal], 2e-3)):
         master = _master(ch, signals)
-        p, _, div = maximize_chi(master, np.full(len(signals), 1.0 / len(signals)))
+        p, _, div, _ = maximize_chi(master, np.full(len(signals), 1.0 / len(signals)))
         oracle, _ = simplex_enumerate_chi(ch, signals, step=step)
         chi = float(p @ div)
         assert chi == pytest.approx(oracle, abs=2e-3)
@@ -133,7 +133,7 @@ def test_master_never_decreases_and_stays_affinely_independent():
         p = rng.dirichlet(np.ones(7))
         chi0 = float(p @ master.divergences(master.average(p))[0])
         for iters in (1, 2, 4, 8, 1000):
-            q, _, div = maximize_chi(master, p, iters)
+            q, _, div, _ = maximize_chi(master, p, iters)
             assert float(q @ div) >= chi0 - 1e-12
         # a qubit output lives in a 3-dimensional affine space: at most 4 columns
         assert np.count_nonzero(q) <= 4
@@ -225,7 +225,7 @@ def test_dual_tau_strong_duality_and_feasibility():
     # and support columns hold it with equality
     ch = dephasing(0.25)
     master = _master(ch, DEPHASING_SIGNALS)
-    p, _, div = maximize_chi(master, np.full(3, 1.0 / 3))
+    p, _, div, _ = maximize_chi(master, np.full(3, 1.0 / 3))
     chi = float(p @ div)
     tau = divergence_tau(ch, master.average(p), chi)
     rho = sum(q * v.projector() for q, v in zip(p, DEPHASING_SIGNALS))
@@ -241,7 +241,7 @@ def test_dual_tau_strong_duality_and_feasibility():
 def test_dual_tau_identity_basis():
     states = [PureState([1.0, 0.0]), PureState([0.0, 1.0])]
     master = _master(identity_channel(2), states)
-    p, _, div = maximize_chi(master, np.array([0.5, 0.5]))
+    p, _, div, _ = maximize_chi(master, np.array([0.5, 0.5]))
     tau = divergence_tau(identity_channel(2), master.average(p), float(p @ div))
     assert float(np.trace(tau @ np.eye(2) / 2).real) == pytest.approx(0.0, abs=1e-9)
     for v in states:
@@ -538,3 +538,44 @@ def test_c1inf_random_qutrit_channel_converges_with_certificates(seed):
         assert row["master_objective"] >= row["tr_tau_rho"] - 1e-7
     assert res.pricing_residual < 1e-6
     assert holevo_chi(channel_ensemble(ch, res.ensemble)) == pytest.approx(res.value, abs=1e-8)
+
+
+# --- regression: the master's generalization leaves c1inf's arithmetic alone -----
+
+C1INF_CAPTURED = [  # name, value.hex(), dual_gap.hex(), rounds, ensemble digest
+    ("41-0", "0x1.a3bc3ea4ee845p-1", "0x1.afee990000000p-35", 1, "cf61031549f7ee024142b582443f1113"),
+    ("41-1", "0x1.a3bc3ea4ee841p-1", "0x1.02bd000000000p-41", 1, "92a048cd959ad0b6dae438c88fe94b4f"),
+    ("41-2", "0x1.a3bc3ea4ee84bp-1", "0x1.9267800000000p-43", 1, "f5415440871ee3931bacdbac729b2d09"),
+    ("41-3", "0x1.a3bc3ea4ee843p-1", "0x1.582e800000000p-41", 1, "9b106d71f08e3eb9f0c97adab98c5cf7"),
+    ("qutrit-1", "0x1.b432432d82686p-1", "0x1.26e9400000000p-35", 1, "b5dfc9f0ac18117b5a7a0714f809dec1"),
+    ("qutrit-3", "0x1.d061872d8a65ep-1", "0x1.1ea4600000000p-34", 1, "f68e2b6747bc22690ab4e4518bc28f87"),
+    ("ququart", "0x1.bb95cb87c9575p+0", "0x1.1bf9bc0000000p-34", 1, "24626db1c4ddce593203650eb0d08b71"),
+]
+
+
+def _captured_case(name):
+    if name.startswith("41-"):
+        rng = np.random.default_rng([4, 1])
+        return random_channel(rng, 2, 2, int(rng.integers(2, 4))), int(name[3:])
+    if name.startswith("qutrit-"):
+        return random_channel(np.random.default_rng(int(name[7:])), 3, 3, 3), 0
+    return random_channel(np.random.default_rng(1), 4, 4, 2), 0
+
+
+@pytest.mark.parametrize("case", C1INF_CAPTURED, ids=[c[0] for c in C1INF_CAPTURED])
+def test_c1inf_output_is_bit_identical_to_the_captured_run(case):
+    # captured before the master took an optional budget row: without one,
+    # every arithmetic path must stay the same (OpenBLAS 0.3.31, x86-64; another
+    # BLAS build may round differently)
+    import hashlib
+
+    name, value_hex, gap_hex, rounds, digest = case
+    ch, seed = _captured_case(name)
+    res = c1inf(C1InfProblem(ch, options=C1InfOptions(seed=seed)))
+    ens = hashlib.sha256(np.asarray(res.ensemble.probs).tobytes())
+    for s in res.ensemble.states:
+        ens.update(s.vec.tobytes())
+    assert res.value.hex() == value_hex
+    assert float(res.dual_gap).hex() == gap_hex
+    assert res.rounds == rounds
+    assert ens.hexdigest()[:32] == digest

@@ -145,6 +145,14 @@ def test_oracle_subcommand_rejects_simplex_step_above_one(capsys):
     assert "simplex step must be at most 1" in capsys.readouterr().err
 
 
+def test_oracle_subcommand_rejects_step_with_no_ball_point(capsys):
+    code = main(["oracle", "--channel", "identity.qch", "--name", "qmi", "--step", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "no lattice point" in captured.err
+
+
 def test_limited_ea_cli(capsys):
     code, fields = run_text(
         capsys, ["limited-ea", "--channel", "identity.qch", "--B", "0.5"]
@@ -159,6 +167,18 @@ def test_limited_ea_cli(capsys):
 
     got, _ = limited_ea_objective(parse_channel("identity.qch").channel, ens)
     assert got == pytest.approx(value, abs=1e-7)
+
+
+def test_limited_ea_cli_reports_the_engine_status(capsys, monkeypatch):
+    code, fields = run_text(capsys, ["limited-ea", "--channel", "identity.qch", "--B", "0.5"])
+    assert fields["status"] == "converged" and code == 0
+    from qchancap import cli
+    from qchancap.ea import limited_ea
+
+    for status in ("stalled", "round-limit"):
+        monkeypatch.setattr(cli, "limited_ea", lambda *a, s=status: (*limited_ea(*a)[:2], s))
+        code, fields = run_text(capsys, ["limited-ea", "--channel", "identity.qch", "--B", "0.5"])
+        assert fields["status"] == status and code == 2
 
 
 def test_round_limit_exit_code(capsys):

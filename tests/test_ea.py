@@ -3,20 +3,30 @@
 import numpy as np
 import pytest
 
+from qchancap.channels import amplitude_damping
 from qchancap.core import (
     identity_channel,
     random_channel,
     random_density,
+    random_pure,
     validate_channel,
 )
-from qchancap.c1inf import C1InfOptions, C1InfProblem, c1inf
+from qchancap.c1inf import (
+    C1InfOptions,
+    C1InfProblem,
+    _newton_direction,
+    c1inf,
+    caratheodory,
+    maximize_chi,
+)
 from qchancap.ea import (
+    _density_master,
     c_ea,
     coherent_info_max,
     limited_ea,
     qmi_objective,
 )
-from qchancap.info import coherent_information, quantum_mutual_information
+from qchancap.info import coherent_information, limited_ea_objective, quantum_mutual_information
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -138,11 +148,11 @@ def test_limited_ea_rejects_negative_budget():
 
 def test_limited_ea_endpoints_identity():
     ch = identity_channel(2)
-    v0, ens0 = limited_ea(ch, 0.0)
+    v0, ens0, _ = limited_ea(ch, 0.0)
     assert v0 == pytest.approx(1.0, abs=2e-3)
-    v1, ens1 = limited_ea(ch, 1.0)
+    v1, ens1, _ = limited_ea(ch, 1.0)
     assert v1 == pytest.approx(2.0, abs=2e-3)
-    vh, _ = limited_ea(ch, 0.5)
+    vh, _, _ = limited_ea(ch, 0.5)
     assert 1.0 - 1e-6 <= vh <= 2.0 + 1e-6
     assert vh == pytest.approx(1.5, abs=2e-3)  # the known 1 + B line
 
@@ -151,9 +161,9 @@ def test_limited_ea_endpoints_depolarizing():
     ch = depolarizing(0.3)
     c1 = c1inf(C1InfProblem(ch))
     ce = c_ea(ch)
-    v0, _ = limited_ea(ch, 0.0)
+    v0, _, _ = limited_ea(ch, 0.0)
     assert v0 == pytest.approx(c1.value, abs=2e-3)
-    v1, _ = limited_ea(ch, 1.0)
+    v1, _, _ = limited_ea(ch, 1.0)
     assert v1 == pytest.approx(ce.value, abs=2e-3)
 
 
@@ -168,6 +178,116 @@ def test_limited_ea_budget_respected():
 
     ch = depolarizing(0.3)
     for budget in (0.0, 0.4):
-        value, ens = limited_ea(ch, budget)
+        value, ens, _ = limited_ea(ch, budget)
         _, avg_entropy = limited_ea_objective(ch, ens)
         assert avg_entropy <= budget + 1e-6
+
+
+# --- limited entanglement on the chi master with a budget row -------------------
+
+def _time_sharing_channels():
+    fixed = [("identity", identity_channel(2)), ("depolarizing", depolarizing(0.3)),
+             ("amplitude", amplitude_damping(0.3))]
+    return fixed + [(f"rng8-{i}", random_channel(np.random.default_rng([8, i]), 2, 2, 1 + i % 3))
+                    for i in range(6)]
+
+
+TIME_SHARING = _time_sharing_channels()
+
+
+@pytest.mark.parametrize("seed_key", [5, (8, 8)], ids=["rng5", "rng8-8"])
+def test_limited_ea_former_lp_failures_return_within_budget(seed_key):
+    # the simplex master of earlier versions raised LpError on these channels
+    rng = np.random.default_rng(list(np.atleast_1d(seed_key)))
+    ch = random_channel(rng, 2, 2, 2 if seed_key == 5 else 3)
+    for budget in (0.0, 0.25, 0.5, 0.75, 1.0):
+        value, ens, status = limited_ea(ch, budget)
+        got, avg_entropy = limited_ea_objective(ch, ens)
+        assert avg_entropy <= budget + 1e-9
+        assert got == value
+        assert status == "converged"
+
+
+@pytest.mark.parametrize("case", TIME_SHARING, ids=[name for name, _ in TIME_SHARING])
+def test_limited_ea_meets_the_time_sharing_line_and_the_endpoints(case):
+    # the formula is concave in the ensemble measure: mixing c1inf's ensemble
+    # with c_ea's rho* is a lower bound at every budget
+    _, ch = case
+    c1, ce = c1inf(C1InfProblem(ch)).value, c_ea(ch)
+    v0, _, _ = limited_ea(ch, 0.0)
+    assert v0 >= c1 - 1e-9
+    for budget in (0.25, 0.5, 0.75):
+        share = budget / np.log2(ch.dim_in)
+        value, ens, _ = limited_ea(ch, budget)
+        assert value >= (1.0 - share) * c1 + share * ce.value - 1e-9
+        assert limited_ea_objective(ch, ens)[1] <= budget + 1e-9
+    top, _, _ = limited_ea(ch, ce.entanglement_rate)
+    assert top >= ce.value - 1e-9
+
+
+def _budget_cases():
+    """Density masters whose unconstrained optimum spends more entropy than
+    the budget, started from pure columns only (slack row)."""
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        d = int(rng.integers(2, 4))
+        ch = random_channel(rng, d, d, int(rng.integers(1, 4)))
+        mats = [random_pure(rng, d).projector() for _ in range(3)]
+        mats += [random_density(rng, d).mat for _ in range(4)]
+        master, s = _density_master(ch, mats)
+        free, _, _, _ = maximize_chi(master, np.full(len(mats), 1.0 / len(mats)))
+        p0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]) / 3.0
+        yield ch, master, s, 0.5 * float(free @ s), p0
+
+
+def test_budget_master_keeps_the_row_and_complementary_slackness():
+    active = 0
+    for ch, master, s, bound, p0 in _budget_cases():
+        last = -np.inf
+        for iters in range(40):  # every iterate: the master is deterministic
+            p, chi, _, _ = maximize_chi(master, p0, iters, budget=(s, bound))
+            assert p @ s <= bound + 1e-12
+            assert chi >= last - 1e-12
+            last = chi
+        p, chi, div, mu = maximize_chi(master, p0, budget=(s, bound))
+        assert p @ s <= bound + 1e-12 and mu >= 0.0
+        if bound - p @ s > 1e-12:
+            assert mu == 0.0
+        else:
+            active += mu > 0.0
+        # the pricing objective D_i - mu s_i - lambda, lambda = chi - mu s.p
+        reduced = div - mu * s - (chi - mu * (p @ s))
+        assert np.abs(reduced[p > 0.0]).max() <= 1e-9
+        assert reduced.max() <= 1e-9
+    assert active >= 6  # most cases end on the budget row with a positive multiplier
+
+
+def test_budget_master_kkt_hessian_and_newton_step():
+    checked = 0
+    for ch, master, s, bound, _ in _budget_cases():
+        m = len(s)
+        p = np.random.default_rng(m).dirichlet(np.ones(m))
+        div, eigs, rot = master.divergences(master.average(p))
+        hess = master.hessian(np.arange(m), eigs, rot)
+        h = 1e-5
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = h
+            fd = (master.divergences(master.average(p + e))[0]
+                  - master.divergences(master.average(p - e))[0]) / (2 * h)
+            assert np.abs(fd - hess[:, j]).max() / max(1.0, np.abs(fd).max()) < 1e-5
+        # on an affinely independent support the Newton step keeps both rows
+        # and zeroes the model's gradient along them
+        p = caratheodory(master, p, (s, bound))
+        support = np.flatnonzero(p > 0.0)
+        div, eigs, rot = master.divergences(master.average(p))
+        step = _newton_direction(master, p, support, div, eigs, rot, row=s)
+        if step is None:
+            continue
+        assert abs(step.sum()) <= 1e-9 and abs(step @ s) <= 1e-9
+        model_grad = (div + master.hessian(np.arange(m), eigs, rot) @ step)[support]
+        rows = np.stack([np.ones(support.size), s[support]], axis=1)
+        fit = rows @ np.linalg.lstsq(rows, model_grad, rcond=None)[0]
+        assert np.abs(model_grad - fit).max() <= 1e-8 * max(1.0, np.abs(model_grad).max())
+        checked += 1
+    assert checked >= 6

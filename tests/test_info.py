@@ -8,12 +8,16 @@ from qchancap.core import (
     Ensemble,
     Povm,
     PureState,
+    apply_channel,
     binary_entropy,
+    channel_apply_mat,
     identity_channel,
+    purify,
     random_channel,
     random_density,
     random_pure,
     random_rank_one_povm,
+    tensor,
     validate_channel,
     von_neumann_entropy,
 )
@@ -208,6 +212,29 @@ def test_qmi_concave():
         lhs = quantum_mutual_information(ch, mid)
         rhs = 0.5 * quantum_mutual_information(ch, a) + 0.5 * quantum_mutual_information(ch, b)
         assert lhs >= rhs - 1e-9
+
+
+def _purified_joint_entropy(ch, rho):
+    """S((N (x) I)(Phi)) for a purification Phi of rho, written out."""
+    phi = purify(rho)
+    joint = apply_channel(tensor(ch, identity_channel(phi.dim // rho.dim)), phi.density())
+    return von_neumann_entropy(joint)
+
+
+def test_environment_entropy_matches_the_purification_path():
+    rng = np.random.default_rng(14)
+    for d in (2, 3):
+        for k in (1, 2, 3, 4):
+            ch = random_channel(rng, d, d, k)
+            for rank in range(1, d + 1):  # rank-deficient inputs too
+                rho = random_density(rng, d, rank=rank)
+                joint = _purified_joint_entropy(ch, rho)
+                out = von_neumann_entropy(DensityMatrix(channel_apply_mat(ch, rho.mat)))
+                assert coherent_information(ch, rho) == pytest.approx(out - joint, abs=1e-12)
+                assert quantum_mutual_information(ch, rho) == pytest.approx(
+                    von_neumann_entropy(rho) + out - joint, abs=1e-12)
+                value, _ = limited_ea_objective(ch, Ensemble([(1.0, rho)]))
+                assert value == pytest.approx(von_neumann_entropy(rho) + out - joint, abs=1e-12)
 
 
 # --- limited-entanglement objective ------------------------------------------------

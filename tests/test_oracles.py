@@ -67,6 +67,17 @@ def test_oracles_reject_bad_steps(step):
         simplex_enumerate_chi(identity_channel(2), [PureState(v) for v in TRINE], step)
 
 
+@pytest.mark.parametrize("objective", ["qmi", "coherent"])
+def test_ball_grid_rejects_steps_with_no_lattice_point(objective):
+    # the lattice point nearest the centre is (a, a, a) with a = step - 1: it
+    # leaves the ball once step > 1 + 1/sqrt(3), about 1.577
+    for step in (1.58, 3.0):
+        with pytest.raises(ValueError, match="no lattice point"):
+            grid_density_objective(identity_channel(2), objective, step)
+    _, rho = grid_density_objective(identity_channel(2), objective, 1.57)
+    assert np.abs(bloch_vector(rho.mat) - 0.57).max() < 1e-12
+
+
 def test_simplex_rejects_step_above_one():
     with pytest.raises(ValueError, match="step"):
         simplex_enumerate_chi(identity_channel(2), [PureState(v) for v in TRINE], 3.0)
@@ -284,7 +295,7 @@ def _equivalence_channels():
     return rng, channels
 
 
-@pytest.mark.parametrize("step", [3.0, 1.5, 0.7, 0.3, 0.13, 0.05, 0.04, 0.02])
+@pytest.mark.parametrize("step", [1.57, 1.5, 0.7, 0.3, 0.13, 0.05, 0.04, 0.02])
 def test_branch_and_bound_matches_sweep(step):
     rng, channels = _equivalence_channels()
     for ch in channels:
