@@ -37,8 +37,8 @@ from .core import (
 )
 from .c1inf import C1InfOptions, C1InfProblem, c1inf
 from .info import accessible_information_given, holevo_chi
-from .lp import LinearProgram, PricingOutcome, column_generation
-from .optim import batched_objective, minimize_on_sphere
+from .lp import LinearProgram, PricingOutcome, column_generation_task
+from .optim import batched_objective, lockstep
 
 ZERO_OUTCOME = 1e-14  # below this overlap an outcome never occurs
 
@@ -155,8 +155,16 @@ def measurement_pricing(
     Returns a PricingOutcome whose columns carry the POVM coordinate vector,
     the coefficient c(w), and the direction itself as the tag.  Reduced costs
     use the minimization convention (negative improves); best_reduced_cost
-    is minus the largest violation found, clipped at 0, tol or not.
+    is minus the largest violation found, clipped at 0, tol or not.  This is
+    the one-task case of measurement_pricing_task.
     """
+    return lockstep([measurement_pricing_task(out_ens, lam, starts, rng, tol)])[0]
+
+
+def measurement_pricing_task(out_ens: Ensemble, lam: HermitianMatrix, starts: int, rng,
+                             tol: float = 1e-7):
+    """measurement_pricing as a resumable task (see optim.lockstep): yields
+    its sphere search from `starts` random directions, returns the outcome."""
     if starts < 1:
         raise ValueError("starts must be >= 1")
     if isinstance(rng, (int, np.integer)):
@@ -164,8 +172,7 @@ def measurement_pricing(
     probs, mats, avg = _ensemble_arrays(out_ens)
     d = out_ens.dim
     fun_grad = _measurement_objective(probs, mats, avg, lam.mat)
-    start_vecs = [random_pure(rng, d).vec for _ in range(starts)]
-    minima = minimize_on_sphere(fun_grad, d, start_vecs)
+    minima = yield fun_grad, np.array([random_pure(rng, d).vec for _ in range(starts)])
     columns = []
     best = 0.0
     for f, v in minima:
@@ -257,18 +264,26 @@ def optimize_measurement(out_ens: Ensemble, opts: C11Options = None, rng=None):
     objective, so its certificate is "no column beats the dual by more than
     pricing_tol").  The final weights are re-fit by nonnegative least
     squares on the selected directions so completeness holds to POVM
-    tolerance despite LP roundoff.
+    tolerance despite LP roundoff.  This is the one-task case of
+    optimize_measurement_task.
     """
     opts = opts or C11Options()
     if rng is None:
         rng = np.random.default_rng(opts.seed)
+    return lockstep([optimize_measurement_task(out_ens, opts, rng)])[0]
+
+
+def optimize_measurement_task(out_ens: Ensemble, opts: C11Options, rng):
+    """optimize_measurement as a resumable task (see optim.lockstep): the
+    column generation yields each pricing search and returns (povm,
+    accessible information, status)."""
     d = out_ens.dim
     master = measurement_lp(out_ens, _seed_directions(out_ens))
     slack = d * opts.pricing_tol
     previous = None  # master objective when pricing last ran
 
     def price(lam):
-        return measurement_pricing(out_ens, lam, opts.starts, rng, tol=opts.pricing_tol)
+        return measurement_pricing_task(out_ens, lam, opts.starts, rng, tol=opts.pricing_tol)
 
     def pricing(sol):
         nonlocal previous
@@ -277,16 +292,16 @@ def optimize_measurement(out_ens: Ensemble, opts: C11Options = None, rng=None):
         if stalled:
             support = np.flatnonzero(sol.x > 1e-10)
             lam = stationarity_dual(out_ens, sol.x[support], [master.tags[j] for j in support])
-            outcome = price(lam)
+            outcome = yield from price(lam)
             if information_bound(lam, -outcome.best_reduced_cost) - sol.objective <= slack:
                 return PricingOutcome(columns=[])
             improving = [col for col in outcome.columns
                          if col[1] - sol.duals @ col[0] > opts.pricing_tol]
             if improving:
                 return PricingOutcome(columns=improving)
-        return price(coords_to_hermitian(HermitianCoords(d, sol.duals)))
+        return (yield from price(coords_to_hermitian(HermitianCoords(d, sol.duals))))
 
-    sol, _, converged = column_generation(
+    sol, _, converged = yield from column_generation_task(
         master, pricing, tol=opts.pricing_tol, max_rounds=opts.measurement_rounds
     )
     keep = sol.x > 1e-10
@@ -373,62 +388,35 @@ def c11(
     """Alternate measurement and ensemble optimization from several restarts.
 
     Restart 0 starts from the canonical uniform ensemble; the rest are
-    random.  The landscape has stable non-global points, so all per-restart
-    values are retained and the best pair is returned.  The status is that of
-    the restart the pair comes from: "converged" if its alternation stopped
-    gaining, "round-limit" if it ran out of alternations.  Every iterate's
-    value and output-ensemble chi land on `trace` (the Holevo bound check).
+    random, each restart with its own random stream spawned from `seed`.
+    The restarts run in lockstep (optim.lockstep): their measurement
+    searches of one round are one batched sphere search, and each restart's
+    values are those it gives alone.  The landscape has stable non-global
+    points, so all per-restart values are retained and the best pair is
+    returned.  The status is that of the restart the pair comes from:
+    "converged" if its alternation stopped gaining, "round-limit" if it ran
+    out of alternations.  Every iterate's value and output-ensemble chi land
+    on `trace`, ordered by restart, then alternation (the Holevo bound
+    check).  A given `opts` must carry the same restarts and seed as the
+    arguments.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    opts = opts or C11Options(restarts=restarts, seed=seed)
+    if opts is None:
+        opts = C11Options(restarts=restarts, seed=seed)
+    elif (opts.restarts, opts.seed) != (restarts, seed):
+        raise ValueError(
+            f"opts has restarts={opts.restarts}, seed={opts.seed}; "
+            f"the arguments say restarts={restarts}, seed={seed}"
+        )
     seeds = np.random.SeedSequence(seed).spawn(restarts)
+    runs = lockstep([_restart_task(ch, restricted_signals, r, np.random.default_rng(seeds[r]), opts)
+                     for r in range(restarts)])
     best = None  # (value, ensemble, povm, converged) of the best restart
     restart_values = []
     trace = []
-
-    for r in range(restarts):
-        rng = np.random.default_rng(seeds[r])
-        ens = _initial_ensemble(ch, restricted_signals, r, rng)
-        local_best = None
-        prev_value = -np.inf
-        converged = False
-        for alt in range(opts.alternations):
-            out_ens = channel_ensemble(ch, ens)
-            povm, v_meas, _ = optimize_measurement(out_ens, opts, rng)
-            trace.append(
-                {"restart": r, "alternation": alt, "step": "measurement",
-                 "value": v_meas, "chi": holevo_chi(out_ens)}
-            )
-            if local_best is None or v_meas > local_best[0]:
-                local_best = (v_meas, ens, povm)
-
-            induced = induced_classical_channel(ch, povm)
-            c1_opts = C1InfOptions(
-                tol=opts.c1inf.tol,
-                starts=opts.c1inf.starts,
-                seed=int(rng.integers(2**31)),
-                max_rounds=opts.c1inf.max_rounds,
-                initial_weights=_signal_weights(ens, restricted_signals)
-                if restricted_signals else None,
-            )
-            c1_res = c1inf(C1InfProblem(
-                induced,
-                restricted_signals=list(restricted_signals) if restricted_signals else None,
-                options=c1_opts,
-            ))
-            ens = c1_res.ensemble
-            v_ens = c1_res.value
-            trace.append(
-                {"restart": r, "alternation": alt, "step": "ensemble",
-                 "value": v_ens, "chi": holevo_chi(channel_ensemble(ch, ens))}
-            )
-            if v_ens > local_best[0]:
-                local_best = (v_ens, ens, povm)
-            if local_best[0] - prev_value < opts.alt_tol:
-                converged = True
-                break
-            prev_value = local_best[0]
+    for local_best, converged, rows in runs:
+        trace.extend(rows)
         restart_values.append(local_best[0])
         if best is None or local_best[0] > best[0] + 1e-12:
             best = (*local_best, converged)
@@ -446,3 +434,50 @@ def c11(
         status="converged" if converged else "round-limit",
         trace=trace,
     )
+
+
+def _restart_task(ch, restricted_signals, r, rng, opts):
+    """One restart's alternation as a resumable task; returns its best
+    (value, ensemble, povm), whether it converged, and its trace rows."""
+    ens = _initial_ensemble(ch, restricted_signals, r, rng)
+    local_best = None
+    prev_value = -np.inf
+    converged = False
+    trace = []
+    for alt in range(opts.alternations):
+        out_ens = channel_ensemble(ch, ens)
+        povm, v_meas, _ = yield from optimize_measurement_task(out_ens, opts, rng)
+        trace.append(
+            {"restart": r, "alternation": alt, "step": "measurement",
+             "value": v_meas, "chi": holevo_chi(out_ens)}
+        )
+        if local_best is None or v_meas > local_best[0]:
+            local_best = (v_meas, ens, povm)
+
+        induced = induced_classical_channel(ch, povm)
+        c1_opts = C1InfOptions(
+            tol=opts.c1inf.tol,
+            starts=opts.c1inf.starts,
+            seed=int(rng.integers(2**31)),
+            max_rounds=opts.c1inf.max_rounds,
+            initial_weights=_signal_weights(ens, restricted_signals)
+            if restricted_signals else None,
+        )
+        c1_res = c1inf(C1InfProblem(
+            induced,
+            restricted_signals=list(restricted_signals) if restricted_signals else None,
+            options=c1_opts,
+        ))
+        ens = c1_res.ensemble
+        v_ens = c1_res.value
+        trace.append(
+            {"restart": r, "alternation": alt, "step": "ensemble",
+             "value": v_ens, "chi": holevo_chi(channel_ensemble(ch, ens))}
+        )
+        if v_ens > local_best[0]:
+            local_best = (v_ens, ens, povm)
+        if local_best[0] - prev_value < opts.alt_tol:
+            converged = True
+            break
+        prev_value = local_best[0]
+    return local_best, converged, trace

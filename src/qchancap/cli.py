@@ -26,7 +26,7 @@ from .core import (
     von_neumann_entropy,
 )
 from .c1inf import C1InfOptions, C1InfProblem, c1inf
-from .c11 import C11Options, c11, optimize_measurement
+from .c11 import C11Options, c11, optimize_measurement, optimize_measurement_task
 from .channels import ChannelFile, ChannelFileError, parse_channel, two_state_signals
 from .ea import LimitedEaOptions, c_ea, coherent_info_max, limited_ea
 from .info import (
@@ -34,6 +34,7 @@ from .info import (
     arimoto_blahut,
     holevo_chi,
 )
+from .optim import lockstep
 from .oracles import grid_accessible_info_2d, grid_density_objective, simplex_enumerate_chi
 
 
@@ -284,21 +285,24 @@ def _cmd_oracle(args) -> RunReport:
 
 
 def fig1_rows(steps: int, seed: int = 0, tol: float = 1e-7):
-    """The accessible-information / entropy sweep over two-state angles."""
+    """The accessible-information / entropy sweep over two-state angles.
+
+    Each row's measurement is optimized from its own random stream seeded
+    with `seed`; the rows run in lockstep (optim.lockstep), so each round
+    of their pricing searches is one batched sphere search.
+    """
     from .core import identity_channel
 
-    rows = []
     ch = identity_channel(2)
-    for j in range(steps):
-        theta = (np.pi / 2) * j / (steps - 1)
-        ens = Ensemble([(0.5, s) for s in two_state_signals(theta)])
-        h_vn = von_neumann_entropy(ens.average_density())
-        opts = C11Options(seed=seed, pricing_tol=tol)
-        _, i_acc, _ = optimize_measurement(
-            channel_ensemble(ch, ens), opts, np.random.default_rng(seed)
-        )
-        rows.append((theta, i_acc, h_vn))
-    return rows
+    thetas = [(np.pi / 2) * j / (steps - 1) for j in range(steps)]
+    ensembles = [Ensemble([(0.5, s) for s in two_state_signals(theta)]) for theta in thetas]
+    opts = C11Options(seed=seed, pricing_tol=tol)
+    measured = lockstep([
+        optimize_measurement_task(channel_ensemble(ch, ens), opts, np.random.default_rng(seed))
+        for ens in ensembles
+    ])
+    return [(theta, i_acc, von_neumann_entropy(ens.average_density()))
+            for theta, ens, (_, i_acc, _) in zip(thetas, ensembles, measured)]
 
 
 def _cmd_sweep(args):

@@ -181,6 +181,9 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
 # Limited-entanglement capacity formula (experimental).
 # ---------------------------------------------------------------------------
 
+ROUNDOFF_WEIGHT = 1e-12  # limited-EA drops ensemble members at or below this weight
+
+
 @dataclass
 class LimitedEaOptions:
     seed: int = 0
@@ -267,9 +270,11 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
     S(rho*)) on rho*, the rest on c1inf's ensemble.  Each round runs the
     master (which never descends), drops zero-weight columns and prices
     densities at the gradient dual of the average output and the row's
-    multiplier.  Returns (value, Ensemble, status): "converged" once pricing
-    finds no violator, "stalled" when a round neither gains nor admits a
-    column, "round-limit" after outer_rounds.  A zero budget admits only
+    multiplier.  Members of weight at most ROUNDOFF_WEIGHT are dropped from
+    the result and the rest renormalized.  Returns (value, Ensemble, status):
+    "converged" once pricing finds no violator, "stalled" when a round
+    neither gains nor admits a column, "round-limit" after outer_rounds.
+    A zero budget admits only
     pure states, where the formula is chi: c1inf's ensemble and status are
     returned.  Pricing is multistart local, so no capacity is claimed.
     """
@@ -311,6 +316,11 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
         master, s = _density_master(ch, list(master.columns) + new)
         p = np.concatenate([p, np.zeros(len(new))])
 
+    # the master stops at its Frank-Wolfe gap with affinely independent
+    # columns at whatever weight they have, roundoff included
+    keep = p > ROUNDOFF_WEIGHT
+    if not keep.all():
+        p = np.where(keep, p, 0.0) / p[keep].sum()
     ensemble = Ensemble([(q, DensityMatrix(m)) for q, m in zip(p, master.columns) if q > 0.0])
     value, _ = limited_ea_objective(ch, ensemble)
     return value, ensemble, status

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .optim import lockstep
+
 
 NEGLIGIBLE_PIVOT = 1e-6  # pivots below this make a near-singular basis
 
@@ -412,7 +414,29 @@ def column_generation(
     re-solved from the previous basis.  A round that adds nothing ends the
     loop with converged=True, so a pricing callback that has certified the
     master stops it by returning no columns.  Returns
-    (solution, rounds, converged); rounds counts master re-solves.
+    (solution, rounds, converged); rounds counts master re-solves.  This is
+    the one-task case of column_generation_task.
+    """
+
+    def priced(sol):
+        yield from ()  # a task that makes no search request
+        return pricing(sol)
+
+    return lockstep([column_generation_task(master, priced, tol, max_rounds, dedup_tol)])[0]
+
+
+def column_generation_task(
+    master: LinearProgram,
+    pricing,
+    tol: float = 1e-7,
+    max_rounds: int = 100,
+    dedup_tol: float = 1e-9,
+):
+    """column_generation as a resumable task (see optim.lockstep).
+
+    `pricing(sol)` returns a task whose result is the PricingOutcome; the
+    search requests it yields pass through this task, so loops of several
+    masters can run in lockstep.  Returns (solution, rounds, converged).
     """
     sol = solve_lp(master)
     if sol.status != "optimal":
@@ -421,7 +445,7 @@ def column_generation(
     rounds = 0
     converged = False
     while rounds < max_rounds:
-        outcome = pricing(sol)
+        outcome = yield from pricing(sol)
         added = 0
         for col, coef, tag in outcome.columns:
             col = np.asarray(col, dtype=float).reshape(-1)

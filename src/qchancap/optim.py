@@ -1,6 +1,8 @@
 """Shared smooth-optimization machinery for the capacity engines.
 
-Multistart local minimization over unit state vectors, the entropy-sum
+Multistart local minimization over unit state vectors, for one problem or
+for several at once, and the lockstep driver that runs independent
+resumable tasks so that their searches share one batch; the entropy-sum
 objectives of the density-matrix ascents, line maximization of concave
 objectives along density-matrix segments, and the step-to-boundary
 computation that keeps iterates positive semidefinite.
@@ -46,7 +48,7 @@ def batched_objective(fun_grad_rows):
 
 
 def _rowdot(a, b):
-    return (a * b).sum(axis=1)
+    return np.add.reduce(a * b, axis=1)
 
 
 def minimize_on_sphere(
@@ -61,33 +63,66 @@ def minimize_on_sphere(
 
     fun_grad(V) takes a batch V of shape (S, dim), one vector per row, and
     returns values of shape (S,) and complex gradients of shape (S, dim), row
-    s in the convention df = Re(g_s^dag dv_s).  All starts run at once: one
-    L-BFGS on the real embedding of the normalized objective f(x/|x|), every
-    start with its own correction pairs, two-loop recursion and line search
-    (Armijo backtracking; an accepted step is doubled while the slope along
-    the direction stays steep, as a Wolfe line search would).  A start stops
-    when its gradient's largest entry is at most gtol, when its relative
-    decrease falls to 1e-15 (also when the line search can only promise
-    less), or after maxiter iterations; a stopped start is frozen, while the
-    whole batch is still evaluated together.  Returns distinct local minima
+    s in the convention df = Re(g_s^dag dv_s).  Returns distinct local minima
     as (value, vector) pairs sorted by value (phase-gauge fixed,
-    deterministic tie-break by amplitudes).
+    deterministic tie-break by amplitudes).  This is the one-problem case of
+    minimize_on_spheres, which describes the search.
     """
-    v0 = np.asarray(list(start_vectors), dtype=complex).reshape(-1, dim)
-    if v0.shape[0] == 0:
-        return []
+    return minimize_on_spheres([(fun_grad, start_vectors)], dim, gtol, maxiter, distinct_tol)[0]
+
+
+def minimize_on_spheres(
+    problems,
+    dim: int,
+    gtol: float = 1e-10,
+    maxiter: int = 400,
+    distinct_tol: float = 1e-6,
+):
+    """Multistart local minimization of several objectives at once.
+
+    `problems` lists (fun_grad, start_vectors) pairs of equal dimension, each
+    fun_grad as in minimize_on_sphere.  The starts of all problems are the
+    rows of one batch: one L-BFGS on the real embedding of the normalized
+    objective f(x/|x|), every start with its own correction pairs, two-loop
+    recursion and line search (Armijo backtracking; an accepted step is
+    doubled while the slope along the direction stays steep, as a Wolfe line
+    search would).  A start stops when its gradient's largest entry is at
+    most gtol, when its relative decrease falls to 1e-15 (also when the line
+    search can only promise less), or after maxiter iterations; a stopped
+    start is frozen.  Each fun_grad is called on exactly its own problem's
+    rows, all of them, whenever one of them is still moving, and not again
+    once none is, so a problem's minima are bit for bit those of running it
+    alone: every step of the iteration is row by row.  Returns one list of
+    distinct minima per problem, as minimize_on_sphere does; duplicates are
+    merged within a problem, never across problems.
+    """
+    blocks = [np.asarray(list(starts), dtype=complex).reshape(-1, dim) for _, starts in problems]
+    edges = np.cumsum([0] + [len(b) for b in blocks])
+    spans = [(i, fun, a, b)
+             for i, ((fun, _), a, b) in enumerate(zip(problems, edges[:-1], edges[1:])) if b > a]
+    if not spans:
+        return [[] for _ in problems]
+    firsts = [a for _, _, a, _ in spans]
+    v0 = np.concatenate(blocks)
     x = np.concatenate([v0.real, v0.imag], axis=1)
 
-    def embedded(x):
+    def embedded(x, live):
+        """Values and projected gradients of the problems with a live row;
+        the other rows read +inf, which no line search accepts."""
         r = np.sqrt(_rowdot(x, x))[:, None]
         u = x / r
-        f, g = fun_grad(u[:, :dim] + 1j * u[:, dim:])
-        g = np.concatenate([g.real, g.imag], axis=1)
+        vecs = u[:, :dim] + 1j * u[:, dim:]
+        f = np.full(len(x), np.inf)
+        grads = np.zeros_like(vecs)
+        for (_, fun, a, b), on in zip(spans, np.logical_or.reduceat(live, firsts).tolist()):
+            if on:
+                f[a:b], grads[a:b] = fun(vecs[a:b])
+        g = np.concatenate([grads.real, grads.imag], axis=1)
         return f, (g - u * _rowdot(u, g)[:, None]) / r
 
     starts, n = x.shape
     memory = min(LBFGS_MEMORY, n)
-    f, g = embedded(x)
+    f, g = embedded(x, np.ones(starts, dtype=bool))
     s_mem = np.zeros((memory, starts, n))
     y_mem = np.zeros((memory, starts, n))
     rho_mem = np.zeros((memory, starts))  # 0 marks an empty or skipped pair
@@ -128,7 +163,7 @@ def minimize_on_sphere(
         scale = np.maximum(np.abs(f), 1.0)
         for _ in range(MAX_TRIALS):
             x_try = x + t[:, None] * d
-            f_try, g_try = embedded(x_try)
+            f_try, g_try = embedded(x_try, pending)
             better = pending & (f_try <= f + ARMIJO * t * slope) & (f_try < f_new)
             x_new = np.where(better[:, None], x_try, x_new)
             f_new = np.where(better, f_try, f_new)
@@ -158,14 +193,44 @@ def minimize_on_sphere(
 
     v = x[:, :dim] + 1j * x[:, dim:]
     v = np.array([snap_vector(fix_phase(row / np.linalg.norm(row))) for row in v])
-    values, _ = fun_grad(v)
-    found = [(float(val), row) for val, row in zip(values, v)]
+    minima = [[] for _ in problems]
+    for i, fun, a, b in spans:
+        values, _ = fun(v[a:b])
+        for f_row, row in sorted(((float(val), row) for val, row in zip(values, v[a:b])),
+                                 key=_sphere_sort_key):
+            if all(np.abs(row - u).max() > distinct_tol for _, u in minima[i]):
+                minima[i].append((f_row, row))
+    return minima
 
-    distinct = []
-    for f, v in sorted(found, key=_sphere_sort_key):
-        if all(np.abs(v - u).max() > distinct_tol for _, u in distinct):
-            distinct.append((f, v))
-    return distinct
+
+def lockstep(tasks):
+    """Run resumable tasks together, batching their sphere searches.
+
+    A task is a generator that yields a search request (fun_grad,
+    start_vectors), with start_vectors of shape (S, dim), receives the
+    minima minimize_on_sphere would return for it, and finally returns its
+    result.  Each round advances every live task to its next request, then
+    answers all the round's requests of one dimension with one
+    minimize_on_spheres call.  Tasks never see each other's rows, so each
+    result is the one the task gives when run alone.  Returns the tasks'
+    results, in order.
+    """
+    results = [None] * len(tasks)
+    answers = dict.fromkeys(range(len(tasks)))
+    while answers:
+        requests = {}
+        for i, answer in answers.items():
+            try:
+                requests[i] = tasks[i].send(answer)
+            except StopIteration as stop:
+                results[i] = stop.value
+        by_dim = {}
+        for i, (_, starts) in requests.items():
+            by_dim.setdefault(np.shape(starts)[-1], []).append(i)
+        answers = {}
+        for dim, ids in by_dim.items():
+            answers.update(zip(ids, minimize_on_spheres([requests[i] for i in ids], dim)))
+    return results
 
 
 def _sphere_sort_key(item):
@@ -388,7 +453,9 @@ __all__ = [
     "batched_objective",
     "line_max_concave",
     "log2_safe",
+    "lockstep",
     "minimize_on_sphere",
+    "minimize_on_spheres",
     "psd_boundary_step",
     "renormalize_density",
     "traceless_part",

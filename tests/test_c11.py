@@ -235,7 +235,8 @@ def test_stationarity_dual_closes_two_state_gap():
 
 
 class CountingPricing:
-    """Counts measurement_pricing calls, and the stationarity duals formed."""
+    """Counts pricing searches (measurement_pricing_task calls), and the
+    stationarity duals formed."""
 
     def __init__(self, monkeypatch):
         import sys
@@ -243,7 +244,7 @@ class CountingPricing:
         module = sys.modules["qchancap.c11"]
         self.pricing_calls = 0
         self.stationarity_calls = 0
-        real_pricing, real_dual = module.measurement_pricing, module.stationarity_dual
+        real_pricing, real_dual = module.measurement_pricing_task, module.stationarity_dual
 
         def pricing(*args, **kwargs):
             self.pricing_calls += 1
@@ -253,24 +254,37 @@ class CountingPricing:
             self.stationarity_calls += 1
             return real_dual(*args, **kwargs)
 
-        monkeypatch.setattr(module, "measurement_pricing", pricing)
+        monkeypatch.setattr(module, "measurement_pricing_task", pricing)
         monkeypatch.setattr(module, "stationarity_dual", dual)
 
 
 def test_fig1_rows_certify_in_two_pricing_calls(monkeypatch):
+    # the rows run in lockstep, so a row's pricing calls are those made while
+    # its own task advances
     import qchancap.cli as cli_module
 
     counter = CountingPricing(monkeypatch)
     per_row = []
-    real_optimize = cli_module.optimize_measurement
+    real_task = cli_module.optimize_measurement_task
+
+    def tracked(task, row):
+        answer = None
+        while True:
+            before = counter.pricing_calls
+            try:
+                request = task.send(answer)
+            except StopIteration as stop:
+                row[0] += counter.pricing_calls - before
+                row[1] = stop.value[2]
+                return stop.value
+            row[0] += counter.pricing_calls - before
+            answer = yield request
 
     def optimize(*args, **kwargs):
-        before = counter.pricing_calls
-        result = real_optimize(*args, **kwargs)
-        per_row.append((counter.pricing_calls - before, result[2]))
-        return result
+        per_row.append([0, None])
+        return tracked(real_task(*args, **kwargs), per_row[-1])
 
-    monkeypatch.setattr(cli_module, "optimize_measurement", optimize)
+    monkeypatch.setattr(cli_module, "optimize_measurement_task", optimize)
     rows = cli_module.fig1_rows(64)
     assert len(per_row) == 64
     for (theta, i_acc, _), (calls, status) in zip(rows, per_row):
@@ -411,6 +425,80 @@ def test_c11_alternation_monotone(trine_run):
     for vals in by_restart.values():
         running = np.maximum.accumulate(vals)
         assert all(b >= a - 1e-9 for a, b in zip(running, running[1:]))
+
+
+def test_c11_trace_is_ordered_by_restart_then_alternation(trine_run):
+    keys = [(row["restart"], row["alternation"]) for row in trine_run.trace]
+    assert keys == sorted(keys)
+    assert [row["step"] for row in trine_run.trace] == ["measurement", "ensemble"] * (len(keys) // 2)
+    for r in range(8):
+        alternations = [alt for restart, alt in keys[::2] if restart == r]
+        assert alternations == list(range(len(alternations))) and alternations
+
+
+def test_c11_rejects_options_that_disagree_with_the_arguments():
+    for restarts, seed in ((2, 3), (8, 3), (2, 0)):
+        with pytest.raises(ValueError, match="restarts"):
+            c11(identity_channel(2), restricted_signals=trine_signals(),
+                opts=C11Options(restarts=restarts, seed=seed))
+    res = c11(identity_channel(2), restricted_signals=trine_signals(), restarts=2, seed=3,
+              opts=C11Options(restarts=2, seed=3))
+    assert res.restarts_used == 2 and len(res.restart_values) == 2
+
+
+class CountingSearches:
+    """Counts pricing searches per random stream (one stream per c11 restart
+    or sweep row), and the batched calls that answer them: the
+    minimize_on_spheres calls not made by c1inf's own searches."""
+
+    def __init__(self, monkeypatch):
+        import sys
+
+        c11_module, c1inf_module = sys.modules["qchancap.c11"], sys.modules["qchancap.c1inf"]
+        optim_module = sys.modules["qchancap.optim"]
+        self.per_stream = {}
+        self.calls = 0
+        self.solo_calls = 0
+        real_pricing = c11_module.measurement_pricing_task
+        real_batch, real_solo = optim_module.minimize_on_spheres, c1inf_module.minimize_on_sphere
+
+        def pricing(out_ens, lam, starts, rng, *args, **kwargs):
+            self.per_stream[id(rng)] = self.per_stream.get(id(rng), 0) + 1
+            return real_pricing(out_ens, lam, starts, rng, *args, **kwargs)
+
+        def batch(*args, **kwargs):
+            self.calls += 1
+            return real_batch(*args, **kwargs)
+
+        def solo(*args, **kwargs):
+            self.solo_calls += 1
+            return real_solo(*args, **kwargs)
+
+        monkeypatch.setattr(c11_module, "measurement_pricing_task", pricing)
+        monkeypatch.setattr(optim_module, "minimize_on_spheres", batch)
+        monkeypatch.setattr(c1inf_module, "minimize_on_sphere", solo)
+
+    @property
+    def batched(self):
+        return self.calls - self.solo_calls
+
+
+def test_c11_restarts_share_one_batched_search_per_round(monkeypatch):
+    counter = CountingSearches(monkeypatch)
+    c11(identity_channel(2), restricted_signals=trine_signals(), restarts=8, seed=7)
+    assert len(counter.per_stream) == 8
+    # 208 searches one at a time before the restarts ran in lockstep
+    assert sum(counter.per_stream.values()) >= 4 * counter.batched
+    assert counter.batched == max(counter.per_stream.values()) <= 45
+
+
+def test_fig1_rows_share_one_batched_search_per_round(monkeypatch):
+    import qchancap.cli as cli_module
+
+    counter = CountingSearches(monkeypatch)
+    cli_module.fig1_rows(64)
+    assert len(counter.per_stream) == 64
+    assert counter.batched == max(counter.per_stream.values())
 
 
 def test_c11_identity_unrestricted():

@@ -249,3 +249,60 @@ def test_run_report_text_fields():
     assert "capacity: demo" in text
     assert "value_bits: 0.5" in text
     assert "version:" in text
+
+
+# --- regression: lockstep runs print what one-at-a-time runs printed ----------
+# captured before c11's restarts and the sweep's rows ran in lockstep
+# (OpenBLAS 0.3.31, x86-64; another BLAS build may round differently)
+
+CAPTURED_REPORTS = {
+    "c11": (["c11", "--channel", "trine.qch", "--restarts", "8", "--seed", "7"], [
+        "capacity: c11",
+        "value_bits: 0.645421097335",
+        "status: converged",
+        "seed: 7",
+        "cert_restart_spread: 0.060458675556",
+        "restart_values: [0.584962459331, 0.645421097335, 0.645421097335, 0.645421097335, "
+        "0.645421097335, 0.584962421779, 0.645421097335, 0.645421097335]",
+        "ensemble: [[0.5000000000004408, [[1.0, 0.0], [0.0, 0.0]]], "
+        "[0.4999999999995593, [[-0.5, 0.0], [-0.8660254037844386, 0.0]]]]",
+        "povm: [[0.9999999999999996, [[0.9659258262890684, 0.0], [-0.2588190451025207, 0.0]]], "
+        "[0.9999999999999992, [[0.25881904510252096, 0.0], [0.9659258262890684, 0.0]]]]",
+        "version: 0.1.0",
+    ]),
+    "accinfo": (["accinfo", "--channel", "trine2.qch", "--seed", "5"], [
+        "capacity: accinfo",
+        "value_bits: 1.36906842294",
+        "status: converged",
+        "seed: 5",
+        "cert_holevo_gap: 0.130931577057",
+        "ensemble: [[0.3333333333333333, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]], "
+        "[0.3333333333333333, [[0.25, 0.0], [-0.4330127018922193, 0.0], [-0.4330127018922193, 0.0], "
+        "[0.7499999999999999, 0.0]]], [0.3333333333333333, [[0.25, 0.0], [0.4330127018922193, 0.0], "
+        "[0.4330127018922193, 0.0], [0.7499999999999999, 0.0]]]]",
+        "povm: [[1.0, [[-1.9626155733547205e-17, 0.0], [-0.7071067811865474, 0.0], "
+        "[0.7071067811865475, 0.0], [1.1102230246251565e-16, 0.0]]], [0.9999999999999996, "
+        "[[0.985598559653489, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.1691019787257627, 0.0]]], "
+        "[1.0, [[0.11957315586905015, 0.0], [-0.5, 0.0], [-0.5, 0.0], [0.696923425058676, 0.0]]], "
+        "[0.9999999999999996, [[0.11957315586905015, 0.0], [0.5, 0.0], [0.5, 0.0], "
+        "[0.696923425058676, 0.0]]]]",
+        "version: 0.1.0",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURED_REPORTS))
+def test_report_is_byte_identical_to_the_captured_run(capsys, name):
+    argv, expected = CAPTURED_REPORTS[name]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if not ln.startswith("wall_time_s:")] == expected
+
+
+def test_sweep_csv_is_byte_identical_to_the_captured_run(tmp_path):
+    import hashlib
+
+    path = tmp_path / "fig1.csv"
+    assert main(["sweep", "--curve", "fig1", "--steps", "64", "--seed", "3", "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "cfef7c2cf6e028c60194fae5b4d5321cdb5996ae5b0bbf19538a51b2108a66da"

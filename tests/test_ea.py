@@ -225,6 +225,26 @@ def test_limited_ea_meets_the_time_sharing_line_and_the_endpoints(case):
     assert top >= ce.value - 1e-9
 
 
+@pytest.mark.parametrize("name, budget", [("identity", 0.25), ("identity", 0.5), ("identity", 0.75),
+                                          ("rng8-0", 0.5), ("rng8-3", 0.25)])
+def test_limited_ea_drops_members_of_roundoff_weight(name, budget, monkeypatch):
+    # on these cases the master ends with a priced density at weight ~1e-16
+    import qchancap.ea as ea_module
+
+    ch = dict(TIME_SHARING)[name]
+    with monkeypatch.context() as patch:
+        patch.setattr(ea_module, "ROUNDOFF_WEIGHT", 0.0)
+        raw_value, raw, _ = limited_ea(ch, budget)
+    assert min(raw.probs) <= 1e-12
+    value, ens, status = limited_ea(ch, budget)
+    assert status == "converged"
+    assert min(ens.probs) > 1e-12 and len(ens.probs) < len(raw.probs)
+    assert abs(value - raw_value) <= 1e-12
+    got, avg_entropy = limited_ea_objective(ch, ens)
+    assert got == value
+    assert avg_entropy <= budget + 1e-12
+
+
 def _budget_cases():
     """Density masters whose unconstrained optimum spends more entropy than
     the budget, started from pure columns only (slack row)."""

@@ -6,7 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
-from qchancap.c11 import induced_classical_channel
+from qchancap.c11 import _measurement_objective, induced_classical_channel
 from qchancap.c1inf import g_objective
 from qchancap.core import (
     LN2,
@@ -24,8 +24,10 @@ from qchancap.optim import (
     ascend_density_step,
     batched_objective,
     line_max_concave,
+    lockstep,
     log2_safe,
     minimize_on_sphere,
+    minimize_on_spheres,
     psd_boundary_step,
     traceless_part,
 )
@@ -75,6 +77,104 @@ def test_sphere_search_is_deterministic():
     runs = [minimize_on_sphere(_rayleigh(h), 4, starts) for _ in range(2)]
     as_bytes = [[(np.float64(f).tobytes(), v.tobytes()) for f, v in run] for run in runs]
     assert as_bytes[0] == as_bytes[1]
+
+
+# --- several problems in one search ----------------------------------------------
+
+STATIONARY = 5  # index of the problem in _search_problems whose starts are stationary
+
+
+def _search_problems(d):
+    """Problems of one dimension that stop at different iterations: the
+    measurement objective at duals of several sizes, a Rayleigh quotient from
+    random starts, and one from its eigenvectors (stationary at once)."""
+    rng = np.random.default_rng(40 + d)
+    problems = []
+    for scale in (0.0, 0.3, 1.0, 3.0):
+        probs = rng.dirichlet(np.ones(3))
+        mats = [random_density(rng, d).mat for _ in range(3)]
+        avg = sum(p * m for p, m in zip(probs, mats))
+        lam = scale * _random_hermitian(rng, d)
+        problems.append((_measurement_objective(probs, mats, avg, lam), _random_starts(rng, d, 8)))
+    problems.append((_rayleigh(_random_hermitian(rng, d)), _random_starts(rng, d, 5)))
+    h = _random_hermitian(rng, d)
+    problems.append((_rayleigh(h), list(np.linalg.eigh(h)[1].T)))
+    return problems
+
+
+def _logged(fun_grad, log, key):
+    def inner(v):
+        log.append(key)
+        return fun_grad(v)
+
+    return inner
+
+
+def _as_bytes(minima):
+    return [(np.float64(f).tobytes(), v.tobytes()) for f, v in minima]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_problems_searched_together_find_their_solo_minima(d):
+    problems = _search_problems(d)
+    solo_log, joint_log = [], []
+    solo = [minimize_on_sphere(_logged(f, solo_log, i), d, starts)
+            for i, (f, starts) in enumerate(problems)]
+    joint = minimize_on_spheres(
+        [(_logged(f, joint_log, i), starts) for i, (f, starts) in enumerate(problems)], d
+    )
+    assert [_as_bytes(m) for m in joint] == [_as_bytes(m) for m in solo]
+    counts = [solo_log.count(i) for i in range(len(problems))]
+    assert len(set(counts)) > 2  # the problems stop at different iterations
+    # each objective is called as often as alone: none after its problem has
+    # stopped, except for the final evaluation of all problems, in order
+    assert [joint_log.count(i) for i in range(len(problems))] == counts
+    assert joint_log[-len(problems):] == list(range(len(problems)))
+    assert counts[STATIONARY] == 2
+
+
+def test_problems_keep_their_own_minima():
+    # a problem without starts finds nothing, and one searched twice in a
+    # batch finds its minima twice: duplicates merge within a problem only
+    f, starts = _search_problems(2)[0]
+    solo = _as_bytes(minimize_on_sphere(f, 2, starts))
+    minima = minimize_on_spheres([(f, []), (f, starts), (f, []), (f, starts)], 2)
+    assert minima[0] == [] and minima[2] == []
+    assert _as_bytes(minima[1]) == _as_bytes(minima[3]) == solo
+    assert minimize_on_spheres([(f, [])], 2) == [[]]
+
+
+def _search_task(problems):
+    """Runs its searches one after another and returns their minima."""
+    found = []
+    for fun_grad, starts in problems:
+        found.append((yield fun_grad, np.array(starts)))
+    return found
+
+
+def test_lockstep_answers_each_round_with_one_search_per_dimension(monkeypatch):
+    import sys
+
+    optim_module = sys.modules["qchancap.optim"]
+    two, three = _search_problems(2), _search_problems(3)
+    groups = [two[:1], two[1:3], two[3:], three[:2]]
+    calls = []
+    real = optim_module.minimize_on_spheres
+
+    def counted(problems, dim):
+        calls.append((len(problems), dim))
+        return real(problems, dim)
+
+    monkeypatch.setattr(optim_module, "minimize_on_spheres", counted)
+    results = lockstep([_search_task(group) for group in groups])
+    # round 1: the first search of every task; then tasks drop out as they finish
+    assert calls == [(3, 2), (1, 3), (2, 2), (1, 3), (1, 2)]
+    for group, found in zip(groups, results):
+        d = np.shape(group[0][1])[-1]
+        assert [_as_bytes(m) for m in found] == [
+            _as_bytes(real([(f, starts)], d)[0]) for f, starts in group
+        ]
+    assert lockstep([]) == []
 
 
 # --- line search ----------------------------------------------------------------
