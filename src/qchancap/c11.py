@@ -13,7 +13,7 @@ reuses the C_{1,inf} engine on it unchanged.  Neither half is guaranteed to
 find a global optimum, so runs are restarted and per-restart values kept.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
@@ -41,18 +41,15 @@ from .lp import LinearProgram, PricingOutcome, column_generation_task
 from .optim import batched_objective, lockstep
 
 ZERO_OUTCOME = 1e-14  # below this overlap an outcome never occurs
+ALT_TOL = 1e-7  # a restart converges once an alternation gains less than this
 
 
 @dataclass
 class C11Options:
-    restarts: int = 8
-    seed: int = 0
     alternations: int = 100
-    alt_tol: float = 1e-7
     starts: int = 8
     pricing_tol: float = 1e-7
     measurement_rounds: int = 60
-    c1inf: C1InfOptions = field(default_factory=C1InfOptions)
 
 
 @dataclass
@@ -60,7 +57,6 @@ class C11Result:
     value: float
     ensemble: Ensemble  # input ensemble
     povm: Povm
-    restarts_used: int
     restart_values: list
     status: str  # "converged" | "round-limit"
     trace: list  # per-iterate dicts with value and chi of the output ensemble
@@ -264,12 +260,12 @@ def optimize_measurement(out_ens: Ensemble, opts: C11Options = None, rng=None):
     objective, so its certificate is "no column beats the dual by more than
     pricing_tol").  The final weights are re-fit by nonnegative least
     squares on the selected directions so completeness holds to POVM
-    tolerance despite LP roundoff.  This is the one-task case of
-    optimize_measurement_task.
+    tolerance despite LP roundoff.  Without `rng` the search draws from
+    default_rng(0).  This is the one-task case of optimize_measurement_task.
     """
     opts = opts or C11Options()
     if rng is None:
-        rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(0)
     return lockstep([optimize_measurement_task(out_ens, opts, rng)])[0]
 
 
@@ -397,18 +393,13 @@ def c11(
     "converged" if its alternation stopped gaining, "round-limit" if it ran
     out of alternations.  Every iterate's value and output-ensemble chi land
     on `trace`, ordered by restart, then alternation (the Holevo bound
-    check).  A given `opts` must carry the same restarts and seed as the
-    arguments.
+    check).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if opts is None:
-        opts = C11Options(restarts=restarts, seed=seed)
-    elif (opts.restarts, opts.seed) != (restarts, seed):
-        raise ValueError(
-            f"opts has restarts={opts.restarts}, seed={opts.seed}; "
-            f"the arguments say restarts={restarts}, seed={seed}"
-        )
+    opts = opts or C11Options()
+    if opts.alternations < 1:
+        raise ValueError("C11Options.alternations must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     runs = lockstep([_restart_task(ch, restricted_signals, r, np.random.default_rng(seeds[r]), opts)
                      for r in range(restarts)])
@@ -429,7 +420,6 @@ def c11(
         value=final_value,
         ensemble=ens,
         povm=povm,
-        restarts_used=restarts,
         restart_values=restart_values,
         status="converged" if converged else "round-limit",
         trace=trace,
@@ -456,10 +446,7 @@ def _restart_task(ch, restricted_signals, r, rng, opts):
 
         induced = induced_classical_channel(ch, povm)
         c1_opts = C1InfOptions(
-            tol=opts.c1inf.tol,
-            starts=opts.c1inf.starts,
             seed=int(rng.integers(2**31)),
-            max_rounds=opts.c1inf.max_rounds,
             initial_weights=_signal_weights(ens, restricted_signals)
             if restricted_signals else None,
         )
@@ -476,7 +463,7 @@ def _restart_task(ch, restricted_signals, r, rng, opts):
         )
         if v_ens > local_best[0]:
             local_best = (v_ens, ens, povm)
-        if local_best[0] - prev_value < opts.alt_tol:
+        if local_best[0] - prev_value < ALT_TOL:
             converged = True
             break
         prev_value = local_best[0]

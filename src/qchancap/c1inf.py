@@ -47,6 +47,7 @@ LINE_ROUNDS = 40  # bisection rounds of the master's line searches
 NULL_TOL = 1e-10  # relative singular value below which the support's outputs are dependent
 BUDGET_TOL = 1e-12  # bits of slack within which the budget row counts as active
 DEDUP_TOL = 1e-7  # projectors closer than this (max-norm) are the same column
+PRICING_TOL = 1e-7  # a priced state joins the master if its reduced cost is below -PRICING_TOL
 
 
 @dataclass
@@ -55,7 +56,6 @@ class C1InfOptions:
     starts: int = 8
     seed: int = 0
     max_rounds: int = 200
-    pricing_tol: float = 1e-7
     initial_weights: tuple = None  # restricted mode: starting ensemble weights
 
 
@@ -78,7 +78,6 @@ class C1InfProblem:
 class PricingReport:
     state: PureState
     reduced_cost: float
-    start_class: str  # "random" | "support"
 
 
 @dataclass
@@ -148,15 +147,8 @@ def pricing_search(
         rng = np.random.default_rng(int(rng))
     support = list(support)
     start_vecs = [v.vec for v in support] + [random_pure(rng, ch.dim_in).vec for _ in range(starts)]
-    classes = ["support"] * len(support) + ["random"] * starts
     minima = minimize_on_sphere(_pricing_objective(ch, tau.mat), ch.dim_in, start_vecs)
-    return [PricingReport(PureState(v), float(f), _nearest_class(v, start_vecs, classes))
-            for f, v in minima if f < -tol]
-
-
-def _nearest_class(v, start_vecs, classes) -> str:
-    dists = [np.abs(np.abs(np.vdot(v, s)) - 1.0) for s in start_vecs]
-    return classes[int(np.argmin(dists))]
+    return [PricingReport(PureState(v), float(f)) for f, v in minima if f < -tol]
 
 
 def g_objective(ch: QuantumChannel, tau_mat: np.ndarray) -> EntropySum:
@@ -515,7 +507,7 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
         # appended columns carry weight 0: chi, rho and tau stay as returned
         size = len(p)
         master, p = _add_columns(ch, master, p, [r.state for r in reports
-                                             if r.reduced_cost < -opts.pricing_tol])
+                                             if r.reduced_cost < -PRICING_TOL])
         if len(p) == size and chi <= chi_start:
             status = "stalled"
             break

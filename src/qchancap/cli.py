@@ -167,10 +167,7 @@ def _cmd_accinfo(args) -> RunReport:
     cf = parse_channel(args.channel)
     ens = _uniform_signal_ensemble(cf)
     out_ens = channel_ensemble(cf.channel, ens)
-    opts = C11Options(
-        seed=args.seed, starts=args.starts,
-        pricing_tol=args.tol, measurement_rounds=args.max_rounds,
-    )
+    opts = C11Options(starts=args.starts, pricing_tol=args.tol, measurement_rounds=args.max_rounds)
     povm, value, status = optimize_measurement(out_ens, opts, np.random.default_rng(args.seed))
     return RunReport(
         capacity="accinfo", value_bits=value, status=status, seed=args.seed,
@@ -198,10 +195,7 @@ def _cmd_c1inf(args) -> RunReport:
 
 def _cmd_c11(args) -> RunReport:
     cf = parse_channel(args.channel)
-    opts = C11Options(
-        restarts=args.restarts, seed=args.seed, starts=args.starts,
-        pricing_tol=args.tol, measurement_rounds=args.max_rounds,
-    )
+    opts = C11Options(starts=args.starts, pricing_tol=args.tol, measurement_rounds=args.max_rounds)
     res = c11(cf.channel, restricted_signals=cf.signals,
               restarts=args.restarts, seed=args.seed, opts=opts)
     spread = max(res.restart_values) - min(res.restart_values)
@@ -218,7 +212,7 @@ def _cmd_cea(args) -> RunReport:
     res = c_ea(cf.channel, tol=args.tol)
     status = "converged" if res.gradient_residual < args.tol else "round-limit"
     return RunReport(
-        capacity="cea", value_bits=res.value, status=status, seed=args.seed,
+        capacity="cea", value_bits=res.value, status=status,
         certificates={
             "fw_gap": res.gradient_residual,
             "entanglement_rate": res.entanglement_rate,
@@ -293,10 +287,12 @@ def fig1_rows(steps: int, seed: int = 0, tol: float = 1e-7):
     """
     from .core import identity_channel
 
+    if steps < 2:
+        raise ValueError(f"the sweep needs at least 2 steps, got {steps}")
     ch = identity_channel(2)
     thetas = [(np.pi / 2) * j / (steps - 1) for j in range(steps)]
     ensembles = [Ensemble([(0.5, s) for s in two_state_signals(theta)]) for theta in thetas]
-    opts = C11Options(seed=seed, pricing_tol=tol)
+    opts = C11Options(pricing_tol=tol)
     measured = lockstep([
         optimize_measurement_task(channel_ensemble(ch, ens), opts, np.random.default_rng(seed))
         for ens in ensembles
@@ -312,6 +308,40 @@ def _cmd_sweep(args):
     return ("theta", "i_acc_bits", "h_vn_bits"), rows
 
 
+_FLAGS = {
+    "--channel": dict(required=True, help="channel file (.qch) path or bundled name"),
+    "--tol": dict(type=float, default=1e-7),
+    "--seed": dict(type=int, default=0),
+    "--starts": dict(type=int, default=8),
+    "--restarts": dict(type=int, default=8),
+    "--max-rounds": dict(type=int, default=200, dest="max_rounds"),
+    "--B": dict(type=float, required=True, help="entanglement budget in bits"),
+    "--name": dict(required=True, choices=("accinfo", "qmi", "coherent", "simplex-chi")),
+    "--step": dict(type=float, default=1e-3),
+    "--curve": dict(default="fig1"),
+    "--steps": dict(type=int, default=64),
+    "--out": dict(default=None, help="write the report/CSV to this path"),
+    "--format": dict(choices=("text", "csv"), default="text"),
+}
+
+_SEARCH = ("--channel", "--tol", "--seed", "--starts", "--max-rounds")
+_OUTPUT = ("--out", "--format")
+
+# each subcommand's handler and the flags it reads
+_COMMANDS = {
+    "chi": (_cmd_chi, ("--channel", *_OUTPUT)),
+    "accinfo": (_cmd_accinfo, (*_SEARCH, *_OUTPUT)),
+    "c11": (_cmd_c11, (*_SEARCH, "--restarts", *_OUTPUT)),
+    "c1inf": (_cmd_c1inf, (*_SEARCH, *_OUTPUT)),
+    "cea": (_cmd_cea, ("--channel", "--tol", *_OUTPUT)),
+    "coherent": (_cmd_coherent, ("--channel", "--seed", "--starts", *_OUTPUT)),
+    "arimoto-blahut": (_cmd_arimoto_blahut, ("--channel", "--tol", *_OUTPUT)),
+    "limited-ea": (_cmd_limited_ea, ("--channel", "--seed", "--tol", "--B", *_OUTPUT)),
+    "oracle": (_cmd_oracle, ("--channel", "--name", "--step", *_OUTPUT)),
+    "sweep": (_cmd_sweep, ("--curve", "--steps", "--seed", "--tol", "--out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qchancap",
@@ -319,45 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, channel=True):
-        if channel:
-            p.add_argument("--channel", required=True, help="channel file (.qch) path or bundled name")
-        p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=8)
-        p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--max-rounds", type=int, default=200, dest="max_rounds")
-        p.add_argument("--out", default=None, help="write the report/CSV to this path")
-        p.add_argument("--format", choices=("text", "csv"), default="text")
-
-    for name in ("chi", "accinfo", "c11", "c1inf", "cea", "coherent", "arimoto-blahut"):
-        add_common(sub.add_parser(name))
-    p = sub.add_parser("limited-ea")
-    add_common(p)
-    p.add_argument("--B", type=float, required=True, help="entanglement budget in bits")
-    p = sub.add_parser("oracle")
-    add_common(p)
-    p.add_argument("--name", required=True, choices=("accinfo", "qmi", "coherent", "simplex-chi"))
-    p.add_argument("--step", type=float, default=1e-3)
-    p = sub.add_parser("sweep")
-    add_common(p, channel=False)
-    p.add_argument("--curve", default="fig1")
-    p.add_argument("--steps", type=int, default=64)
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_COMMANDS = {
-    "chi": _cmd_chi,
-    "accinfo": _cmd_accinfo,
-    "c11": _cmd_c11,
-    "c1inf": _cmd_c1inf,
-    "cea": _cmd_cea,
-    "coherent": _cmd_coherent,
-    "limited-ea": _cmd_limited_ea,
-    "arimoto-blahut": _cmd_arimoto_blahut,
-    "oracle": _cmd_oracle,
-}
 
 
 def main(argv=None) -> int:
@@ -367,8 +363,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags; 2 is reserved for round-limit here
         return 0 if exit_err.code == 0 else 1
     try:
+        handler = _COMMANDS[args.command][0]
         if args.command == "sweep":
-            header, rows = _cmd_sweep(args)
+            header, rows = handler(args)
             if args.out:
                 with open(args.out, "w", newline="") as fh:
                     emit_csv(header, rows, fh)
@@ -376,7 +373,7 @@ def main(argv=None) -> int:
                 emit_csv(header, rows, sys.stdout)
             return 0
         started = time.monotonic()
-        report = _COMMANDS[args.command](args)
+        report = handler(args)
         report.wall_time_s = time.monotonic() - started
         if args.format == "csv":
             rows = [report.to_csv_row()]

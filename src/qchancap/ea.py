@@ -9,7 +9,7 @@ runs on c1inf's chi master over density columns, with the entanglement
 budget as one linear row, and density pricing; it is flagged experimental.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core import (
     identity_channel,
     von_neumann_entropy,
 )
-from .c1inf import C1InfOptions, C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
+from .c1inf import C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
 from .info import limited_ea_objective, quantum_mutual_information
 from .optim import (
     EntropySum,
@@ -182,15 +182,14 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
 # ---------------------------------------------------------------------------
 
 ROUNDOFF_WEIGHT = 1e-12  # limited-EA drops ensemble members at or below this weight
+OUTER_ROUNDS = 30  # limited-EA's master-and-pricing rounds
+PRICING_STARTS = 6  # random starts of each density pricing search
 
 
 @dataclass
 class LimitedEaOptions:
     seed: int = 0
-    outer_rounds: int = 30
-    pricing_starts: int = 6
     tol: float = 1e-6
-    c1inf: C1InfOptions = field(default_factory=C1InfOptions)
 
 
 def _density_master(ch: QuantumChannel, mats):
@@ -273,16 +272,16 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
     multiplier.  Members of weight at most ROUNDOFF_WEIGHT are dropped from
     the result and the rest renormalized.  Returns (value, Ensemble, status):
     "converged" once pricing finds no violator, "stalled" when a round
-    neither gains nor admits a column, "round-limit" after outer_rounds.
+    neither gains nor admits a column, "round-limit" after OUTER_ROUNDS.
     A zero budget admits only
     pure states, where the formula is chi: c1inf's ensemble and status are
     returned.  Pricing is multistart local, so no capacity is claimed.
     """
-    if budget < 0:
-        raise ValueError("entanglement budget must be nonnegative")
+    if not budget >= 0:  # NaN fails every comparison
+        raise ValueError(f"entanglement budget must be nonnegative, got {budget}")
     opts = opts or LimitedEaOptions()
     rng = np.random.default_rng(opts.seed)
-    base = c1inf(C1InfProblem(ch, options=opts.c1inf))
+    base = c1inf(C1InfProblem(ch))
     pure = [s.projector() for s in base.ensemble.states]
     if budget == 0.0:
         ensemble = Ensemble([(q, DensityMatrix(m)) for q, m in zip(base.ensemble.probs, pure)])
@@ -294,7 +293,7 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
     share = 1.0 if top.entanglement_rate <= budget else budget / top.entanglement_rate
     p = np.concatenate([(1.0 - share) * base.ensemble.probs, [share, 0.0]])
     status, last = "round-limit", -np.inf
-    for _ in range(opts.outer_rounds):
+    for _ in range(OUTER_ROUNDS):
         p, value, _, mu = maximize_chi(master, p, budget=(s, budget))
         keep = p > 0.0
         master, s, p = master.take(keep), s[keep], p[keep]
@@ -303,7 +302,7 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
         tau = -divergence_tau(ch, master.average(p), value - mu * (s @ p))
         rho_bar = np.tensordot(p, master.columns, axes=(0, 0))
         found = _limited_pricing(ch, tau, mu, master.columns, rho_bar,
-                                 opts.pricing_starts, rng, opts.tol)
+                                 PRICING_STARTS, rng, opts.tol)
         if not found:
             status = "converged"
             break

@@ -175,7 +175,7 @@ def test_criterion_7_certificate_suite():
             assert ce.value >= res.value - 1e-6
             c11_res = c11(
                 ch, restarts=1, seed=i,
-                opts=C11Options(restarts=1, seed=i, alternations=4, starts=4),
+                opts=C11Options(alternations=4, starts=4),
             )
             for row in c11_res.trace:
                 assert row["value"] <= row["chi"] + 1e-8

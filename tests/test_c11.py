@@ -19,6 +19,7 @@ from qchancap.core import (
     coords_to_mat,
 )
 from qchancap.c11 import (
+    ALT_TOL,
     ZERO_OUTCOME,
     C11Options,
     c11,
@@ -436,16 +437,6 @@ def test_c11_trace_is_ordered_by_restart_then_alternation(trine_run):
         assert alternations == list(range(len(alternations))) and alternations
 
 
-def test_c11_rejects_options_that_disagree_with_the_arguments():
-    for restarts, seed in ((2, 3), (8, 3), (2, 0)):
-        with pytest.raises(ValueError, match="restarts"):
-            c11(identity_channel(2), restricted_signals=trine_signals(),
-                opts=C11Options(restarts=restarts, seed=seed))
-    res = c11(identity_channel(2), restricted_signals=trine_signals(), restarts=2, seed=3,
-              opts=C11Options(restarts=2, seed=3))
-    assert res.restarts_used == 2 and len(res.restart_values) == 2
-
-
 class CountingSearches:
     """Counts pricing searches per random stream (one stream per c11 restart
     or sweep row), and the batched calls that answer them: the
@@ -563,7 +554,7 @@ def test_c11_status_is_that_of_the_returned_restart():
     # still gains at its third and last one (the seed picks such a run: the
     # random streams decide it)
     alternations = 3
-    opts = C11Options(restarts=3, seed=4, alternations=alternations)
+    opts = C11Options(alternations=alternations)
     res = c11(identity_channel(2), restricted_signals=trine_signals(), restarts=3, seed=4, opts=opts)
     running = {}
     for row in res.trace:
@@ -572,5 +563,12 @@ def test_c11_status_is_that_of_the_returned_restart():
     best = int(np.argmax(res.restart_values))
     assert len(running[0]) < alternations
     gains = np.diff(np.maximum.accumulate([running[best][a] for a in range(alternations)]))
-    assert len(running[best]) == alternations and gains[-1] >= opts.alt_tol
+    assert len(running[best]) == alternations and gains[-1] >= ALT_TOL
     assert res.status == "round-limit"
+
+
+@pytest.mark.parametrize("alternations", [0, -2])
+def test_c11_rejects_fewer_than_one_alternation(alternations):
+    with pytest.raises(ValueError, match="alternations"):
+        c11(identity_channel(2), restricted_signals=trine_signals(), restarts=1,
+            opts=C11Options(alternations=alternations))

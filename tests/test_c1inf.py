@@ -23,6 +23,7 @@ from qchancap.core import (
 )
 from qchancap.c11 import induced_classical_channel
 from qchancap.c1inf import (
+    DEDUP_TOL,
     C1InfOptions,
     C1InfProblem,
     ChiMaster,
@@ -33,6 +34,7 @@ from qchancap.c1inf import (
     maximize_chi,
     polish_objective,
     pricing_search,
+    _add_columns,
     _pricing_objective,
 )
 from qchancap.info import arimoto_blahut, ClassicalChannel, holevo_chi
@@ -309,7 +311,6 @@ def test_pricing_report_value_recomputes():
             np.vdot(rep.state.vec, tau.mat @ rep.state.vec).real
         )
         assert rep.reduced_cost == pytest.approx(f, abs=1e-9)
-        assert rep.start_class in ("random", "support")
 
 
 def test_pricing_zero_tau_finds_nothing():
@@ -457,16 +458,51 @@ def test_c1inf_certifies_the_seed_dependent_channel(seed):
     assert res.rounds <= 2
 
 
-def test_c1inf_stalls_when_no_violator_may_enter():
+def test_c1inf_stalls_when_no_violator_may_enter(monkeypatch):
     # a zero tolerance cannot be certified, and no priced state clears a
     # pricing threshold of one bit: the loop stops as soon as a round gains
     # nothing, rather than running to the round cap
-    opts = C1InfOptions(tol=0.0, pricing_tol=1.0, max_rounds=50)
+    monkeypatch.setattr(c1inf_module, "PRICING_TOL", 1.0)
+    opts = C1InfOptions(tol=0.0, max_rounds=50)
     res = c1inf(C1InfProblem(dephasing(0.25), options=opts))
     assert res.status == "stalled"
     assert res.rounds < 50
     assert res.dual_gap > 0.0
     assert res.value == pytest.approx(1.0, abs=1e-9)  # the basis states pass unchanged
+
+
+def test_c1inf_admits_priced_columns_and_certifies_in_a_later_round(monkeypatch):
+    # round 0's pricing finds two violators; the second round's master runs
+    # on the grown column set and certifies
+    ch = random_channel(np.random.default_rng(3), 3, 3, 2)
+    admitted = []
+    real = c1inf_module._add_columns
+
+    def spy(ch, master, p, states):
+        grown, q = real(ch, master, p, states)
+        admitted.append(len(q) - len(p))
+        return grown, q
+
+    monkeypatch.setattr(c1inf_module, "_add_columns", spy)
+    res = c1inf(C1InfProblem(ch))
+    assert res.status == "converged" and res.rounds == 2
+    assert admitted == [2]
+    assert res.dual_gap <= 1e-7
+    assert holevo_chi(channel_ensemble(ch, res.ensemble)) == pytest.approx(res.value, abs=1e-8)
+
+
+def test_add_columns_skips_states_within_dedup_tol_of_a_column():
+    ch = random_channel(np.random.default_rng(0), 2, 2, 2)
+    master = ChiMaster.pure(ch, np.eye(2, dtype=complex))
+    p = np.array([0.25, 0.75])
+    near = PureState([1.0, 0.1 * DEDUP_TOL])  # projector within DEDUP_TOL of |0><0|
+    phase = PureState([0.0, -1.0])  # |1> up to a phase: the same projector
+    far = PureState([1.0, 10.0 * DEDUP_TOL])
+    grown, q = _add_columns(ch, master, p, [near, phase, far])
+    assert q.tolist() == [0.25, 0.75, 0.0]
+    np.testing.assert_array_equal(grown.columns[:2], master.columns)
+    np.testing.assert_array_equal(grown.columns[2], far.vec)
+    np.testing.assert_allclose(grown.outputs[2], channel_output_pure(ch, far.vec), atol=1e-15)
 
 
 def test_c1inf_ququart_converges():

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from qchancap.cli import (
     RunReport,
+    build_parser,
     emit_csv,
     fig1_rows,
     load_ensemble,
@@ -306,3 +308,105 @@ def test_sweep_csv_is_byte_identical_to_the_captured_run(tmp_path):
     assert main(["sweep", "--curve", "fig1", "--steps", "64", "--seed", "3", "--out", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "cfef7c2cf6e028c60194fae5b4d5321cdb5996ae5b0bbf19538a51b2108a66da"
+
+
+# --- each subcommand takes only the flags its handler reads -------------------
+
+def subcommand_flags():
+    """{subcommand: set of its option strings}, --help aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for act in p._actions for s in act.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+OUTPUT_FLAGS = {"--out", "--format"}
+SEARCH_FLAGS = {"--channel", "--tol", "--seed", "--starts", "--max-rounds"} | OUTPUT_FLAGS
+EXPECTED_FLAGS = {
+    "chi": {"--channel"} | OUTPUT_FLAGS,
+    "accinfo": SEARCH_FLAGS,
+    "c1inf": SEARCH_FLAGS,
+    "c11": SEARCH_FLAGS | {"--restarts"},
+    "cea": {"--channel", "--tol"} | OUTPUT_FLAGS,
+    "arimoto-blahut": {"--channel", "--tol"} | OUTPUT_FLAGS,
+    "coherent": {"--channel", "--seed", "--starts"} | OUTPUT_FLAGS,
+    "limited-ea": {"--channel", "--seed", "--tol", "--B"} | OUTPUT_FLAGS,
+    "oracle": {"--channel", "--name", "--step"} | OUTPUT_FLAGS,
+    "sweep": {"--curve", "--steps", "--seed", "--tol", "--out"},
+}
+
+# the flags a shared flag set would give every subcommand: each one its
+# handler does not read must be rejected
+FORMER_COMMON_FLAGS = {"--tol", "--seed", "--starts", "--restarts", "--max-rounds", "--format"}
+VALID_ARGV = {
+    "chi": ["--channel", "trine.qch"],
+    "cea": ["--channel", "identity.qch"],
+    "arimoto-blahut": ["--channel", "bsc_0.11_classical.qch"],
+    "coherent": ["--channel", "identity.qch"],
+    "limited-ea": ["--channel", "identity.qch", "--B", "0.5"],
+    "oracle": ["--channel", "trine.qch", "--name", "simplex-chi", "--step", "0.01"],
+    "accinfo": ["--channel", "trine.qch"],
+    "c1inf": ["--channel", "identity.qch"],
+    "sweep": ["--steps", "3"],
+}
+REMOVED = sorted((cmd, flag) for cmd in VALID_ARGV
+                 for flag in FORMER_COMMON_FLAGS - EXPECTED_FLAGS[cmd])
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    assert subcommand_flags() == EXPECTED_FLAGS
+    assert sum(map(len, EXPECTED_FLAGS.values())) == 54
+    assert len(REMOVED) == 30
+
+
+@pytest.mark.parametrize("command, flag", REMOVED)
+def test_a_flag_the_handler_does_not_read_is_rejected(capsys, command, flag):
+    value = "csv" if flag == "--format" else "1"
+    assert main([command, *VALID_ARGV[command], flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+def test_readme_lists_each_subcommand_with_the_parsers_flags():
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    synopsis = section.split("```", 2)[1]
+    listed, command = {}, None
+    for line in synopsis.splitlines():
+        if line.startswith("qchancap "):
+            command = line.split()[1]
+            listed[command] = set()
+        if command is not None:
+            listed[command] |= set(re.findall(r"--[A-Za-z][\w-]*", line))
+    assert listed == subcommand_flags()
+
+
+def test_cea_reports_no_seed(capsys):
+    code, fields = run_text(capsys, ["cea", "--channel", "identity.qch"])
+    assert code == 0 and "seed" not in fields
+
+
+@pytest.mark.parametrize("steps", [1, 0, -3])
+def test_sweep_rejects_fewer_than_two_steps(capsys, steps):
+    with pytest.raises(ValueError, match="at least 2 steps"):
+        fig1_rows(steps)
+    assert main(["sweep", "--curve", "fig1", "--steps", str(steps)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 2 steps" in captured.err
+
+
+def test_limited_ea_cli_rejects_a_nan_budget(capsys):
+    assert main(["limited-ea", "--channel", "identity.qch", "--B", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entanglement budget must be nonnegative, got nan" in captured.err
+
+
+def test_limited_ea_cli_infinite_budget_gives_cea(capsys):
+    code, fields = run_text(capsys, ["limited-ea", "--channel", "identity.qch", "--B", "inf"])
+    assert code == 0
+    assert float(fields["value_bits"]) == pytest.approx(2.0, abs=1e-9)
