@@ -27,6 +27,7 @@ from .core import (
     PureState,
     QuantumChannel,
     channel_ensemble,
+    check_tolerance,
     coords_to_hermitian,
     coords_to_mat,
     fix_phase,
@@ -50,6 +51,9 @@ class C11Options:
     starts: int = 8
     pricing_tol: float = 1e-7
     measurement_rounds: int = 60
+
+    def __post_init__(self):
+        check_tolerance(self.pricing_tol, "C11Options.pricing_tol")
 
 
 @dataclass

@@ -24,18 +24,18 @@ from .core import (
     PureState,
     QuantumChannel,
     adjoint_apply,
+    check_tolerance,
     entropy_of_spectrum,
     fix_phase,
+    log2_clipped,
+    log2_safe,
     random_pure,
 )
 from .optim import (
     STEP_CAP,
-    EntropySum,
-    _log2_clipped,
     _trace_log2_along,
     batched_objective,
     line_max_concave,
-    log2_safe,
     minimize_on_sphere,
     renormalize_density,
 )
@@ -57,6 +57,9 @@ class C1InfOptions:
     seed: int = 0
     max_rounds: int = 200
     initial_weights: tuple = None  # restricted mode: starting ensemble weights
+
+    def __post_init__(self):
+        check_tolerance(self.tol, "C1InfOptions.tol")
 
 
 @dataclass
@@ -110,8 +113,7 @@ def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
         imgs = np.einsum("kij,sj->ski", kraus, v)  # A_k v
         if ch.diagonal_output:
             probs = (imgs.real**2 + imgs.imag**2).sum(axis=1)
-            keep = probs > 1e-12
-            logp = np.where(keep, np.log2(np.where(keep, probs, 1.0)), 0.0)
+            logp = log2_clipped(probs)
             f_ent = -(probs * logp).sum(axis=1)
             log_imgs = logp[:, None, :] * imgs
         else:
@@ -149,11 +151,6 @@ def pricing_search(
     start_vecs = [v.vec for v in support] + [random_pure(rng, ch.dim_in).vec for _ in range(starts)]
     minima = minimize_on_sphere(_pricing_objective(ch, tau.mat), ch.dim_in, start_vecs)
     return [PricingReport(PureState(v), float(f)) for f, v in minima if f < -tol]
-
-
-def g_objective(ch: QuantumChannel, tau_mat: np.ndarray) -> EntropySum:
-    """g(rho) = H(N(rho)) - Tr(tau rho), the fixed-average master's dual objective."""
-    return EntropySum([(1.0, ch)], linear=-tau_mat)
 
 
 def divergence_tau(ch: QuantumChannel, omega: np.ndarray, chi: float) -> np.ndarray:
@@ -200,7 +197,7 @@ class ChiMaster:
         eigenbasis (for the Hessian)."""
         eigs, vecs = np.linalg.eigh(omega)
         rot = vecs.conj().T @ self.outputs @ vecs
-        div = -self.costs - np.einsum("mii->mi", rot).real @ _log2_clipped(eigs)
+        div = -self.costs - np.einsum("mii->mi", rot).real @ log2_clipped(eigs)
         return div, eigs, rot
 
     def hessian(self, idx: np.ndarray, eigs: np.ndarray, rot: np.ndarray) -> np.ndarray:
@@ -402,7 +399,7 @@ def polish_objective(ch: QuantumChannel, m: int):
         tau = -np.einsum("kai,sab,kbj->sij", kraus.conj(), log2_safe(omega), kraus)
         f, g = _pricing_objective(ch, np.repeat(tau, m, axis=0))(rows.reshape(-1, d))
         probs = (rows.real**2 + rows.imag**2).sum(axis=2)
-        logp = np.where(probs > 0.0, np.log2(np.where(probs > 0.0, probs, 1.0)), 0.0)
+        logp = log2_clipped(probs, 0.0)
         value = f.reshape(-1, m).sum(axis=1) + (probs * logp).sum(axis=1)
         grad = g.reshape(rows.shape) + 2.0 * logp[..., None] * rows
         return value, grad.reshape(x.shape)

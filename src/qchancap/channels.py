@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvariantError, PureState, QuantumChannel, validate_channel
+from .core import SX, SY, SZ, InvariantError, PureState, QuantumChannel, validate_channel
 from .info import ClassicalChannel
 
 
@@ -147,10 +147,6 @@ def write_channel_file(path, name, kraus=None, signals=None, transition=None, me
 # ---------------------------------------------------------------------------
 # Built-in channel library.
 # ---------------------------------------------------------------------------
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 TRINE_VECTORS = (
     np.array([1.0, 0.0]),

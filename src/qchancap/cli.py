@@ -23,6 +23,7 @@ from .core import (
     Povm,
     PureState,
     channel_ensemble,
+    check_tolerance,
     von_neumann_entropy,
 )
 from .c1inf import C1InfOptions, C1InfProblem, c1inf
@@ -235,7 +236,7 @@ def _cmd_coherent(args) -> RunReport:
 
 def _cmd_limited_ea(args) -> RunReport:
     cf = parse_channel(args.channel)
-    opts = LimitedEaOptions(seed=args.seed, tol=max(args.tol, 1e-8))
+    opts = LimitedEaOptions(seed=args.seed, tol=max(check_tolerance(args.tol, "--tol"), 1e-8))
     value, ens, status = limited_ea(cf.channel, args.B, opts)
     return RunReport(
         capacity="limited-ea", value_bits=value, status=status, seed=args.seed,

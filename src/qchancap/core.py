@@ -2,9 +2,12 @@
 
 States, channels, measurements, entropies, partial trace, purification,
 and the real-coordinate encoding of Hermitian matrices used by the LP
-layers.  All entropies are in bits (log base 2).  Values are immutable
-after construction and every operation here is a pure function.
+layers.  All entropies are in bits (log base 2) and rest on one kernel,
+log2_clipped.  Values are immutable after construction and every
+operation here is a pure function.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +20,11 @@ NORM_TOL = 1e-10
 CHANNEL_TOL = 1e-9
 POVM_TOL = 1e-9
 ENTROPY_CLIP = 1e-12
+SNAP_TOL = 1e-8  # snap_vector zeros parts below this share of the largest amplitude
+
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class DimensionError(ValueError):
@@ -25,6 +33,15 @@ class DimensionError(ValueError):
 
 class InvariantError(ValueError):
     """A quantum object failed one of its validity invariants."""
+
+
+def check_tolerance(tol, name: str) -> float:
+    """Reject a stopping tolerance that certifies nothing: NaN passes no
+    comparison and inf every one, and a gap of 0 or less is never reached.
+    Returns tol; raises ValueError naming the option otherwise."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -108,8 +125,8 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (a.conjugate() / abs(a))
 
 
-def snap_vector(vec: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Zero real/imaginary parts below rel_tol of the largest amplitude.
+def snap_vector(vec: np.ndarray) -> np.ndarray:
+    """Zero real/imaginary parts below SNAP_TOL of the largest amplitude.
 
     Optimizer output carries component dust at the gradient-tolerance scale;
     snapping it keeps downstream coordinate rows exactly zero where they
@@ -118,8 +135,8 @@ def snap_vector(vec: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     scale = float(np.abs(vec).max())
     if scale <= 0.0:
         return vec
-    re = np.where(np.abs(vec.real) < rel_tol * scale, 0.0, vec.real)
-    im = np.where(np.abs(vec.imag) < rel_tol * scale, 0.0, vec.imag)
+    re = np.where(np.abs(vec.real) < SNAP_TOL * scale, 0.0, vec.real)
+    im = np.where(np.abs(vec.imag) < SNAP_TOL * scale, 0.0, vec.imag)
     out = re + 1j * im
     return fix_phase(out / np.linalg.norm(out))
 
@@ -175,8 +192,9 @@ def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def channel_apply_mat(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
-    """Kraus sum on a raw matrix (no validity wrapping)."""
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
+    """Kraus sum on a raw matrix or a stack (..., d, d) of them (no validity
+    wrapping)."""
+    out = np.zeros(mat.shape[:-2] + (ch.dim_out, ch.dim_out), dtype=complex)
     for a in ch.kraus:
         out += a @ mat @ a.conj().T
     return out
@@ -192,21 +210,23 @@ def channel_output_pure(ch: QuantumChannel, vec: np.ndarray) -> np.ndarray:
 
 
 def adjoint_apply(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
-    """Adjoint map N^dag(X) = sum_i A_i^dag X A_i (Heisenberg picture)."""
-    out = np.zeros((ch.dim_in, ch.dim_in), dtype=complex)
+    """Adjoint map N^dag(X) = sum_i A_i^dag X A_i (Heisenberg picture), of
+    one matrix or a stack (..., d, d)."""
+    out = np.zeros(mat.shape[:-2] + (ch.dim_in, ch.dim_in), dtype=complex)
     for a in ch.kraus:
         out += a.conj().T @ mat @ a
     return out
 
 
 def environment_output(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
-    """Environment (complementary) view: the matrix with entries Tr(A_k rho A_j^dag).
+    """Environment (complementary) view: the matrix with entries Tr(A_k rho A_j^dag),
+    of one matrix or a stack (..., d, d).
 
     Its entropy equals the entropy of (N (x) I) applied to any purification of
     rho, since the system+reference+environment state is pure.
     """
     kraus = np.stack(ch.kraus)
-    return np.einsum("krp,pq,jrq->kj", kraus, mat, kraus.conj())
+    return np.einsum("krp,...pq,jrq->...kj", kraus, mat, kraus.conj())
 
 
 def complementary_channel(ch: QuantumChannel) -> QuantumChannel:
@@ -253,6 +273,11 @@ def partial_trace(rho: DensityMatrix, dims: tuple, keep: str) -> DensityMatrix:
     return DensityMatrix(red)
 
 
+def log2_clipped(x, floor: float = ENTROPY_CLIP):
+    """log2 x elementwise, 0 where x <= floor (so x log2 x drops those entries)."""
+    return np.log2(np.where(x > floor, x, 1.0))
+
+
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
@@ -261,34 +286,43 @@ def shannon_entropy(p) -> float:
     s = float(p.sum())
     if abs(s - 1.0) > 1e-9:
         raise InvariantError(f"probabilities sum to {s!r}, expected 1 within 1e-9")
-    q = p[p > ENTROPY_CLIP]
-    return float(-(q * np.log2(q)).sum())
+    return entropy_of_spectrum(p)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the eigenvalue spectrum, eigenvalues clipped to [0, 1]."""
-    return entropy_of_spectrum(np.linalg.eigvalsh(rho.mat))
+    return matrix_entropy(rho.mat)
 
 
 def entropy_of_spectrum(eigs: np.ndarray):
-    """Entropy in bits of a spectrum, entries clipped to [0, 1].
+    """Entropy in bits of a spectrum, entries clipped to [0, 1], those at most
+    ENTROPY_CLIP contributing nothing.
 
     A stack of spectra (..., d) gives an array of entropies of shape (...).
     """
     eigs = np.clip(eigs, 0.0, 1.0)
-    keep = eigs > ENTROPY_CLIP
-    out = -np.where(keep, eigs * np.log2(np.where(keep, eigs, 1.0)), 0.0).sum(axis=-1)
+    out = -(eigs * log2_clipped(eigs)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def matrix_entropy(mat: np.ndarray):
+    """Von Neumann entropy in bits of a Hermitian matrix, or an array of them
+    for a stack (..., d, d)."""
+    return entropy_of_spectrum(np.linalg.eigvalsh(mat))
+
+
+def log2_safe(mat: np.ndarray) -> np.ndarray:
+    """log2 of a PSD matrix with eigenvalues at most ENTROPY_CLIP contributing nothing.
+
+    A stack of matrices (..., d, d) gives the stack of their logs.
+    """
+    eigs, vecs = np.linalg.eigh(mat)
+    return (vecs * log2_clipped(eigs)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def binary_entropy(p: float) -> float:
     """H2(p) in bits."""
-    out = 0.0
-    if p > ENTROPY_CLIP:
-        out -= p * np.log2(p)
-    if 1.0 - p > ENTROPY_CLIP:
-        out -= (1.0 - p) * np.log2(1.0 - p)
-    return float(out)
+    return entropy_of_spectrum(np.array([p, 1.0 - p]))
 
 
 def fidelity(rho_in: DensityMatrix, rho_out: DensityMatrix) -> float:
@@ -491,29 +525,33 @@ class HermitianCoords:
 _SQRT2 = np.sqrt(2.0)
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(dim: int):
+    """Row and column indices of the pairs j < k, row-major (read-only).
+
+    Cached: np.triu_indices costs several times a whole conversion at the
+    small dimensions the engines use."""
+    return tuple(_readonly(ix) for ix in np.triu_indices(dim, 1))
+
+
 def mat_to_coords(mat: np.ndarray) -> np.ndarray:
     """Coordinate vector of a Hermitian ndarray (no wrapping)."""
     d = mat.shape[0]
+    upper = mat[_upper_pairs(d)]
     coords = np.empty(d * d)
     coords[:d] = mat.diagonal().real
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            coords[k] = _SQRT2 * mat[i, j].real
-            coords[k + 1] = _SQRT2 * mat[i, j].imag
-            k += 2
+    coords[d::2] = _SQRT2 * upper.real
+    coords[d + 1::2] = _SQRT2 * upper.imag
     return coords
 
 
 def coords_to_mat(coords: np.ndarray, dim: int) -> np.ndarray:
+    rows, cols = _upper_pairs(dim)
+    upper = (coords[dim::2] + 1j * coords[dim + 1::2]) / _SQRT2
     m = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(m, coords[:dim])
-    k = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m[i, j] = (coords[k] + 1j * coords[k + 1]) / _SQRT2
-            m[j, i] = m[i, j].conjugate()
-            k += 2
+    m[rows, cols] = upper
+    m[cols, rows] = upper.conj()
     return m
 
 

@@ -15,15 +15,15 @@ import numpy as np
 
 from .core import (
     ENTROPY_CLIP,
-    LN2,
     DensityMatrix,
     Ensemble,
     QuantumChannel,
     channel_apply_mat,
+    check_tolerance,
     complementary_channel,
-    entropy_of_spectrum,
     environment_output,
     identity_channel,
+    matrix_entropy,
     von_neumann_entropy,
 )
 from .c1inf import C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
@@ -33,10 +33,11 @@ from .optim import (
     ascend_density_step,
     batched_objective,
     line_max_concave,
-    log2_safe,
     minimize_on_sphere,
     renormalize_density,
 )
+
+CEA_ITERS = 300  # c_ea's Frank-Wolfe iterations
 
 
 @dataclass
@@ -53,10 +54,6 @@ class QResult:
     value: float
     rho_star: DensityMatrix
     local_maxima: list  # (value, DensityMatrix), all distinct stationary points
-
-
-def _entropy(mat: np.ndarray) -> float:
-    return entropy_of_spectrum(np.linalg.eigvalsh(mat))
 
 
 def qmi_objective(ch: QuantumChannel) -> EntropySum:
@@ -103,20 +100,22 @@ def _refine(obj: EntropySum, mat, val, steps):
     return mat, val
 
 
-def c_ea(ch: QuantumChannel, tol: float = 1e-7, max_iter: int = 300) -> CEResult:
+def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
     """Entanglement-assisted capacity by certified concave maximization.
 
     Alternates Frank-Wolfe steps (which provide the duality-gap certificate)
-    with projected-gradient refinement for fast interior convergence.
-    Iterates are kept infinitesimally mixed so the matrix logs stay tame.
+    with projected-gradient refinement for fast interior convergence, for at
+    most CEA_ITERS iterations.  Iterates are kept infinitesimally mixed so
+    the matrix logs stay tame.
     """
+    check_tolerance(tol, "tol")
     d = ch.dim_in
     mix = np.eye(d) / d
     mat = mix.copy()
     obj = qmi_objective(ch)
     gap = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, CEA_ITERS + 1):
         mat = (1.0 - 1e-9) * mat + 1e-9 * mix
         gap, mat, val = _fw_step(obj, mat, obj.value(mat))
         if gap < tol:
@@ -191,6 +190,9 @@ class LimitedEaOptions:
     seed: int = 0
     tol: float = 1e-6
 
+    def __post_init__(self):
+        check_tolerance(self.tol, "LimitedEaOptions.tol")
+
 
 def _density_master(ch: QuantumChannel, mats):
     """The chi master over density columns rho_i: outputs N(rho_i) and costs
@@ -198,11 +200,10 @@ def _density_master(ch: QuantumChannel, mats):
     formula; and the budget row s_i = S(rho_i), with entropies below
     ENTROPY_CLIP (a pure state's roundoff) set to 0."""
     mats = np.asarray(mats, dtype=complex)
-    s = entropy_of_spectrum(np.linalg.eigvalsh(mats))
+    s = matrix_entropy(mats)
     s = np.where(s < ENTROPY_CLIP, 0.0, s)
-    env = np.array([_entropy(environment_output(ch, m)) for m in mats])
-    outputs = np.stack([channel_apply_mat(ch, m) for m in mats])
-    return ChiMaster(outputs, env - s, mats), s
+    env = matrix_entropy(environment_output(ch, mats))
+    return ChiMaster(channel_apply_mat(ch, mats), env - s, mats), s
 
 
 def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
@@ -215,33 +216,17 @@ def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
     """
     d = ch.dim_in
     eye = np.eye(d)
-    kraus = np.stack(ch.kraus)
-    kraus_pairs = np.einsum("arp,brq->abpq", kraus.conj(), kraus)  # A_a^dag A_b
-
-    def phi_parts(rho):
-        """phi and its Hermitian gradient for a stack of densities (S, d, d)."""
-        env = np.einsum("aij,sjl,bil->sab", kraus, rho, kraus.conj())  # Tr(A_a rho A_b^dag)
-        phi = (
-            (1.0 - mu) * entropy_of_spectrum(np.linalg.eigvalsh(rho))
-            - entropy_of_spectrum(np.linalg.eigvalsh(env))
-            - np.einsum("ij,sji->s", tau, rho).real
-        )
-        grad = (
-            (1.0 - mu) * (-log2_safe(rho) - eye / LN2)
-            + np.einsum("sab,abpq->spq", log2_safe(env), kraus_pairs)
-            + eye / LN2
-            - tau
-        )
-        return phi, grad
+    phi = EntropySum([(1.0 - mu, identity_channel(d)), (-1.0, complementary_channel(ch))],
+                     linear=-tau)
 
     @batched_objective
     def fun_grad(v):
         m = v.reshape(-1, d, d)
         t = np.einsum("si,si->s", v, v.conj()).real[:, None, None]
         rho = (m @ m.conj().swapaxes(1, 2)) / t
-        phi, g = phi_parts(rho)
+        g = phi.grad(rho)
         p = g - np.einsum("sij,sji->s", g, rho).real[:, None, None] * eye
-        return -phi, -(2.0 * (p @ m) / t).reshape(-1, d * d)
+        return -phi.value(rho), -(2.0 * (p @ m) / t).reshape(-1, d * d)
 
     start_mats = [np.linalg.cholesky((1 - 1e-9) * mat + 1e-9 * eye / d)
                   for mat in [*columns[-3:], rho_bar]]
@@ -252,7 +237,7 @@ def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
     minima = minimize_on_sphere(fun_grad, d * d, start_vecs, gtol=1e-9, maxiter=300)
     rhos = np.stack([renormalize_density(m @ m.conj().T)
                      for m in (v.reshape(d, d) for _, v in minima)])
-    violations, _ = phi_parts(rhos)
+    violations = phi.value(rhos)
     found = [(float(val), rho) for val, rho in zip(violations, rhos) if val > tol]
     found.sort(key=lambda it: -it[0])
     return found

@@ -16,11 +16,15 @@ from .core import (
     Povm,
     QuantumChannel,
     channel_apply_mat,
-    entropy_of_spectrum,
+    check_tolerance,
     environment_output,
+    log2_clipped,
+    matrix_entropy,
     povm_probabilities,
     von_neumann_entropy,
 )
+
+AB_ITERS = 200_000  # arimoto_blahut's iteration cap
 
 
 class JointDistribution:
@@ -63,8 +67,7 @@ class ClassicalChannel:
 
 
 def _entropy_raw(p: np.ndarray) -> float:
-    q = p[p > 1e-300]
-    return float(-(q * np.log2(q)).sum())
+    return float(-(p * log2_clipped(p, 0.0)).sum())
 
 
 def mutual_information(joint: JointDistribution) -> float:
@@ -122,18 +125,12 @@ def accessible_information_given(ens: Ensemble, povm) -> float:
     return mutual_information(JointDistribution(table))
 
 
-def _environment_entropy(ch: QuantumChannel, rho: DensityMatrix) -> float:
-    """Entropy of the environment output N^c(rho), which equals that of
-    (N (x) I) applied to any purification of rho."""
-    return entropy_of_spectrum(np.linalg.eigvalsh(environment_output(ch, rho.mat)))
-
-
 def coherent_information(ch: QuantumChannel, rho: DensityMatrix) -> float:
     """H(N(rho)) - H(N^c(rho)); may be negative."""
     if rho.dim != ch.dim_in:
         raise DimensionError(f"state dim {rho.dim} != channel input dim {ch.dim_in}")
     out = DensityMatrix(channel_apply_mat(ch, rho.mat))
-    return von_neumann_entropy(out) - _environment_entropy(ch, rho)
+    return von_neumann_entropy(out) - matrix_entropy(environment_output(ch, rho.mat))
 
 
 def quantum_mutual_information(ch: QuantumChannel, rho: DensityMatrix) -> float:
@@ -162,33 +159,28 @@ def limited_ea_objective(ch: QuantumChannel, ens: Ensemble) -> tuple:
         rho_i = DensityMatrix(m)
         h_i = von_neumann_entropy(rho_i)
         avg_entropy += p * h_i
-        value += p * (h_i - _environment_entropy(ch, rho_i))
+        value += p * (h_i - matrix_entropy(environment_output(ch, rho_i.mat)))
     return value, avg_entropy
 
 
-def arimoto_blahut(
-    channel: ClassicalChannel,
-    tol: float = 1e-9,
-    max_iter: int = 200_000,
-    trace: list = None,
-) -> tuple:
+def arimoto_blahut(channel: ClassicalChannel, tol: float = 1e-9, trace: list = None) -> tuple:
     """Capacity of a discrete memoryless channel with a two-sided stopping rule.
 
     Returns (capacity, input distribution).  Iterates the standard
-    multiplicative update; stops once the max-vs-mean divergence bounds
-    pinch to within tol.  The achievable lower bound I(r) is reported; when
-    `trace` is a list it collects (lower, upper) per iteration.
+    multiplicative update, at most AB_ITERS times; stops once the
+    max-vs-mean divergence bounds pinch to within tol.  The achievable lower
+    bound I(r) is reported; when `trace` is a list it collects (lower,
+    upper) per iteration.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol, "tol")
     p = channel.transitions
     m = p.shape[0]
     r = np.full(m, 1.0 / m)
-    logp = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    logp = log2_clipped(p, 0.0)
     lower = -np.inf
-    for _ in range(max_iter):
+    for _ in range(AB_ITERS):
         s = r @ p  # output marginal
-        logs = np.where(s > 0, np.log2(np.where(s > 0, s, 1.0)), 0.0)
+        logs = log2_clipped(s, 0.0)
         # divergence of each row from the output marginal
         d = np.einsum("xy,xy->x", p, logp - logs[None, :])
         lower = float(r @ d)

@@ -24,6 +24,9 @@ from .optim import lockstep
 
 
 NEGLIGIBLE_PIVOT = 1e-6  # pivots below this make a near-singular basis
+PIVOT_TOL = 1e-10  # reduced costs and pivot entries within this of 0 count as 0
+FEAS_TOL = 1e-8  # primal residual (relative to the right-hand side) a solution may keep
+DEDUP_TOL = 1e-9  # column generation skips columns this close (max-norm) to one it has
 
 
 class LpError(ValueError):
@@ -99,13 +102,7 @@ class PricingOutcome:
     best_reduced_cost: float = 0.0
 
 
-def solve_lp(
-    lp: LinearProgram,
-    warm_basis=None,
-    pivot_tol: float = 1e-10,
-    feas_tol: float = 1e-8,
-    max_pivots: int = 1_000_000,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, warm_basis=None, max_pivots: int = 1_000_000) -> LpSolution:
     """Solve an equality-form LP, returning primal, duals and a reusable basis.
 
     Infeasible and unbounded programs are reported through `status`, never by
@@ -114,7 +111,7 @@ def solve_lp(
     terminal basis (possible under heavy degeneracy) triggers one clean
     re-solve without the warm basis before giving up.
     """
-    reduced = _presolve_rows(lp, feas_tol)
+    reduced = _presolve_rows(lp)
     if reduced is None:
         return LpSolution(
             x=np.full(lp.num_cols, np.nan), duals=np.full(lp.num_rows, np.nan),
@@ -123,15 +120,15 @@ def solve_lp(
     attempts = ([warm_basis] if warm_basis is not None else []) + [None]
     sol = None
     for warm in attempts:
-        sol = _solve_lp_once(reduced, warm, pivot_tol, feas_tol, max_pivots)
-        if sol.status != "optimal" or _solution_clean(reduced, sol, feas_tol):
+        sol = _solve_lp_once(reduced, warm, max_pivots)
+        if sol.status != "optimal" or _solution_clean(reduced, sol):
             return sol
     raise LpError(
         f"terminal basis numerically unstable: primal residual {_primal_residual(reduced, sol.x):.3e}"
     )
 
 
-def _presolve_rows(lp: LinearProgram, feas_tol: float):
+def _presolve_rows(lp: LinearProgram):
     """Zero out numerically dependent rows (rank-revealing Gram-Schmidt).
 
     The simplex then works on a full-row-rank system: dependent rows would
@@ -147,7 +144,7 @@ def _presolve_rows(lp: LinearProgram, feas_tol: float):
     m, n = a.shape
     # rhs consistency is judged at the same scale as row dependence: a row
     # explained up to 1e-7 noise may carry rhs noise of the same order
-    rhs_tol = max(feas_tol, 1e-6) * (1.0 + np.abs(b).max(initial=0.0))
+    rhs_tol = max(FEAS_TOL, 1e-6) * (1.0 + np.abs(b).max(initial=0.0))
     aug = np.hstack([a, b[:, None]]).astype(float)
     kept_units = []
     zero_rows = []
@@ -179,13 +176,13 @@ def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(np.abs(lp.A @ x - lp.b).max(initial=0.0))
 
 
-def _solution_clean(lp: LinearProgram, sol: LpSolution, feas_tol: float) -> bool:
+def _solution_clean(lp: LinearProgram, sol: LpSolution) -> bool:
     """Sanity of a claimed optimum: feasible primal and dual-feasible duals.
 
     A nearly singular terminal basis (possible under heavy degeneracy with
     near-duplicate columns) pollutes both; either symptom forces a re-solve.
     """
-    if _primal_residual(lp, sol.x) > feas_tol * (1.0 + np.abs(lp.b).max(initial=0.0)):
+    if _primal_residual(lp, sol.x) > FEAS_TOL * (1.0 + np.abs(lp.b).max(initial=0.0)):
         return False
     reduced = lp.c - sol.duals @ lp.A
     slack_tol = 1e-6 * (1.0 + np.abs(lp.c).max(initial=0.0))
@@ -194,13 +191,7 @@ def _solution_clean(lp: LinearProgram, sol: LpSolution, feas_tol: float) -> bool
     return bool(reduced.max(initial=0.0) <= slack_tol)
 
 
-def _solve_lp_once(
-    lp: LinearProgram,
-    warm_basis,
-    pivot_tol: float,
-    feas_tol: float,
-    max_pivots: int,
-) -> LpSolution:
+def _solve_lp_once(lp: LinearProgram, warm_basis, max_pivots: int) -> LpSolution:
     m, n = lp.num_rows, lp.num_cols
     sign = 1.0 if lp.sense == "min" else -1.0
     c = sign * lp.c
@@ -225,8 +216,8 @@ def _solve_lp_once(
                 xb = np.linalg.solve(work[:, cand], b)
             except np.linalg.LinAlgError:
                 xb = None
-            if xb is not None and xb.min() >= -feas_tol and np.all(
-                xb[~real[cand]] <= feas_tol
+            if xb is not None and xb.min() >= -FEAS_TOL and np.all(
+                xb[~real[cand]] <= FEAS_TOL
             ):
                 basis = cand.copy()
 
@@ -235,20 +226,16 @@ def _solve_lp_once(
         # phase 1: minimize the artificial mass from the all-artificial basis
         basis = np.arange(m)
         phase1_cost = np.concatenate([np.ones(m), np.zeros(n)])
-        basis, xb, status, used = _simplex(
-            work, b, phase1_cost, basis, ~real, pivot_tol, max_pivots
-        )
+        basis, xb, status, used = _simplex(work, b, phase1_cost, basis, ~real, max_pivots)
         pivots += used
         art_mass = float(xb[~real[basis]].sum()) if status == "optimal" else np.inf
-        if status != "optimal" or art_mass > feas_tol * (1.0 + abs(b).max(initial=0.0)):
+        if status != "optimal" or art_mass > FEAS_TOL * (1.0 + abs(b).max(initial=0.0)):
             return LpSolution(
                 x=np.full(n, np.nan), duals=np.full(m, np.nan),
                 objective=np.nan, status="infeasible", basis=(), pivots=pivots,
             )
 
-    basis, xb, status, used = _simplex(
-        work, b, c_work, basis, ~real, pivot_tol, max_pivots - pivots
-    )
+    basis, xb, status, used = _simplex(work, b, c_work, basis, ~real, max_pivots - pivots)
     pivots += used
     if status == "unbounded":
         return LpSolution(
@@ -269,7 +256,7 @@ def _solve_lp_once(
     )
 
 
-def _simplex(work, b, cost, basis, artificial, pivot_tol, max_pivots):
+def _simplex(work, b, cost, basis, artificial, max_pivots):
     """Primal simplex on the working matrix from a given basis.
 
     `artificial` marks columns that must stay at zero level: they never
@@ -294,7 +281,7 @@ def _simplex(work, b, cost, basis, artificial, pivot_tol, max_pivots):
         y = np.linalg.solve(bmat.T, cost[basis])
         reduced = cost - y @ work
         reduced[basis] = 0.0
-        enter_ok = (reduced < -pivot_tol) & ~artificial
+        enter_ok = (reduced < -PIVOT_TOL) & ~artificial
         if not enter_ok.any():
             return basis, xb, "optimal", pivots
         if pivots >= max_pivots:
@@ -315,11 +302,11 @@ def _simplex(work, b, cost, basis, artificial, pivot_tol, max_pivots):
             if artificial[basis[i]] and xb[i] <= 1e-9:
                 # an artificial already at zero level leaves the moment the
                 # entering column touches its row (either sign of the pivot)
-                if abs(d[i]) > pivot_tol:
+                if abs(d[i]) > PIVOT_TOL:
                     t = 0.0
                 else:
                     continue
-            elif d[i] > pivot_tol:
+            elif d[i] > PIVOT_TOL:
                 t = max(xb[i], 0.0) / d[i]
             else:
                 continue
@@ -398,19 +385,13 @@ def _prefer_leaving(d, basis, artificial, i, current) -> bool:
     return basis[i] < basis[current]
 
 
-def column_generation(
-    master: LinearProgram,
-    pricing,
-    tol: float = 1e-7,
-    max_rounds: int = 100,
-    dedup_tol: float = 1e-9,
-):
+def column_generation(master: LinearProgram, pricing, tol: float = 1e-7, max_rounds: int = 100):
     """Generic column-generation loop.
 
     `pricing(sol) -> PricingOutcome` gets the master's current LpSolution and
     proposes columns; ones that genuinely improve the master (reduced cost
     against `sol.duals` beyond tol, not duplicating an existing column within
-    dedup_tol in the coordinate max-norm) are added and the master is
+    DEDUP_TOL in the coordinate max-norm) are added and the master is
     re-solved from the previous basis.  A round that adds nothing ends the
     loop with converged=True, so a pricing callback that has certified the
     master stops it by returning no columns.  Returns
@@ -422,16 +403,11 @@ def column_generation(
         yield from ()  # a task that makes no search request
         return pricing(sol)
 
-    return lockstep([column_generation_task(master, priced, tol, max_rounds, dedup_tol)])[0]
+    return lockstep([column_generation_task(master, priced, tol, max_rounds)])[0]
 
 
-def column_generation_task(
-    master: LinearProgram,
-    pricing,
-    tol: float = 1e-7,
-    max_rounds: int = 100,
-    dedup_tol: float = 1e-9,
-):
+def column_generation_task(master: LinearProgram, pricing, tol: float = 1e-7,
+                           max_rounds: int = 100):
     """column_generation as a resumable task (see optim.lockstep).
 
     `pricing(sol)` returns a task whose result is the PricingOutcome; the
@@ -452,7 +428,7 @@ def column_generation_task(
             gain = improving_sign * (float(coef) - float(sol.duals @ col))
             if gain <= tol:
                 continue
-            if _duplicate_column(master.A, col, dedup_tol):
+            if _duplicate_column(master.A, col):
                 continue
             master.add_column(col, coef, tag)
             added += 1
@@ -472,7 +448,7 @@ def column_generation_task(
     return sol, rounds, converged
 
 
-def _duplicate_column(a: np.ndarray, col: np.ndarray, tol: float) -> bool:
+def _duplicate_column(a: np.ndarray, col: np.ndarray) -> bool:
     if a.shape[1] == 0:
         return False
-    return bool((np.abs(a - col[:, None]).max(axis=0) < tol).any())
+    return bool((np.abs(a - col[:, None]).max(axis=0) < DEDUP_TOL).any())

@@ -14,8 +14,10 @@ from .core import (
     LN2,
     adjoint_apply,
     channel_apply_mat,
-    entropy_of_spectrum,
     fix_phase,
+    log2_clipped,
+    log2_safe,
+    matrix_entropy,
     snap_vector,
 )
 
@@ -27,6 +29,7 @@ WOLFE = 0.9  # a step is extended while the slope along d stays below this share
 MAX_EXPANSION = 64.0  # longest step the line search extends to; the first trial is at most 1
 MAX_TRIALS = 60  # line-search evaluations per iteration
 LINE_LEVEL = 5  # bisection rounds per derivative call: 2**5 - 1 points at once
+DISTINCT_TOL = 1e-6  # minima closer than this (max-norm) are one
 
 
 def batched_objective(fun_grad_rows):
@@ -57,7 +60,6 @@ def minimize_on_sphere(
     start_vectors,
     gtol: float = 1e-10,
     maxiter: int = 400,
-    distinct_tol: float = 1e-6,
 ):
     """Multistart local minimization of f(v) over complex unit vectors.
 
@@ -68,16 +70,10 @@ def minimize_on_sphere(
     deterministic tie-break by amplitudes).  This is the one-problem case of
     minimize_on_spheres, which describes the search.
     """
-    return minimize_on_spheres([(fun_grad, start_vectors)], dim, gtol, maxiter, distinct_tol)[0]
+    return minimize_on_spheres([(fun_grad, start_vectors)], dim, gtol, maxiter)[0]
 
 
-def minimize_on_spheres(
-    problems,
-    dim: int,
-    gtol: float = 1e-10,
-    maxiter: int = 400,
-    distinct_tol: float = 1e-6,
-):
+def minimize_on_spheres(problems, dim: int, gtol: float = 1e-10, maxiter: int = 400):
     """Multistart local minimization of several objectives at once.
 
     `problems` lists (fun_grad, start_vectors) pairs of equal dimension, each
@@ -198,7 +194,7 @@ def minimize_on_spheres(
         values, _ = fun(v[a:b])
         for f_row, row in sorted(((float(val), row) for val, row in zip(values, v[a:b])),
                                  key=_sphere_sort_key):
-            if all(np.abs(row - u).max() > distinct_tol for _, u in minima[i]):
+            if all(np.abs(row - u).max() > DISTINCT_TOL for _, u in minima[i]):
                 minima[i].append((f_row, row))
     return minima
 
@@ -335,44 +331,30 @@ def ascend_density_step(
     return rho + t * direction, True
 
 
-def _log2_clipped(eigs: np.ndarray, clip: float = 1e-12) -> np.ndarray:
-    return np.log2(np.where(eigs > clip, eigs, 1.0))  # log2(1) = 0 for the clipped ones
-
-
-def log2_safe(mat: np.ndarray, clip: float = 1e-12) -> np.ndarray:
-    """log2 of a PSD matrix with sub-clip eigenvalues contributing nothing.
-
-    A stack of matrices (..., d, d) gives the stack of their logs.
-    """
-    eigs, vecs = np.linalg.eigh(mat)
-    logs = _log2_clipped(eigs, clip)
-    return (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
 class EntropySum:
     """f(rho) = sum_k c_k S(Phi_k(rho)) + Tr(L rho) over density matrices.
 
     `terms` lists pairs (c_k, Phi_k), each Phi_k a trace-preserving
     QuantumChannel (identity_channel gives S(rho) itself,
     complementary_channel the environment's entropy); `linear` is the
-    Hermitian L, or None.  S is the entropy in bits, eigenvalues at most
-    1e-12 contributing nothing, as in log2_safe.
+    Hermitian L, or None.  S is core.matrix_entropy, in bits.  value and
+    grad take one matrix or a stack (..., d, d) of them, and give on a stack
+    exactly the results of its matrices one by one.
     """
 
     def __init__(self, terms, linear=None):
         self.terms = list(terms)
         self.linear = linear
 
-    def value(self, mat: np.ndarray) -> float:
-        val = sum(c * entropy_of_spectrum(np.linalg.eigvalsh(channel_apply_mat(ch, mat)))
-                  for c, ch in self.terms)
+    def value(self, mat: np.ndarray):
+        val = sum(c * matrix_entropy(channel_apply_mat(ch, mat)) for c, ch in self.terms)
         if self.linear is not None:
-            val += float(np.trace(self.linear @ mat).real)
+            val = val + np.trace(self.linear @ mat, axis1=-2, axis2=-1).real
         return val
 
     def grad(self, mat: np.ndarray) -> np.ndarray:
         """Hermitian gradient L - sum_k c_k (Phi_k^dag(log2 Phi_k(rho)) + I/ln 2)."""
-        eye = np.eye(mat.shape[0])
+        eye = np.eye(mat.shape[-1])
         out = np.zeros_like(eye, dtype=complex) if self.linear is None else self.linear
         for c, ch in self.terms:
             out = out - c * (adjoint_apply(ch, log2_safe(channel_apply_mat(ch, mat))) + eye / LN2)
@@ -415,7 +397,7 @@ def _trace_log2_along(a: np.ndarray, b: np.ndarray):
         def general(ts):
             eigs, vecs = np.linalg.eigh(a + ts[:, None, None] * b)
             b_diag = np.einsum("tij,ik,tkj->tj", vecs.conj(), b, vecs).real  # of V^dag B V
-            return (_log2_clipped(eigs) * b_diag).sum(axis=-1)
+            return (log2_clipped(eigs) * b_diag).sum(axis=-1)
 
         return general
 
@@ -430,7 +412,7 @@ def _trace_log2_along(a: np.ndarray, b: np.ndarray):
         mid = a_mid + ts * b_mid
         r = np.hypot(a_half + ts * b_half, np.abs(a_off + ts * b_off))
         along = (along_0 + ts * along_1) / np.where(r > 0.0, r, np.inf)
-        log_lo, log_hi = _log2_clipped(mid - r), _log2_clipped(mid + r)
+        log_lo, log_hi = log2_clipped(mid - r), log2_clipped(mid + r)
         return (log_hi + log_lo) * b_mid + (log_hi - log_lo) * along
 
     return closed_2x2
@@ -452,7 +434,6 @@ __all__ = [
     "ascend_density_step",
     "batched_objective",
     "line_max_concave",
-    "log2_safe",
     "lockstep",
     "minimize_on_sphere",
     "minimize_on_spheres",

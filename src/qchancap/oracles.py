@@ -24,8 +24,9 @@ in the sweep, to the first in (z, x, y) index order.  The points are
 evaluated by the sweep's expressions (one batch per slice there, one per
 refinement step here), so the result is the sweep's bit for bit.
 
-All entropies go through the three module-level kernels `_h2`, `_xlog2x` and
-`_entropy_batch` (perfbench's tracer wraps them by name to count evaluations).
+The grid points' entropies go through the three module-level kernels `_h2`,
+`_xlog2x` and `_entropy_batch` (perfbench's tracer wraps them by name to count
+evaluations), which rest on core's log2_clipped and matrix_entropy.
 """
 
 import itertools
@@ -34,19 +35,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ENTROPY_CLIP,
     HERMITIAN_TOL,
+    LN2,
+    SX,
+    SY,
+    SZ,
     DensityMatrix,
     DimensionError,
     Ensemble,
     QuantumChannel,
     channel_apply_mat,
     entropy_of_spectrum,
+    log2_clipped,
+    matrix_entropy,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SX, SY, SZ)
 
 # grid points (times signals) evaluated per array block in the angle sweeps,
@@ -86,7 +89,7 @@ def bloch_vector(mat: np.ndarray) -> np.ndarray:
 
 def _plog2p(p: np.ndarray) -> np.ndarray:
     # shared by _h2 and _xlog2x, so a wrapped _xlog2x counts only its own calls
-    return p * np.log2(p, out=np.zeros_like(p), where=p > ENTROPY_CLIP)
+    return p * log2_clipped(p)
 
 
 def _h2(p: np.ndarray) -> np.ndarray:
@@ -100,21 +103,19 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
     return _plog2p(p)
 
 
-def _entropy_batch(mats: np.ndarray, closed_2x2: bool = True) -> np.ndarray:
+def _entropy_batch(mats: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits of a stack of Hermitian (..., k, k) matrices.
 
     2x2 spectra are taken in closed form, (tr ± sqrt((a - d)² + 4|b|²)) / 2,
     from the lower triangle as eigvalsh reads it (within a few ulps of it);
-    larger k, or closed_2x2=False, go to eigvalsh.
+    larger k go to core.matrix_entropy.
     """
-    if closed_2x2 and mats.shape[-1] == 2:
-        a, d, b = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 1, 0]
-        mid = 0.5 * (a + d)
-        half_gap = 0.5 * np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
-        eigs = np.stack([mid - half_gap, mid + half_gap], axis=-1)
-    else:
-        eigs = np.linalg.eigvalsh(mats)
-    return entropy_of_spectrum(eigs)
+    if mats.shape[-1] != 2:
+        return matrix_entropy(mats)
+    a, d, b = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 1, 0]
+    mid = 0.5 * (a + d)
+    half_gap = 0.5 * np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
+    return entropy_of_spectrum(np.stack([mid - half_gap, mid + half_gap], axis=-1))
 
 
 def _blocks(values: np.ndarray, per_value: int) -> list:
@@ -255,7 +256,7 @@ def _bloch_entropy_grad(n: np.ndarray):
     # capped where the floor rejects the plane anyway
     capped = np.arctanh(np.minimum(r, 1.0 - 2.0 * _PLANE_FLOOR))
     scale = np.divide(capped, r, out=np.ones_like(r), where=r > 0)
-    return -(scale / np.log(2.0))[:, None] * n, 0.5 * (1.0 - r) > _PLANE_FLOOR
+    return -(scale / LN2)[:, None] * n, 0.5 * (1.0 - r) > _PLANE_FLOOR
 
 
 def _ball_problem(ch: QuantumChannel, objective: str, step: float, tau):
@@ -476,7 +477,7 @@ def simplex_enumerate_chi(ch: QuantumChannel, states: list, step: float):
     outs = np.stack([channel_apply_mat(ch, v.projector()) for v in states])
     blochs = np.stack([bloch_vector(o) for o in outs])  # (k, 3)
     # a handful of matrices: eigvalsh keeps chi bit-identical to earlier versions
-    h_i = _entropy_batch(outs, closed_2x2=False)
+    h_i = matrix_entropy(outs)
 
     n = int(round(1.0 / step))
     best_val, best_p = -np.inf, None

@@ -25,7 +25,6 @@ from qchancap.c1inf import (
     C1InfOptions,
     C1InfProblem,
     c1inf,
-    g_objective,
     _pricing_objective,
 )
 from qchancap.c11 import C11Options, c11, optimize_measurement, _ensemble_arrays, _measurement_objective
@@ -43,6 +42,7 @@ from qchancap.info import (
     accessible_information_given,
     arimoto_blahut,
 )
+from qchancap.optim import EntropySum
 from qchancap.oracles import grid_accessible_info_2d, grid_density_objective, simplex_enumerate_chi
 
 
@@ -211,7 +211,7 @@ def _check_pricing_grad(ch, tau, rng):
 
 def _check_g_grad(ch, tau, rng):
     rho = random_density(rng, ch.dim_in)
-    g = g_objective(ch, tau)
+    g = EntropySum([(1.0, ch)], linear=-tau)  # H(N(rho)) - Tr(tau rho)
     _assert_density_fd(g.value, rho.mat, g.grad(rho.mat), rng)
 
 

@@ -15,6 +15,7 @@ from qchancap.core import (
     channel_output_pure,
     entropy_of_spectrum,
     identity_channel,
+    log2_safe,
     random_channel,
     random_density,
     random_pure,
@@ -30,7 +31,6 @@ from qchancap.c1inf import (
     c1inf,
     caratheodory,
     divergence_tau,
-    g_objective,
     maximize_chi,
     polish_objective,
     pricing_search,
@@ -38,7 +38,7 @@ from qchancap.c1inf import (
     _pricing_objective,
 )
 from qchancap.info import arimoto_blahut, ClassicalChannel, holevo_chi
-from qchancap.optim import log2_safe
+from qchancap.optim import EntropySum
 from qchancap.oracles import simplex_enumerate_chi
 
 c1inf_module = importlib.import_module("qchancap.c1inf")  # the package exports c1inf() by that name
@@ -338,7 +338,7 @@ def test_g_gradient_matches_finite_differences():
         ch = random_channel(rng, d, d, 2)
         tau = random_density(rng, d).mat * rng.normal()
         rho = random_density(rng, d)
-        obj = g_objective(ch, tau)
+        obj = EntropySum([(1.0, ch)], linear=-tau)  # H(N(rho)) - Tr(tau rho)
         grad = obj.grad(rho.mat)
         # traceless Hermitian probe direction
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -459,11 +459,12 @@ def test_c1inf_certifies_the_seed_dependent_channel(seed):
 
 
 def test_c1inf_stalls_when_no_violator_may_enter(monkeypatch):
-    # a zero tolerance cannot be certified, and no priced state clears a
-    # pricing threshold of one bit: the loop stops as soon as a round gains
-    # nothing, rather than running to the round cap
+    # the smallest positive tolerance is certified only by a gap of exactly
+    # 0, and no priced state clears a pricing threshold of one bit: the loop
+    # stops as soon as a round gains nothing, rather than running to the
+    # round cap
     monkeypatch.setattr(c1inf_module, "PRICING_TOL", 1.0)
-    opts = C1InfOptions(tol=0.0, max_rounds=50)
+    opts = C1InfOptions(tol=np.nextafter(0.0, 1.0), max_rounds=50)
     res = c1inf(C1InfProblem(dephasing(0.25), options=opts))
     assert res.status == "stalled"
     assert res.rounds < 50

@@ -410,3 +410,50 @@ def test_limited_ea_cli_infinite_budget_gives_cea(capsys):
     code, fields = run_text(capsys, ["limited-ea", "--channel", "identity.qch", "--B", "inf"])
     assert code == 0
     assert float(fields["value_bits"]) == pytest.approx(2.0, abs=1e-9)
+
+
+# --- a stopping tolerance must be finite and positive --------------------------
+
+TOL_ARGV = {
+    "accinfo": ["--channel", "trine.qch"],
+    "c11": ["--channel", "trine.qch"],
+    "c1inf": ["--channel", "identity.qch"],
+    "cea": ["--channel", "identity.qch"],
+    "arimoto-blahut": ["--channel", "bsc_0.11_classical.qch"],
+    "limited-ea": ["--channel", "identity.qch", "--B", "0.5"],
+    "sweep": ["--steps", "3"],
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", sorted(c for c, flags in subcommand_flags().items()
+                                           if "--tol" in flags))
+def test_a_tolerance_that_certifies_nothing_is_rejected(capsys, command, tol):
+    assert main([command, *TOL_ARGV[command], "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and > 0" in captured.err
+
+
+def test_library_entry_points_reject_a_tolerance_that_certifies_nothing():
+    from qchancap.c11 import C11Options
+    from qchancap.c1inf import C1InfOptions
+    from qchancap.core import identity_channel
+    from qchancap.ea import LimitedEaOptions, c_ea
+    from qchancap.info import ClassicalChannel, arimoto_blahut
+
+    channel = identity_channel(2)
+    checks = {
+        "C11Options.pricing_tol": lambda tol: C11Options(pricing_tol=tol),
+        "C1InfOptions.tol": lambda tol: C1InfOptions(tol=tol),
+        "LimitedEaOptions.tol": lambda tol: LimitedEaOptions(tol=tol),
+        "tol": lambda tol: c_ea(channel, tol=tol),
+    }
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        for name, make in checks.items():
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+                make(tol)
+        with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+            arimoto_blahut(ClassicalChannel(np.eye(2)), tol=tol)
+        with pytest.raises(ValueError, match="^C11Options.pricing_tol must be"):
+            fig1_rows(3, tol=tol)

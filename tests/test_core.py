@@ -16,14 +16,21 @@ from qchancap.core import (
     apply_channel,
     binary_entropy,
     channel_apply_mat,
+    check_tolerance,
     complementary_channel,
     coords_to_hermitian,
+    coords_to_mat,
+    entropy_of_spectrum,
     environment_output,
     fidelity,
     fidelity_pure_overlap,
     fix_phase,
     hermitian_to_coords,
     identity_channel,
+    log2_clipped,
+    log2_safe,
+    mat_to_coords,
+    matrix_entropy,
     normalized_state,
     partial_trace,
     povm_probabilities,
@@ -239,6 +246,43 @@ def test_shannon_entropy_rejects_negative():
         shannon_entropy([1.1, -0.1])
 
 
+def test_log2_clipped_drops_entries_at_or_below_its_floor():
+    x = np.array([0.0, 1e-300, 1e-12, 2e-12, 0.5, 1.0])
+    assert log2_clipped(x).tolist() == [0.0, 0.0, 0.0, np.log2(2e-12), -1.0, 0.0]
+    assert log2_clipped(x, 0.0).tolist() == [0.0, np.log2(1e-300), np.log2(1e-12),
+                                             np.log2(2e-12), -1.0, 0.0]
+
+
+def test_entropy_kernels_agree_on_stacks_and_edges():
+    rng = np.random.default_rng(8)
+    mats = np.stack([random_density(rng, 3, rank=1 + k % 3).mat for k in range(9)])
+    stacked = matrix_entropy(mats)
+    assert stacked.shape == (9,)
+    assert stacked.tolist() == [matrix_entropy(m) for m in mats]
+    assert stacked.tolist() == entropy_of_spectrum(np.linalg.eigvalsh(mats)).tolist()
+    logs = log2_safe(mats)
+    for m, log in zip(mats, logs):
+        assert np.array_equal(log, log2_safe(m))
+        eigs, vecs = np.linalg.eigh(m)
+        kept = eigs > 1e-12
+        want = (vecs[:, kept] * np.log2(eigs[kept])) @ vecs[:, kept].conj().T
+        assert np.abs(log - want).max() < 1e-12
+    for p in (0.0, 1e-13, 0.3, 1.0 - 1e-13, 1.0):
+        want = -sum(q * np.log2(q) for q in (p, 1.0 - p) if q > 1e-12)
+        assert binary_entropy(p) == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+def test_check_tolerance_rejects_what_certifies_nothing(tol):
+    with pytest.raises(ValueError, match=r"C11Options.pricing_tol must be finite and > 0"):
+        check_tolerance(tol, "C11Options.pricing_tol")
+
+
+def test_check_tolerance_passes_a_positive_tolerance_through():
+    for tol in (5e-324, 1e-7, 1.0, 1e300):
+        assert check_tolerance(tol, "tol") == tol
+
+
 def test_von_neumann_entropy_basics():
     assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(1.0, abs=1e-12)
     v = random_pure(np.random.default_rng(6), 3)
@@ -429,6 +473,38 @@ def test_srm_empty_rejected():
 def test_coords_identity_order():
     hc = hermitian_to_coords(HermitianMatrix(np.eye(2)))
     assert np.abs(hc.coords - np.array([1.0, 1.0, 0.0, 0.0])).max() < 1e-15
+
+
+def _coords_loop(mat):
+    d = mat.shape[0]
+    out = list(mat.diagonal().real)
+    for i in range(d):
+        for j in range(i + 1, d):
+            out += [np.sqrt(2.0) * mat[i, j].real, np.sqrt(2.0) * mat[i, j].imag]
+    return np.array(out)
+
+
+def _mat_loop(coords, d):
+    m = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(m, coords[:d])
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            m[i, j] = (coords[k] + 1j * coords[k + 1]) / np.sqrt(2.0)
+            m[j, i] = m[i, j].conjugate()
+            k += 2
+    return m
+
+
+def test_coords_match_the_pairwise_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for d in range(1, 6):
+        for _ in range(50):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = (g + g.conj().T) * 10.0 ** rng.integers(-8, 8)
+            assert mat_to_coords(h).tobytes() == _coords_loop(h).tobytes()
+            c = rng.normal(size=d * d) * 10.0 ** rng.integers(-8, 8)
+            assert coords_to_mat(c, d).tobytes() == _mat_loop(c, d).tobytes()
 
 
 def test_coords_roundtrip():
