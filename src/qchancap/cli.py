@@ -236,7 +236,7 @@ def _cmd_coherent(args) -> RunReport:
 
 def _cmd_limited_ea(args) -> RunReport:
     cf = parse_channel(args.channel)
-    opts = LimitedEaOptions(seed=args.seed, tol=max(check_tolerance(args.tol, "--tol"), 1e-8))
+    opts = LimitedEaOptions(seed=args.seed, tol=max(args.tol, 1e-8))
     value, ens, status = limited_ea(cf.channel, args.B, opts)
     return RunReport(
         capacity="limited-ea", value_bits=value, status=status, seed=args.seed,
@@ -364,6 +364,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags; 2 is reserved for round-limit here
         return 0 if exit_err.code == 0 else 1
     try:
+        if "tol" in args:
+            check_tolerance(args.tol, "--tol")
         handler = _COMMANDS[args.command][0]
         if args.command == "sweep":
             header, rows = handler(args)

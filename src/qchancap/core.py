@@ -7,8 +7,6 @@ log2_clipped.  Values are immutable after construction and every
 operation here is a pure function.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 LN2 = np.log(2.0)
@@ -525,33 +523,29 @@ class HermitianCoords:
 _SQRT2 = np.sqrt(2.0)
 
 
-@lru_cache(maxsize=8)
-def _upper_pairs(dim: int):
-    """Row and column indices of the pairs j < k, row-major (read-only).
-
-    Cached: np.triu_indices costs several times a whole conversion at the
-    small dimensions the engines use."""
-    return tuple(_readonly(ix) for ix in np.triu_indices(dim, 1))
-
-
 def mat_to_coords(mat: np.ndarray) -> np.ndarray:
     """Coordinate vector of a Hermitian ndarray (no wrapping)."""
     d = mat.shape[0]
-    upper = mat[_upper_pairs(d)]
     coords = np.empty(d * d)
     coords[:d] = mat.diagonal().real
-    coords[d::2] = _SQRT2 * upper.real
-    coords[d + 1::2] = _SQRT2 * upper.imag
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            coords[k] = _SQRT2 * mat[i, j].real
+            coords[k + 1] = _SQRT2 * mat[i, j].imag
+            k += 2
     return coords
 
 
 def coords_to_mat(coords: np.ndarray, dim: int) -> np.ndarray:
-    rows, cols = _upper_pairs(dim)
-    upper = (coords[dim::2] + 1j * coords[dim + 1::2]) / _SQRT2
     m = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(m, coords[:dim])
-    m[rows, cols] = upper
-    m[cols, rows] = upper.conj()
+    k = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m[i, j] = (coords[k] + 1j * coords[k + 1]) / _SQRT2
+            m[j, i] = m[i, j].conjugate()
+            k += 2
     return m
 
 

@@ -224,9 +224,9 @@ def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
         m = v.reshape(-1, d, d)
         t = np.einsum("si,si->s", v, v.conj()).real[:, None, None]
         rho = (m @ m.conj().swapaxes(1, 2)) / t
-        g = phi.grad(rho)
+        val, g = phi.value_grad(rho)
         p = g - np.einsum("sij,sji->s", g, rho).real[:, None, None] * eye
-        return -phi.value(rho), -(2.0 * (p @ m) / t).reshape(-1, d * d)
+        return -val, -(2.0 * (p @ m) / t).reshape(-1, d * d)
 
     start_mats = [np.linalg.cholesky((1 - 1e-9) * mat + 1e-9 * eye / d)
                   for mat in [*columns[-3:], rho_bar]]

@@ -347,17 +347,31 @@ class EntropySum:
         self.linear = linear
 
     def value(self, mat: np.ndarray):
-        val = sum(c * matrix_entropy(channel_apply_mat(ch, mat)) for c, ch in self.terms)
+        return self._value(mat, self._images(mat))
+
+    def grad(self, mat: np.ndarray) -> np.ndarray:
+        """Hermitian gradient L - sum_k c_k (Phi_k^dag(log2 Phi_k(rho)) + I/ln 2)."""
+        return self._grad(mat, self._images(mat))
+
+    def value_grad(self, mat: np.ndarray):
+        """(value(mat), grad(mat)), forming each Phi_k(mat) once."""
+        images = self._images(mat)
+        return self._value(mat, images), self._grad(mat, images)
+
+    def _images(self, mat):
+        return [channel_apply_mat(ch, mat) for _, ch in self.terms]
+
+    def _value(self, mat, images):
+        val = sum(c * matrix_entropy(img) for (c, _), img in zip(self.terms, images))
         if self.linear is not None:
             val = val + np.trace(self.linear @ mat, axis1=-2, axis2=-1).real
         return val
 
-    def grad(self, mat: np.ndarray) -> np.ndarray:
-        """Hermitian gradient L - sum_k c_k (Phi_k^dag(log2 Phi_k(rho)) + I/ln 2)."""
+    def _grad(self, mat, images):
         eye = np.eye(mat.shape[-1])
         out = np.zeros_like(eye, dtype=complex) if self.linear is None else self.linear
-        for c, ch in self.terms:
-            out = out - c * (adjoint_apply(ch, log2_safe(channel_apply_mat(ch, mat))) + eye / LN2)
+        for (c, ch), img in zip(self.terms, images):
+            out = out - c * (adjoint_apply(ch, log2_safe(img)) + eye / LN2)
         return out
 
     def line_deriv(self, mat: np.ndarray, direction: np.ndarray):

@@ -24,8 +24,8 @@ in the sweep, to the first in (z, x, y) index order.  The points are
 evaluated by the sweep's expressions (one batch per slice there, one per
 refinement step here), so the result is the sweep's bit for bit.
 
-The grid points' entropies go through the three module-level kernels `_h2`,
-`_xlog2x` and `_entropy_batch` (perfbench's tracer wraps them by name to count
+All entropies go through the three module-level kernels `_h2`, `_xlog2x`
+and `_entropy_batch` (perfbench's tracer wraps them by name to count
 evaluations), which rest on core's log2_clipped and matrix_entropy.
 """
 
@@ -476,8 +476,7 @@ def simplex_enumerate_chi(ch: QuantumChannel, states: list, step: float):
         raise DimensionError("simplex enumeration needs qubit outputs")
     outs = np.stack([channel_apply_mat(ch, v.projector()) for v in states])
     blochs = np.stack([bloch_vector(o) for o in outs])  # (k, 3)
-    # a handful of matrices: eigvalsh keeps chi bit-identical to earlier versions
-    h_i = matrix_entropy(outs)
+    h_i = _entropy_batch(outs)
 
     n = int(round(1.0 / step))
     best_val, best_p = -np.inf, None

@@ -432,7 +432,7 @@ def test_a_tolerance_that_certifies_nothing_is_rejected(capsys, command, tol):
     assert main([command, *TOL_ARGV[command], "--tol", tol]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be finite and > 0" in captured.err
+    assert "--tol must be finite and > 0" in captured.err
 
 
 def test_library_entry_points_reject_a_tolerance_that_certifies_nothing():

@@ -475,38 +475,6 @@ def test_coords_identity_order():
     assert np.abs(hc.coords - np.array([1.0, 1.0, 0.0, 0.0])).max() < 1e-15
 
 
-def _coords_loop(mat):
-    d = mat.shape[0]
-    out = list(mat.diagonal().real)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out += [np.sqrt(2.0) * mat[i, j].real, np.sqrt(2.0) * mat[i, j].imag]
-    return np.array(out)
-
-
-def _mat_loop(coords, d):
-    m = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(m, coords[:d])
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            m[i, j] = (coords[k] + 1j * coords[k + 1]) / np.sqrt(2.0)
-            m[j, i] = m[i, j].conjugate()
-            k += 2
-    return m
-
-
-def test_coords_match_the_pairwise_loop_bit_for_bit():
-    rng = np.random.default_rng(12)
-    for d in range(1, 6):
-        for _ in range(50):
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = (g + g.conj().T) * 10.0 ** rng.integers(-8, 8)
-            assert mat_to_coords(h).tobytes() == _coords_loop(h).tobytes()
-            c = rng.normal(size=d * d) * 10.0 ** rng.integers(-8, 8)
-            assert coords_to_mat(c, d).tobytes() == _mat_loop(c, d).tobytes()
-
-
 def test_coords_roundtrip():
     rng = np.random.default_rng(16)
     for d in (2, 3, 4):

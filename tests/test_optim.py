@@ -360,6 +360,10 @@ def test_entropy_sums_on_a_stack_give_each_matrix_exactly():
         for f in maps:
             stacked = np.asarray(f(mats))
             assert stacked.tobytes() == np.stack([f(m) for m in mats]).tobytes()
+        for obj in objectives:
+            value, grad = obj.value_grad(mats)
+            assert value.tobytes() == obj.value(mats).tobytes()
+            assert grad.tobytes() == obj.grad(mats).tobytes()
 
 
 def test_ascent_step_moves_to_the_line_maximum():
