@@ -8,24 +8,20 @@ from .core import (
     DensityMatrix,
     DimensionError,
     Ensemble,
-    HermitianCoords,
     HermitianMatrix,
     InvariantError,
     Povm,
     PureState,
     QuantumChannel,
     apply_channel,
-    coords_to_hermitian,
     fidelity,
     fidelity_pure_overlap,
-    hermitian_to_coords,
     partial_trace,
     povm_probabilities,
     purify,
     shannon_entropy,
     square_root_measurement,
     tensor,
-    validate_channel,
     von_neumann_entropy,
 )
 from .info import (

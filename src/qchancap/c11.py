@@ -21,14 +21,12 @@ from scipy.optimize import nnls
 from .core import (
     DimensionError,
     Ensemble,
-    HermitianCoords,
     HermitianMatrix,
     Povm,
     PureState,
     QuantumChannel,
     channel_ensemble,
     check_tolerance,
-    coords_to_hermitian,
     coords_to_mat,
     fix_phase,
     mat_to_coords,
@@ -39,15 +37,15 @@ from .core import (
 from .c1inf import C1InfOptions, C1InfProblem, c1inf
 from .info import accessible_information_given, holevo_chi
 from .lp import LinearProgram, PricingOutcome, column_generation_task
-from .optim import batched_objective, lockstep
+from .optim import lockstep
 
 ZERO_OUTCOME = 1e-14  # below this overlap an outcome never occurs
 ALT_TOL = 1e-7  # a restart converges once an alternation gains less than this
+ALTERNATIONS = 100  # a restart's measurement-and-ensemble alternations
 
 
 @dataclass
 class C11Options:
-    alternations: int = 100
     starts: int = 8
     pricing_tol: float = 1e-7
     measurement_rounds: int = 60
@@ -106,7 +104,6 @@ def measurement_lp(out_ens: Ensemble, directions: list) -> LinearProgram:
         c=np.array(coefs),
         A=np.stack(cols, axis=1),
         b=mat_to_coords(np.eye(d)),
-        sense="max",
         tags=list(directions),
     )
 
@@ -116,14 +113,12 @@ def _measurement_objective(probs, mats, avg, lam: np.ndarray):
     negative with the complex gradient.
 
     The returned fun_grad takes a batch of shape (S, d) and returns values of
-    shape (S,) and gradients of shape (S, d); a single vector of shape (d,)
-    gives (float, gradient of shape (d,)).
+    shape (S,) and gradients of shape (S, d).
     """
     probs = np.asarray(probs, dtype=float)
     mats = np.stack(mats)
     used = probs > 0.0
 
-    @batched_objective
     def fun_grad(v):
         lam_v = v @ lam.T
         penalty = np.einsum("si,si->s", v.conj(), lam_v).real
@@ -299,7 +294,7 @@ def optimize_measurement_task(out_ens: Ensemble, opts: C11Options, rng):
                          if col[1] - sol.duals @ col[0] > opts.pricing_tol]
             if improving:
                 return PricingOutcome(columns=improving)
-        return (yield from price(coords_to_hermitian(HermitianCoords(d, sol.duals))))
+        return (yield from price(HermitianMatrix(coords_to_mat(sol.duals, d))))
 
     sol, _, converged = yield from column_generation_task(
         master, pricing, tol=opts.pricing_tol, max_rounds=opts.measurement_rounds
@@ -337,8 +332,8 @@ def induced_classical_channel(ch: QuantumChannel, povm: Povm) -> QuantumChannel:
     input v maps to the outcome distribution of measuring N(v v^dag).
 
     Built as the composition measurement-after-channel, with Kraus operators
-    sqrt(q_j) |j><w_j| A_k, and flagged diagonal_output so the C_{1,inf}
-    machinery can use the cheap entropy path.
+    sqrt(q_j) |j><w_j| A_k: each has one nonzero row, so the channel has
+    diagonal_output and the C_{1,inf} machinery takes the cheap entropy path.
     """
     if povm.dim != ch.dim_out:
         raise DimensionError(f"POVM dim {povm.dim} != channel output dim {ch.dim_out}")
@@ -349,7 +344,7 @@ def induced_classical_channel(ch: QuantumChannel, povm: Povm) -> QuantumChannel:
         bra[j, :] = np.sqrt(q) * w.vec.conj()
         for a in ch.kraus:
             kraus.append(bra @ a)
-    return QuantumChannel(kraus, diagonal_output=True)
+    return QuantumChannel(kraus)
 
 
 def _signal_weights(ens: Ensemble, signals: list) -> tuple:
@@ -395,15 +390,13 @@ def c11(
     points, so all per-restart values are retained and the best pair is
     returned.  The status is that of the restart the pair comes from:
     "converged" if its alternation stopped gaining, "round-limit" if it ran
-    out of alternations.  Every iterate's value and output-ensemble chi land
+    out of its ALTERNATIONS.  Every iterate's value and output-ensemble chi land
     on `trace`, ordered by restart, then alternation (the Holevo bound
     check).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     opts = opts or C11Options()
-    if opts.alternations < 1:
-        raise ValueError("C11Options.alternations must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     runs = lockstep([_restart_task(ch, restricted_signals, r, np.random.default_rng(seeds[r]), opts)
                      for r in range(restarts)])
@@ -438,7 +431,7 @@ def _restart_task(ch, restricted_signals, r, rng, opts):
     prev_value = -np.inf
     converged = False
     trace = []
-    for alt in range(opts.alternations):
+    for alt in range(ALTERNATIONS):
         out_ens = channel_ensemble(ch, ens)
         povm, v_meas, _ = yield from optimize_measurement_task(out_ens, opts, rng)
         trace.append(

@@ -34,14 +34,13 @@ from .core import (
 from .optim import (
     STEP_CAP,
     _trace_log2_along,
-    batched_objective,
     line_max_concave,
     minimize_on_sphere,
     renormalize_density,
 )
 
 MASTER_GAP = 1e-10  # the master stops at this Frank-Wolfe gap
-MASTER_ITERS = 1000
+MASTER_ITERS = 1000  # maximize_chi's iteration cap
 NEWTON_SHARE = 0.1  # Newton on the face while its gap exceeds this share of the FW gap
 LINE_ROUNDS = 40  # bisection rounds of the master's line searches
 NULL_TOL = 1e-10  # relative singular value below which the support's outputs are dependent
@@ -100,15 +99,13 @@ def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
     """f(v) = H(N(v v^dag)) - v^dag tau v with its complex gradient.
 
     The returned fun_grad takes a batch of shape (S, d) and returns values of
-    shape (S,) and gradients of shape (S, d); a single vector of shape (d,)
-    gives (float, gradient of shape (d,)).  tau_mat is one (d, d) matrix or
+    shape (S,) and gradients of shape (S, d).  tau_mat is one (d, d) matrix or
     a stack (S, d, d) with one matrix per row of the batch.  H is the entropy
     of the spectrum as it is, so an unnormalized v is priced as well.
     """
     kraus = np.stack(ch.kraus)
     kraus_h = kraus.conj()
 
-    @batched_objective
     def fun_grad(v):
         imgs = np.einsum("kij,sj->ski", kraus, v)  # A_k v
         if ch.diagonal_output:
@@ -332,7 +329,7 @@ def _line_step(master, p, omega, direction, budget=None):
     return _step_to(p, direction, t, -1)
 
 
-def maximize_chi(master: ChiMaster, p: np.ndarray, max_iters: int = MASTER_ITERS, budget=None):
+def maximize_chi(master: ChiMaster, p: np.ndarray, budget=None):
     """Maximize chi over the simplex from the weights p (warm start), and,
     with budget = (s, B), over its part with s.p <= B (p must lie in it).
 
@@ -343,12 +340,12 @@ def maximize_chi(master: ChiMaster, p: np.ndarray, max_iters: int = MASTER_ITERS
     fails) a Frank-Wolfe step toward the best vertex (_fw_vertex).  The budget row
     joins Newton's KKT system while it is active (within BUDGET_TOL) and
     clips Newton's step while it is slack.  chi never decreases.  Stops at
-    a Frank-Wolfe gap of MASTER_GAP, after max_iters iterations, or when no
+    a Frank-Wolfe gap of MASTER_GAP, after MASTER_ITERS iterations, or when no
     step ascends.  Returns p, chi, the divergences D and the budget row's
     multiplier mu (0 without a budget or while the row is slack).
     """
     p = np.asarray(p, dtype=float)
-    for it in range(max_iters + 1):
+    for it in range(MASTER_ITERS + 1):
         p = caratheodory(master, p, budget)
         omega = master.average(p)
         div, eigs, rot = master.divergences(omega)
@@ -356,7 +353,7 @@ def maximize_chi(master: ChiMaster, p: np.ndarray, max_iters: int = MASTER_ITERS
         row = None if budget is None or budget[1] - budget[0] @ p > BUDGET_TOL else budget[0]
         mu = 0.0 if row is None else mu
         fw_gap = vertex @ div - p @ div
-        if fw_gap <= MASTER_GAP or it == max_iters:
+        if fw_gap <= MASTER_GAP or it == MASTER_ITERS:
             break
         support = np.flatnonzero(p > 0.0)
         face = div[support]
@@ -391,7 +388,6 @@ def polish_objective(ch: QuantumChannel, m: int):
     d = ch.dim_in
     kraus = np.stack(ch.kraus)
 
-    @batched_objective
     def fun_grad(x):
         rows = x.reshape(x.shape[0], m, d)
         rho = np.einsum("smi,smj->sij", rows, rows.conj())
@@ -479,7 +475,7 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
         vecs = list(np.eye(ch.dim_in)) + [random_pure(rng, ch.dim_in).vec for _ in range(opts.starts)]
         weights = np.ones(len(vecs))
     master = ChiMaster.pure(ch, vecs)
-    p, chi, div, _ = maximize_chi(master, weights / np.sum(weights), MASTER_ITERS)
+    p, chi, div, _ = maximize_chi(master, weights / np.sum(weights))
     tau = divergence_tau(ch, master.average(p), chi)
     gap = max(0.0, float(div.max()) - chi) if restricted else np.inf
     trace_rows = [_trace_row(0, master, p, tau, chi)] if restricted else []
@@ -487,11 +483,11 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
     for rnd in range(0 if restricted else opts.max_rounds):
         chi_start = chi
         if rnd:
-            p, chi, _, _ = maximize_chi(master, p, MASTER_ITERS)
+            p, chi, _, _ = maximize_chi(master, p)
         master, p = _prune(master, p)
         vecs, weights = _polish(ch, master.columns, p)
         polished = ChiMaster.pure(ch, vecs)
-        weights, chi_polished, _, _ = maximize_chi(polished, weights, MASTER_ITERS)
+        weights, chi_polished, _, _ = maximize_chi(polished, weights)
         if chi_polished > chi:
             (master, p), chi = _prune(polished, weights), chi_polished
         tau = divergence_tau(ch, master.average(p), chi)

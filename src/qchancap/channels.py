@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SX, SY, SZ, InvariantError, PureState, QuantumChannel, validate_channel
+from .core import SX, SY, SZ, InvariantError, PureState, QuantumChannel
 from .info import ClassicalChannel
 
 
@@ -88,7 +88,7 @@ def parse_channel(path) -> ChannelFile:
         _complex_matrix(mat, f"{path}: kraus[{k}]") for k, mat in enumerate(doc["kraus"])
     ]
     try:
-        channel = validate_channel(kraus)
+        channel = QuantumChannel(kraus)
     except (InvariantError, ValueError) as err:
         raise ChannelFileError(f"{path}: invalid channel: {err}") from err
     for key in ("dim_in", "dim_out"):
@@ -195,13 +195,13 @@ def two_copy_trine_signals() -> list:
 
 def bsc_embed(p: float) -> QuantumChannel:
     """Measure in the computational basis, then flip with probability p;
-    diagonal outputs make this a quantum embedding of the classical BSC."""
+    diagonal outputs (each Kraus operator has one nonzero row) make this a
+    quantum embedding of the classical BSC."""
     e0 = np.diag([1.0, 0.0])
     e1 = np.diag([0.0, 1.0])
     return QuantumChannel(
         [np.sqrt(1 - p) * e0, np.sqrt(1 - p) * e1,
-         np.sqrt(p) * SX @ e0, np.sqrt(p) * SX @ e1],
-        diagonal_output=True,
+         np.sqrt(p) * SX @ e0, np.sqrt(p) * SX @ e1]
     )
 
 

@@ -9,6 +9,7 @@ is part of the interface.  Exit codes: 0 converged, 2 round limit, 1 error.
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -211,9 +212,8 @@ def _cmd_c11(args) -> RunReport:
 def _cmd_cea(args) -> RunReport:
     cf = parse_channel(args.channel)
     res = c_ea(cf.channel, tol=args.tol)
-    status = "converged" if res.gradient_residual < args.tol else "round-limit"
     return RunReport(
-        capacity="cea", value_bits=res.value, status=status,
+        capacity="cea", value_bits=res.value, status=res.status,
         certificates={
             "fw_gap": res.gradient_residual,
             "entanglement_rate": res.entanglement_rate,
@@ -227,7 +227,7 @@ def _cmd_coherent(args) -> RunReport:
     cf = parse_channel(args.channel)
     res = coherent_info_max(cf.channel, starts=args.starts, seed=args.seed)
     return RunReport(
-        capacity="coherent", value_bits=res.value, status="converged", seed=args.seed,
+        capacity="coherent", value_bits=res.value, status=res.status, seed=args.seed,
         certificates={"local_maxima": len(res.local_maxima)},
         extras={"local_values": [round(v, 12) for v, _ in res.local_maxima]},
         dumps={"rho": _dump_matrix(res.rho_star.mat)},
@@ -367,31 +367,26 @@ def main(argv=None) -> int:
         if "tol" in args:
             check_tolerance(args.tol, "--tol")
         handler = _COMMANDS[args.command][0]
-        if args.command == "sweep":
-            header, rows = handler(args)
-            if args.out:
-                with open(args.out, "w", newline="") as fh:
-                    emit_csv(header, rows, fh)
-            else:
-                emit_csv(header, rows, sys.stdout)
-            return 0
         started = time.monotonic()
-        report = handler(args)
-        report.wall_time_s = time.monotonic() - started
-        if args.format == "csv":
-            rows = [report.to_csv_row()]
-            if args.out:
-                with open(args.out, "w", newline="") as fh:
-                    emit_csv(RunReport.CSV_HEADER, rows, fh)
-            else:
-                emit_csv(RunReport.CSV_HEADER, rows, sys.stdout)
+        result = handler(args)
+        if args.command == "sweep":
+            status, table = "converged", result
         else:
-            text = report.to_text()
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
+            result.wall_time_s = time.monotonic() - started
+            status = result.status
+            table = (RunReport.CSV_HEADER, [result.to_csv_row()]) if args.format == "csv" else None
+        if table:
+            buf = io.StringIO()
+            emit_csv(*table, buf)
+            text = buf.getvalue()
+        else:
+            text = result.to_text()
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        if not (args.out and table):  # a text report is echoed to stdout, CSV is not
             sys.stdout.write(text)
-        return 0 if report.status == "converged" else 2
+        return 0 if status == "converged" else 2
     except (ChannelFileError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -80,10 +80,6 @@ class DensityMatrix(HermitianMatrix):
     def from_pure(state: "PureState") -> "DensityMatrix":
         return DensityMatrix(np.outer(state.vec, state.vec.conj()))
 
-    @staticmethod
-    def maximally_mixed(dim: int) -> "DensityMatrix":
-        return DensityMatrix(np.eye(dim) / dim)
-
 
 class PureState:
     """A unit vector in C^d (squared norm within 1e-10 of 1)."""
@@ -143,14 +139,15 @@ class QuantumChannel:
     """A channel in Kraus form {A_i}: rho -> sum_i A_i rho A_i^dag.
 
     Trace preservation (sum_i A_i^dag A_i = I) is enforced entrywise to 1e-9.
-    `diagonal_output` marks channels whose outputs are diagonal in the
-    computational basis (measurement-induced classical channels), enabling a
-    cheap entropy path downstream.
+    `diagonal_output` holds when every Kraus operator has at most one nonzero
+    row (measurement-induced classical channels): then every output is
+    diagonal in the computational basis, which enables a cheap entropy path
+    downstream.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out", "diagonal_output")
 
-    def __init__(self, kraus, diagonal_output: bool = False):
+    def __init__(self, kraus):
         if not kraus:
             raise InvariantError("a channel needs at least one Kraus operator")
         ops = []
@@ -174,12 +171,7 @@ class QuantumChannel:
         self.kraus = tuple(ops)
         self.dim_in = dim_in
         self.dim_out = dim_out
-        self.diagonal_output = diagonal_output
-
-
-def validate_channel(kraus) -> QuantumChannel:
-    """Build a QuantumChannel, checking shapes and sum_i A_i^dag A_i = I (1e-9)."""
-    return QuantumChannel(kraus)
+        self.diagonal_output = all(np.count_nonzero(a.any(axis=1)) <= 1 for a in ops)
 
 
 def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -507,19 +499,6 @@ def square_root_measurement(states, complete: bool = True) -> Povm:
 # coordinate vectors.
 # ---------------------------------------------------------------------------
 
-class HermitianCoords:
-    """Real coordinates (length d^2) of a Hermitian matrix in the fixed basis."""
-
-    __slots__ = ("dim", "coords")
-
-    def __init__(self, dim: int, coords):
-        coords = np.asarray(coords, dtype=float).reshape(-1)
-        if coords.shape[0] != dim * dim:
-            raise DimensionError(f"expected {dim * dim} coordinates, got {coords.shape[0]}")
-        self.dim = dim
-        self.coords = _readonly(coords.copy())
-
-
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -538,6 +517,9 @@ def mat_to_coords(mat: np.ndarray) -> np.ndarray:
 
 
 def coords_to_mat(coords: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian ndarray with these d^2 coordinates."""
+    if len(coords) != dim * dim:
+        raise DimensionError(f"expected {dim * dim} coordinates, got {len(coords)}")
     m = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(m, coords[:dim])
     k = dim
@@ -547,14 +529,6 @@ def coords_to_mat(coords: np.ndarray, dim: int) -> np.ndarray:
             m[j, i] = m[i, j].conjugate()
             k += 2
     return m
-
-
-def hermitian_to_coords(h: HermitianMatrix) -> HermitianCoords:
-    return HermitianCoords(h.dim, mat_to_coords(h.mat))
-
-
-def coords_to_hermitian(hc: HermitianCoords) -> HermitianMatrix:
-    return HermitianMatrix(coords_to_mat(hc.coords, hc.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,14 @@ from .info import limited_ea_objective, quantum_mutual_information
 from .optim import (
     EntropySum,
     ascend_density_step,
-    batched_objective,
     line_max_concave,
     minimize_on_sphere,
     renormalize_density,
 )
 
 CEA_ITERS = 300  # c_ea's Frank-Wolfe iterations
+COHERENT_ITERS = 200  # coherent_info_max's iterations per start
+COHERENT_GAIN = 1e-9  # a coherent_info_max start stops once an iteration gains less
 
 
 @dataclass
@@ -47,13 +48,15 @@ class CEResult:
     gradient_residual: float  # Frank-Wolfe gap at termination
     iterations: int
     entanglement_rate: float  # H(rho_star), EPR pairs consumed per use
+    status: str  # "converged" | "round-limit"
 
 
 @dataclass
 class QResult:
     value: float
     rho_star: DensityMatrix
-    local_maxima: list  # (value, DensityMatrix), all distinct stationary points
+    local_maxima: list  # (value, DensityMatrix), all distinct points the starts reached
+    status: str  # "converged" | "round-limit", of the start that gave value
 
 
 def qmi_objective(ch: QuantumChannel) -> EntropySum:
@@ -106,7 +109,8 @@ def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
     Alternates Frank-Wolfe steps (which provide the duality-gap certificate)
     with projected-gradient refinement for fast interior convergence, for at
     most CEA_ITERS iterations.  Iterates are kept infinitesimally mixed so
-    the matrix logs stay tame.
+    the matrix logs stay tame.  The status is "converged" once the
+    Frank-Wolfe gap is below tol, "round-limit" otherwise.
     """
     check_tolerance(tol, "tol")
     d = ch.dim_in
@@ -128,16 +132,19 @@ def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
         gradient_residual=gap,
         iterations=iterations,
         entanglement_rate=von_neumann_entropy(rho_star),
+        status="converged" if gap < tol else "round-limit",
     )
 
 
 def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QResult:
     """Multistart ascent of the single-letter coherent information.
 
-    There may be multiple local maxima; every distinct stationary point
-    found is returned and the best is reported, with no global claim.
-    Stationarity means a full Frank-Wolfe + projected-gradient pass stopped
-    improving beyond tolerance.
+    There may be multiple local maxima; every distinct point the starts
+    reach is returned and the best is reported, with no global claim.  A
+    start stops once a full Frank-Wolfe + projected-gradient iteration gains
+    less than COHERENT_GAIN, or after COHERENT_ITERS iterations.  The status
+    is "converged" if the start that gave the best value stopped on its gain,
+    "round-limit" if it ran out of iterations.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -160,20 +167,23 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
     locals_found = []
     for mat in start_mats:
         val = obj.value(mat)
-        for _ in range(200):
+        status = "round-limit"
+        for _ in range(COHERENT_ITERS):
             prev = val
             _, mat, val = _fw_step(obj, mat, val)
             mat, val = _refine(obj, mat, val, 3)
-            if val - prev < 1e-9:
+            if val - prev < COHERENT_GAIN:
+                status = "converged"
                 break
-        locals_found.append((val, renormalize_density(mat)))
+        locals_found.append((val, renormalize_density(mat), status))
 
+    ranked = sorted(locals_found, key=lambda t: -t[0])
     distinct = []
-    for val, mat in sorted(locals_found, key=lambda t: -t[0]):
+    for val, mat, _ in ranked:
         if all(np.abs(mat - other.mat).max() > 1e-4 for _, other in distinct):
             distinct.append((val, DensityMatrix(mat)))
     best_val, best_rho = distinct[0]
-    return QResult(value=best_val, rho_star=best_rho, local_maxima=distinct)
+    return QResult(value=best_val, rho_star=best_rho, local_maxima=distinct, status=ranked[0][2])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +229,6 @@ def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
     phi = EntropySum([(1.0 - mu, identity_channel(d)), (-1.0, complementary_channel(ch))],
                      linear=-tau)
 
-    @batched_objective
     def fun_grad(v):
         m = v.reshape(-1, d, d)
         t = np.einsum("si,si->s", v, v.conj()).real[:, None, None]

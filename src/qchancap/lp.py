@@ -1,9 +1,9 @@
 """Equality-form linear programming with dual extraction, plus a generic
 column-generation driver.
 
-The solver is a dense revised simplex over min/max programs
+The solver is a dense revised simplex over programs
 
-    optimize  c . x   subject to  A x = b,  x >= 0.
+    maximize  c . x   subject to  A x = b,  x >= 0.
 
 Phase-1 artificial variables handle feasibility; artificials stuck in the
 basis at zero level (redundant rows) are tolerated permanently with an
@@ -27,6 +27,7 @@ NEGLIGIBLE_PIVOT = 1e-6  # pivots below this make a near-singular basis
 PIVOT_TOL = 1e-10  # reduced costs and pivot entries within this of 0 count as 0
 FEAS_TOL = 1e-8  # primal residual (relative to the right-hand side) a solution may keep
 DEDUP_TOL = 1e-9  # column generation skips columns this close (max-norm) to one it has
+MAX_PIVOTS = 1_000_000  # a solve that needs more pivots raises LpError
 
 
 class LpError(ValueError):
@@ -35,12 +36,11 @@ class LpError(ValueError):
 
 @dataclass
 class LinearProgram:
-    """min/max c.x over Ax = b, x >= 0.  `tags` carries per-column metadata."""
+    """max c.x over Ax = b, x >= 0.  `tags` carries per-column metadata."""
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    sense: str = "min"
     tags: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -53,8 +53,6 @@ class LinearProgram:
             )
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all() and np.isfinite(self.c).all()):
             raise LpError("LP data must be finite")
-        if self.sense not in ("min", "max"):
-            raise LpError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if not self.tags:
             self.tags = [None] * self.c.size
         elif len(self.tags) != self.c.size:
@@ -94,15 +92,16 @@ class LpSolution:
 class PricingOutcome:
     """Columns proposed by a pricing oracle.
 
-    Reduced costs follow the minimization convention: negative improves.
     Each entry is (column vector, objective coefficient, tag).
+    best_reduced_cost is y.A_j - c_j of the best column found, clipped at 0:
+    negative improves.
     """
 
     columns: list
     best_reduced_cost: float = 0.0
 
 
-def solve_lp(lp: LinearProgram, warm_basis=None, max_pivots: int = 1_000_000) -> LpSolution:
+def solve_lp(lp: LinearProgram, warm_basis=None) -> LpSolution:
     """Solve an equality-form LP, returning primal, duals and a reusable basis.
 
     Infeasible and unbounded programs are reported through `status`, never by
@@ -120,7 +119,7 @@ def solve_lp(lp: LinearProgram, warm_basis=None, max_pivots: int = 1_000_000) ->
     attempts = ([warm_basis] if warm_basis is not None else []) + [None]
     sol = None
     for warm in attempts:
-        sol = _solve_lp_once(reduced, warm, max_pivots)
+        sol = _solve_lp_once(reduced, warm)
         if sol.status != "optimal" or _solution_clean(reduced, sol):
             return sol
     raise LpError(
@@ -169,7 +168,7 @@ def _presolve_rows(lp: LinearProgram):
     b2 = b.copy()
     a2[zero_rows, :] = 0.0
     b2[zero_rows] = 0.0
-    return LinearProgram(c=lp.c.copy(), A=a2, b=b2, sense=lp.sense, tags=list(lp.tags))
+    return LinearProgram(c=lp.c.copy(), A=a2, b=b2, tags=list(lp.tags))
 
 
 def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -186,15 +185,11 @@ def _solution_clean(lp: LinearProgram, sol: LpSolution) -> bool:
         return False
     reduced = lp.c - sol.duals @ lp.A
     slack_tol = 1e-6 * (1.0 + np.abs(lp.c).max(initial=0.0))
-    if lp.sense == "min":
-        return bool(reduced.min(initial=0.0) >= -slack_tol)
     return bool(reduced.max(initial=0.0) <= slack_tol)
 
 
-def _solve_lp_once(lp: LinearProgram, warm_basis, max_pivots: int) -> LpSolution:
+def _solve_lp_once(lp: LinearProgram, warm_basis) -> LpSolution:
     m, n = lp.num_rows, lp.num_cols
-    sign = 1.0 if lp.sense == "min" else -1.0
-    c = sign * lp.c
 
     # normalize rhs signs; remember flips to restore dual orientation
     flip = lp.b < 0
@@ -206,7 +201,7 @@ def _solve_lp_once(lp: LinearProgram, warm_basis, max_pivots: int) -> LpSolution
     work = np.hstack([np.eye(m), a])
     real = np.zeros(m + n, dtype=bool)
     real[m:] = True
-    c_work = np.concatenate([np.zeros(m), c])
+    c_work = np.concatenate([np.zeros(m), lp.c])
 
     basis = None
     if warm_basis is not None and len(warm_basis) == m:
@@ -223,11 +218,10 @@ def _solve_lp_once(lp: LinearProgram, warm_basis, max_pivots: int) -> LpSolution
 
     pivots = 0
     if basis is None:
-        # phase 1: minimize the artificial mass from the all-artificial basis
+        # phase 1: maximize minus the artificial mass from the all-artificial basis
         basis = np.arange(m)
-        phase1_cost = np.concatenate([np.ones(m), np.zeros(n)])
-        basis, xb, status, used = _simplex(work, b, phase1_cost, basis, ~real, max_pivots)
-        pivots += used
+        phase1_cost = np.concatenate([-np.ones(m), np.zeros(n)])
+        basis, xb, status, pivots = _simplex(work, b, phase1_cost, basis, ~real, pivots)
         art_mass = float(xb[~real[basis]].sum()) if status == "optimal" else np.inf
         if status != "optimal" or art_mass > FEAS_TOL * (1.0 + abs(b).max(initial=0.0)):
             return LpSolution(
@@ -235,8 +229,7 @@ def _solve_lp_once(lp: LinearProgram, warm_basis, max_pivots: int) -> LpSolution
                 objective=np.nan, status="infeasible", basis=(), pivots=pivots,
             )
 
-    basis, xb, status, used = _simplex(work, b, c_work, basis, ~real, max_pivots - pivots)
-    pivots += used
+    basis, xb, status, pivots = _simplex(work, b, c_work, basis, ~real, pivots)
     if status == "unbounded":
         return LpSolution(
             x=np.full(n, np.nan), duals=np.full(m, np.nan),
@@ -251,13 +244,15 @@ def _solve_lp_once(lp: LinearProgram, warm_basis, max_pivots: int) -> LpSolution
     y = np.where(flip, -y, y)
     objective = float(lp.c @ x)
     return LpSolution(
-        x=x, duals=sign * y, objective=objective,
+        x=x, duals=y, objective=objective,
         status="optimal", basis=tuple(int(j) for j in basis), pivots=pivots,
     )
 
 
-def _simplex(work, b, cost, basis, artificial, max_pivots):
-    """Primal simplex on the working matrix from a given basis.
+def _simplex(work, b, cost, basis, artificial, pivots):
+    """Primal simplex maximizing cost . x on the working matrix from a given
+    basis; `pivots` counts the solve's pivots so far, which together stay
+    within MAX_PIVOTS.  Returns (basis, basic values, status, pivots).
 
     `artificial` marks columns that must stay at zero level: they never
     enter, and rows where they sit basic force a zero-ratio exit as soon
@@ -273,7 +268,6 @@ def _simplex(work, b, cost, basis, artificial, max_pivots):
     basis = np.array(basis, dtype=int)
     degenerate_streak = 0
     bland_threshold = 5 * (m + work.shape[1])
-    pivots = 0
     passed_over = np.zeros(work.shape[1], dtype=bool)
     while True:
         bmat = work[:, basis]
@@ -281,11 +275,11 @@ def _simplex(work, b, cost, basis, artificial, max_pivots):
         y = np.linalg.solve(bmat.T, cost[basis])
         reduced = cost - y @ work
         reduced[basis] = 0.0
-        enter_ok = (reduced < -PIVOT_TOL) & ~artificial
+        enter_ok = (reduced > PIVOT_TOL) & ~artificial
         if not enter_ok.any():
             return basis, xb, "optimal", pivots
-        if pivots >= max_pivots:
-            raise LpError(f"pivot limit {max_pivots} exceeded")
+        if pivots >= MAX_PIVOTS:
+            raise LpError(f"pivot limit {MAX_PIVOTS} exceeded")
         candidates = np.flatnonzero(enter_ok & ~passed_over)
         forced = candidates.size == 0
         if forced:
@@ -294,7 +288,7 @@ def _simplex(work, b, cost, basis, artificial, max_pivots):
         if bland:
             j = int(candidates[0])  # Bland: smallest eligible index
         else:
-            j = int(candidates[np.argmin(reduced[candidates])])
+            j = int(candidates[np.argmax(reduced[candidates])])
         d = np.linalg.solve(bmat, work[:, j])
 
         candidates = []
@@ -417,7 +411,6 @@ def column_generation_task(master: LinearProgram, pricing, tol: float = 1e-7,
     sol = solve_lp(master)
     if sol.status != "optimal":
         raise LpError(f"initial master is {sol.status}")
-    improving_sign = -1.0 if master.sense == "min" else 1.0
     rounds = 0
     converged = False
     while rounds < max_rounds:
@@ -425,7 +418,7 @@ def column_generation_task(master: LinearProgram, pricing, tol: float = 1e-7,
         added = 0
         for col, coef, tag in outcome.columns:
             col = np.asarray(col, dtype=float).reshape(-1)
-            gain = improving_sign * (float(coef) - float(sol.duals @ col))
+            gain = float(coef) - float(sol.duals @ col)
             if gain <= tol:
                 continue
             if _duplicate_column(master.A, col):
@@ -439,10 +432,8 @@ def column_generation_task(master: LinearProgram, pricing, tol: float = 1e-7,
         if new_sol.status != "optimal":
             raise LpError(f"master became {new_sol.status} after adding columns")
         wobble = 1e-7 * (1.0 + abs(sol.objective))  # degenerate-basis roundoff
-        if master.sense == "min" and new_sol.objective > sol.objective + wobble:
-            raise LpError("master objective increased in a minimization")
-        if master.sense == "max" and new_sol.objective < sol.objective - wobble:
-            raise LpError("master objective decreased in a maximization")
+        if new_sol.objective < sol.objective - wobble:
+            raise LpError("master objective decreased")
         sol = new_sol
         rounds += 1
     return sol, rounds, converged

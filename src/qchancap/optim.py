@@ -32,24 +32,6 @@ LINE_LEVEL = 5  # bisection rounds per derivative call: 2**5 - 1 points at once
 DISTINCT_TOL = 1e-6  # minima closer than this (max-norm) are one
 
 
-def batched_objective(fun_grad_rows):
-    """Let an objective written for a batch of vectors also take one vector.
-
-    `fun_grad_rows(V)` maps an (S, d) array to values of shape (S,) and
-    gradients of shape (S, d).  The returned function passes a 2-D batch
-    through unchanged and maps a 1-D vector v to (float value, 1-D gradient).
-    """
-
-    def fun_grad(v):
-        v = np.asarray(v)
-        if v.ndim == 1:
-            f, g = fun_grad_rows(v[None, :])
-            return float(f[0]), g[0]
-        return fun_grad_rows(v)
-
-    return fun_grad
-
-
 def _rowdot(a, b):
     return np.add.reduce(a * b, axis=1)
 
@@ -446,7 +428,6 @@ __all__ = [
     "LN2",
     "EntropySum",
     "ascend_density_step",
-    "batched_objective",
     "line_max_concave",
     "lockstep",
     "minimize_on_sphere",

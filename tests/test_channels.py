@@ -21,7 +21,8 @@ from qchancap.channels import (
     two_state_signals,
     write_channel_file,
 )
-from qchancap.core import apply_channel, DensityMatrix
+from qchancap.c1inf import C1InfProblem, c1inf
+from qchancap.core import apply_channel, DensityMatrix, QuantumChannel, identity_channel
 
 
 def test_builtin_channels_are_valid():
@@ -47,6 +48,24 @@ def test_bsc_embed_acts_as_classical_bsc():
     out = apply_channel(ch, DensityMatrix(np.diag([1.0, 0.0])))
     assert np.abs(np.diag(out.mat).real - np.array([0.89, 0.11])).max() < 1e-12
     assert np.abs(out.mat - np.diag(np.diag(out.mat))).max() < 1e-12
+
+
+def test_diagonal_output_is_derived_from_the_kraus_operators():
+    from_file, built = parse_channel("bsc_0.11.qch").channel, bsc_embed(0.11)
+    assert from_file.diagonal_output and built.diagonal_output
+    assert not identity_channel(2).diagonal_output and not dephasing(0.25).diagonal_output
+    a, b = c1inf(C1InfProblem(from_file)), c1inf(C1InfProblem(built))
+    assert a.value.hex() == b.value.hex()
+    assert float(a.dual_gap).hex() == float(b.dual_gap).hex()
+    assert a.ensemble.probs.tobytes() == b.ensemble.probs.tobytes()
+    assert [s.vec.tobytes() for s in a.ensemble.states] == [s.vec.tobytes() for s in b.ensemble.states]
+    # the same channel with its operators mixed by a unitary: each operator
+    # now has two nonzero rows, and the outputs take the eigvalsh path
+    g = np.random.default_rng(7).normal(size=(4, 4, 2)) @ [1.0, 1j]
+    u, _ = np.linalg.qr(g)
+    mixed = QuantumChannel([sum(u[i, j] * built.kraus[j] for j in range(4)) for i in range(4)])
+    assert not mixed.diagonal_output
+    assert c1inf(C1InfProblem(mixed)).value == pytest.approx(a.value, abs=1e-9)
 
 
 def test_parse_identity_file():

@@ -1,6 +1,9 @@
 """Tests for the command-line front end."""
 
 import argparse
+import dataclasses
+import importlib
+import inspect
 import json
 
 import numpy as np
@@ -93,6 +96,20 @@ def test_coherent_report(capsys):
     code, fields = run_text(capsys, ["coherent", "--channel", "dephasing_0.25.qch"])
     assert code == 0
     assert float(fields["value_bits"]) == pytest.approx(0.188722, abs=1e-4)
+
+
+def test_coherent_exits_2_when_its_best_start_hits_the_cap(capsys, monkeypatch, tmp_path):
+    from qchancap.channels import write_channel_file
+    from qchancap.core import random_channel
+
+    # every start on this qutrit channel still gains after the default 200
+    # iterations; a cap of 3 makes the run short
+    monkeypatch.setattr(importlib.import_module("qchancap.ea"), "COHERENT_ITERS", 3)
+    path = tmp_path / "qutrit.qch"
+    ch = random_channel(np.random.default_rng([5, 3, 2]), 3, 3, 2)
+    write_channel_file(path, "qutrit", kraus=ch.kraus)
+    code, fields = run_text(capsys, ["coherent", "--channel", str(path)])
+    assert code == 2 and fields["status"] == "round-limit"
 
 
 def test_arimoto_blahut_cli(capsys):
@@ -365,6 +382,32 @@ def test_a_flag_the_handler_does_not_read_is_rejected(capsys, command, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+def _fields(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_each_option_is_one_a_caller_sets():
+    # option fields are those the CLI or c11 sets; the solver, the chi master
+    # and the channel take no parameter that only tests would pass
+    from qchancap.c11 import C11Options
+    from qchancap.c1inf import C1InfOptions, maximize_chi
+    from qchancap.core import QuantumChannel
+    from qchancap.ea import LimitedEaOptions
+    from qchancap.lp import LinearProgram, solve_lp
+
+    assert _fields(C11Options) == ["starts", "pricing_tol", "measurement_rounds"]
+    assert _fields(C1InfOptions) == ["tol", "starts", "seed", "max_rounds", "initial_weights"]
+    assert _fields(LimitedEaOptions) == ["seed", "tol"]
+    assert _fields(LinearProgram) == ["c", "A", "b", "tags"]
+    assert _parameters(solve_lp) == ["lp", "warm_basis"]
+    assert _parameters(maximize_chi) == ["master", "p", "budget"]
+    assert _parameters(QuantumChannel) == ["kraus"]
 
 
 def test_readme_lists_each_subcommand_with_the_parsers_flags():

@@ -7,7 +7,6 @@ from qchancap.core import (
     DensityMatrix,
     DimensionError,
     Ensemble,
-    HermitianCoords,
     HermitianMatrix,
     InvariantError,
     Povm,
@@ -18,14 +17,12 @@ from qchancap.core import (
     channel_apply_mat,
     check_tolerance,
     complementary_channel,
-    coords_to_hermitian,
     coords_to_mat,
     entropy_of_spectrum,
     environment_output,
     fidelity,
     fidelity_pure_overlap,
     fix_phase,
-    hermitian_to_coords,
     identity_channel,
     log2_clipped,
     log2_safe,
@@ -41,7 +38,6 @@ from qchancap.core import (
     shannon_entropy,
     square_root_measurement,
     tensor,
-    validate_channel,
     von_neumann_entropy,
 )
 
@@ -68,26 +64,26 @@ def depolarizing_kraus(p):
 # --- channel validation -----------------------------------------------------
 
 def test_validate_channel_identity():
-    ch = validate_channel([np.eye(2)])
+    ch = QuantumChannel([np.eye(2)])
     assert ch.dim_in == ch.dim_out == 2
 
 
 def test_validate_channel_depolarizing():
     # symbolic check: sum A^dag A = (1-p) I + 3*(p/3) I = I
-    ch = validate_channel(depolarizing_kraus(0.3))
+    ch = QuantumChannel(depolarizing_kraus(0.3))
     acc = sum(a.conj().T @ a for a in ch.kraus)
     assert np.abs(acc - np.eye(2)).max() < 1e-12
 
 
 def test_validate_channel_defect_reported():
     with pytest.raises(InvariantError) as err:
-        validate_channel([np.eye(2), np.eye(2)])
+        QuantumChannel([np.eye(2), np.eye(2)])
     assert "1.0" in str(err.value)
 
 
 def test_validate_channel_shape_mismatch():
     with pytest.raises(DimensionError):
-        validate_channel([np.eye(2), np.eye(3)])
+        QuantumChannel([np.eye(2), np.eye(3)])
 
 
 # --- apply_channel ----------------------------------------------------------
@@ -103,7 +99,7 @@ def test_apply_depolarizing_matches_direct_formula():
     # independent oracle: N(rho) = (1 - 4p/3) rho + (2p/3) I, checked at p = 1
     rng = np.random.default_rng(1)
     for p in (0.3, 1.0):
-        ch = validate_channel(depolarizing_kraus(p))
+        ch = QuantumChannel(depolarizing_kraus(p))
         rho = random_density(rng, 2)
         expected = (1 - 4 * p / 3) * rho.mat + (2 * p / 3) * np.eye(2)
         got = apply_channel(ch, rho)
@@ -471,8 +467,8 @@ def test_srm_empty_rejected():
 # --- Hermitian coordinates ---------------------------------------------------
 
 def test_coords_identity_order():
-    hc = hermitian_to_coords(HermitianMatrix(np.eye(2)))
-    assert np.abs(hc.coords - np.array([1.0, 1.0, 0.0, 0.0])).max() < 1e-15
+    coords = mat_to_coords(np.eye(2))
+    assert np.abs(coords - np.array([1.0, 1.0, 0.0, 0.0])).max() < 1e-15
 
 
 def test_coords_roundtrip():
@@ -480,8 +476,8 @@ def test_coords_roundtrip():
     for d in (2, 3, 4):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = HermitianMatrix((g + g.conj().T) / 2)
-        back = coords_to_hermitian(hermitian_to_coords(h))
-        assert np.abs(back.mat - h.mat).max() < 1e-12
+        back = coords_to_mat(mat_to_coords(h.mat), d)
+        assert np.abs(back - h.mat).max() < 1e-12
 
 
 def test_coords_inner_product():
@@ -492,13 +488,13 @@ def test_coords_inner_product():
         gb = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         a = HermitianMatrix((ga + ga.conj().T) / 2)
         b = HermitianMatrix((gb + gb.conj().T) / 2)
-        dot = hermitian_to_coords(a).coords @ hermitian_to_coords(b).coords
+        dot = mat_to_coords(a.mat) @ mat_to_coords(b.mat)
         assert dot == pytest.approx(float(np.trace(a.mat @ b.mat).real), abs=1e-10)
 
 
 def test_coords_wrong_length():
     with pytest.raises(DimensionError):
-        HermitianCoords(2, [1.0, 2.0, 3.0])
+        coords_to_mat(np.array([1.0, 2.0, 3.0]), 2)
 
 
 # --- type invariants ----------------------------------------------------------

@@ -1,15 +1,17 @@
 """Tests for the entanglement-assisted engines."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from qchancap.channels import amplitude_damping
 from qchancap.core import (
+    QuantumChannel,
     identity_channel,
     random_channel,
     random_density,
     random_pure,
-    validate_channel,
 )
 from qchancap.c1inf import (
     C1InfOptions,
@@ -28,20 +30,23 @@ from qchancap.ea import (
 )
 from qchancap.info import coherent_information, limited_ea_objective, quantum_mutual_information
 
+c1inf_module = importlib.import_module("qchancap.c1inf")  # the package exports c1inf() by that name
+ea_module = importlib.import_module("qchancap.ea")
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def depolarizing(p):
-    return validate_channel(
+    return QuantumChannel(
         [np.sqrt(1 - p) * np.eye(2), np.sqrt(p / 3) * SX,
          np.sqrt(p / 3) * SY, np.sqrt(p / 3) * SZ]
     )
 
 
 def dephasing(q):
-    return validate_channel([np.sqrt(1 - q) * np.eye(2), np.sqrt(q) * SZ])
+    return QuantumChannel([np.sqrt(1 - q) * np.eye(2), np.sqrt(q) * SZ])
 
 
 # --- C_E -------------------------------------------------------------------
@@ -129,6 +134,27 @@ def test_coherent_max_dephasing_vs_grid():
     oracle, _ = grid_density_objective(dephasing(0.25), "coherent", 0.01)
     assert res.value == pytest.approx(oracle, abs=1e-4)
     assert res.value >= oracle - 1e-9
+
+
+QUBIT_FILES = ["amplitude_damping_0.3.qch", "bit_flip_0.1.qch", "bsc_0.11.qch",
+               "dephasing_0.25.qch", "depolarizing_0.3.qch", "fully_depolarizing.qch",
+               "identity.qch", "trine.qch", "two_state_pi3.qch"]
+
+
+@pytest.mark.parametrize("name", QUBIT_FILES)
+def test_coherent_converges_on_the_bundled_qubit_channels(name):
+    from qchancap.channels import parse_channel
+
+    assert coherent_info_max(parse_channel(name).channel).status == "converged"
+
+
+def test_cea_status_compares_its_gap_with_tol(monkeypatch):
+    ch = amplitude_damping(0.3)
+    full = c_ea(ch)
+    assert full.status == "converged" and full.gradient_residual < 1e-7
+    monkeypatch.setattr(ea_module, "CEA_ITERS", 1)
+    short = c_ea(ch)
+    assert short.status == "round-limit" and short.gradient_residual >= 1e-7
 
 
 def test_coherent_leq_qmi():
@@ -260,15 +286,17 @@ def _budget_cases():
         yield ch, master, s, 0.5 * float(free @ s), p0
 
 
-def test_budget_master_keeps_the_row_and_complementary_slackness():
+def test_budget_master_keeps_the_row_and_complementary_slackness(monkeypatch):
     active = 0
     for ch, master, s, bound, p0 in _budget_cases():
         last = -np.inf
-        for iters in range(40):  # every iterate: the master is deterministic
-            p, chi, _, _ = maximize_chi(master, p0, iters, budget=(s, bound))
-            assert p @ s <= bound + 1e-12
-            assert chi >= last - 1e-12
-            last = chi
+        with monkeypatch.context() as patch:
+            for iters in range(40):  # every iterate: the master is deterministic
+                patch.setattr(c1inf_module, "MASTER_ITERS", iters)
+                p, chi, _, _ = maximize_chi(master, p0, budget=(s, bound))
+                assert p @ s <= bound + 1e-12
+                assert chi >= last - 1e-12
+                last = chi
         p, chi, div, mu = maximize_chi(master, p0, budget=(s, bound))
         assert p @ s <= bound + 1e-12 and mu >= 0.0
         if bound - p @ s > 1e-12:

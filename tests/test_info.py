@@ -8,6 +8,7 @@ from qchancap.core import (
     Ensemble,
     Povm,
     PureState,
+    QuantumChannel,
     apply_channel,
     binary_entropy,
     channel_apply_mat,
@@ -18,7 +19,6 @@ from qchancap.core import (
     random_pure,
     random_rank_one_povm,
     tensor,
-    validate_channel,
     von_neumann_entropy,
 )
 from qchancap.info import (
@@ -45,7 +45,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def depolarizing(p):
-    return validate_channel(
+    return QuantumChannel(
         [np.sqrt(1 - p) * np.eye(2), np.sqrt(p / 3) * SX, np.sqrt(p / 3) * SY, np.sqrt(p / 3) * SZ]
     )
 

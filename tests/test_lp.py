@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import qchancap.lp as lp_module
 from qchancap.lp import (
     LinearProgram,
     LpError,
@@ -16,11 +17,11 @@ from qchancap.lp import (
 )
 
 
-def brute_force_min(c, a, b):
+def brute_force_max(c, a, b):
     """Independent oracle: enumerate every basis submatrix and keep the best
     feasible vertex."""
     m, n = a.shape
-    best = np.inf
+    best = -np.inf
     for cols in itertools.combinations(range(n), m):
         sub = a[:, cols]
         try:
@@ -30,7 +31,7 @@ def brute_force_min(c, a, b):
         if xb.min() >= -1e-9:
             x = np.zeros(n)
             x[list(cols)] = xb
-            best = min(best, float(c @ x))
+            best = max(best, float(c @ x))
     return best
 
 
@@ -50,11 +51,11 @@ def test_two_variable_vertex():
 
 
 def test_max_sense():
-    sol = solve_lp(LinearProgram(c=[2.0, 1.0], A=[[1.0, 1.0]], b=[1.0], sense="max"))
+    sol = solve_lp(LinearProgram(c=[2.0, 1.0], A=[[1.0, 1.0]], b=[1.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-12)
     assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
-    # max-sense duals: y.b equals the objective, y.A_j >= c_j
+    # duals of a maximization: y.b equals the objective, y.A_j >= c_j
     assert sol.duals @ np.array([1.0]) == pytest.approx(2.0, abs=1e-12)
     assert (sol.duals @ np.array([[1.0, 1.0]]) - np.array([2.0, 1.0])).min() >= -1e-9
 
@@ -66,28 +67,28 @@ def test_infeasible_reported():
 
 
 def test_unbounded_reported():
-    # min -x1 with x1 - x2 = 0: both can grow forever
-    lp = LinearProgram(c=[-1.0, 0.0], A=[[1.0, -1.0]], b=[0.0])
+    # max x1 with x1 - x2 = 0: both can grow forever
+    lp = LinearProgram(c=[1.0, 0.0], A=[[1.0, -1.0]], b=[0.0])
     assert solve_lp(lp).status == "unbounded"
 
 
 def test_negative_rhs_normalization():
-    lp = LinearProgram(c=[1.0, 1.0], A=[[-1.0, 1.0]], b=[-2.0])
+    lp = LinearProgram(c=[-1.0, -1.0], A=[[-1.0, 1.0]], b=[-2.0])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(2.0, abs=1e-12)
+    assert sol.objective == pytest.approx(-2.0, abs=1e-12)
     # original-orientation dual: y * (-2) must equal the objective
-    assert sol.duals[0] * -2.0 == pytest.approx(2.0, abs=1e-12)
+    assert sol.duals[0] * -2.0 == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_redundant_rows_duals_full_length():
     # second row duplicates the first; solver must still return two duals
-    lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 1.0])
+    lp = LinearProgram(c=[-1.0, -2.0], A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 1.0])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(1.0, abs=1e-12)
+    assert sol.objective == pytest.approx(-1.0, abs=1e-12)
     assert sol.duals.shape == (2,)
-    assert sol.duals @ lp.b == pytest.approx(1.0, abs=1e-10)
+    assert sol.duals @ lp.b == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -97,15 +98,15 @@ def test_random_lps_match_vertex_enumeration():
         a = rng.normal(size=(m, n))
         x0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, size=n), 0.0)
         b = a @ x0
-        c = rng.uniform(0.1, 1.0, size=n)  # positive costs keep it bounded
+        c = -rng.uniform(0.1, 1.0, size=n)  # negative coefficients keep it bounded
         lp = LinearProgram(c=c, A=a, b=b)
         sol = solve_lp(lp)
         assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(brute_force_min(c, a, b), abs=1e-8)
+        assert sol.objective == pytest.approx(brute_force_max(c, a, b), abs=1e-8)
         # invariants of LpSolution
         assert np.abs(a @ sol.x - b).max() <= 1e-8 * (1 + np.abs(b).max())
         assert abs(sol.objective - sol.duals @ b) <= 1e-7 * (1 + abs(sol.objective))
-        slack = c - sol.duals @ a
+        slack = sol.duals @ a - c
         assert slack.min() >= -1e-7
         assert (sol.x * slack).max() <= 1e-7
 
@@ -122,7 +123,7 @@ def test_klee_minty_terminates():
         a[i, n + i] = 1.0  # slack
         b[i] = 5.0 ** (i + 1)
         c[i] = 2.0 ** (n - 1 - i)
-    lp = LinearProgram(c=c, A=a, b=b, sense="max")
+    lp = LinearProgram(c=c, A=a, b=b)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.pivots < 10**6
@@ -134,11 +135,11 @@ def test_warm_start_matches_cold():
     a = rng.normal(size=(4, 8))
     x0 = rng.uniform(0.0, 1.0, size=8)
     b = a @ x0
-    c = rng.uniform(0.1, 1.0, size=8)
+    c = -rng.uniform(0.1, 1.0, size=8)
     lp = LinearProgram(c=c.copy(), A=a.copy(), b=b.copy())
     sol = solve_lp(lp)
     newcol = rng.normal(size=4)
-    lp.add_column(newcol, 0.01)
+    lp.add_column(newcol, -0.01)
     warm = solve_lp(lp, warm_basis=sol.basis)
     cold = solve_lp(lp)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -160,8 +161,6 @@ def test_cg_no_columns_returned():
 def test_cg_certifying_callback_stops_without_resolve(monkeypatch):
     # the callback sees the whole solution; returning no columns, even on a
     # master that a column could still improve, ends the loop with no solve
-    import qchancap.lp as lp_module
-
     solves = []
     real_solve = lp_module.solve_lp
 
@@ -170,7 +169,7 @@ def test_cg_certifying_callback_stops_without_resolve(monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(lp_module, "solve_lp", counting_solve)
-    lp = LinearProgram(c=[2.0, 3.0], A=[[1.0, 1.0]], b=[1.0])
+    lp = LinearProgram(c=[-2.0, -3.0], A=[[1.0, 1.0]], b=[1.0])
     seen = []
 
     def pricing(sol):
@@ -180,7 +179,7 @@ def test_cg_certifying_callback_stops_without_resolve(monkeypatch):
     sol, rounds, converged = column_generation(lp, pricing)
     assert converged and rounds == 0
     assert len(seen) == 1 and seen[0] is sol
-    assert sol.status == "optimal" and sol.objective == pytest.approx(2.0, abs=1e-12)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(-2.0, abs=1e-12)
     assert len(solves) == 1
 
 
@@ -199,9 +198,10 @@ def test_cg_cutting_stock_matches_enumeration():
     width, sizes, demand = 10, [3, 4, 5], np.array([9.0, 7.0, 5.0])
     pats = cutting_stock_patterns(width, sizes)
 
-    # oracle: LP over every pattern at once
+    # oracle: LP over every pattern at once; maximizing minus the number of
+    # rolls minimizes it
     full = LinearProgram(
-        c=np.ones(len(pats)), A=np.stack(pats, axis=1), b=demand
+        c=-np.ones(len(pats)), A=np.stack(pats, axis=1), b=demand
     )
     full_opt = solve_lp(full).objective
 
@@ -211,16 +211,16 @@ def test_cg_cutting_stock_matches_enumeration():
         pat = np.zeros(3)
         pat[k] = width // s
         seeds.append(pat)
-    master = LinearProgram(c=np.ones(3), A=np.stack(seeds, axis=1), b=demand)
+    master = LinearProgram(c=-np.ones(3), A=np.stack(seeds, axis=1), b=demand)
 
     def pricing(sol):
         best, best_pat = 0.0, None
         for pat in pats:
-            value = float(sol.duals @ pat)
+            value = -float(sol.duals @ pat)
             if value > best + 1e-12:
                 best, best_pat = value, pat
         if best > 1.0 + 1e-9:
-            return PricingOutcome(columns=[(best_pat, 1.0, None)], best_reduced_cost=1.0 - best)
+            return PricingOutcome(columns=[(best_pat, -1.0, None)], best_reduced_cost=1.0 - best)
         return PricingOutcome(columns=[], best_reduced_cost=0.0)
 
     sol, rounds, converged = column_generation(master, pricing, tol=1e-9)
@@ -229,13 +229,13 @@ def test_cg_cutting_stock_matches_enumeration():
 
 
 def test_cg_rejects_duplicate_columns():
-    lp = LinearProgram(c=[1.0], A=[[1.0]], b=[1.0])
+    lp = LinearProgram(c=[-1.0], A=[[1.0]], b=[1.0])
     calls = []
 
     def pricing(sol):
         calls.append(1)
         # claims an improvement but duplicates the existing column
-        return PricingOutcome(columns=[(np.array([1.0]), 0.5, None)], best_reduced_cost=-0.5)
+        return PricingOutcome(columns=[(np.array([1.0]), -0.5, None)], best_reduced_cost=-0.5)
 
     sol, rounds, converged = column_generation(lp, pricing, tol=1e-9)
     assert converged and rounds == 0 and len(calls) == 1
@@ -246,8 +246,6 @@ def test_lp_validation_errors():
         LinearProgram(c=[1.0], A=[[1.0, 2.0]], b=[1.0])
     with pytest.raises(LpError):
         LinearProgram(c=[np.inf], A=[[1.0]], b=[1.0])
-    with pytest.raises(LpError):
-        LinearProgram(c=[1.0], A=[[1.0]], b=[1.0], sense="argmax")
 
 
 # --- regressions and a differential check against HiGHS ---------------------
@@ -256,26 +254,27 @@ CAPTURED = Path(__file__).parent / "data" / "captured_lps.npz"
 
 
 def _captured(name):
+    """A captured minimization of c, restated as the maximization of -c."""
     data = np.load(CAPTURED)
-    lp = LinearProgram(c=data[f"{name}_c"], A=data[f"{name}_A"], b=data[f"{name}_b"])
+    lp = LinearProgram(c=-data[f"{name}_c"], A=data[f"{name}_A"], b=data[f"{name}_b"])
     return lp, tuple(int(j) for j in data[f"{name}_warm"])
 
 
 def _highs(lp):
-    sign = 1.0 if lp.sense == "min" else -1.0
-    res = linprog(sign * lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    res = linprog(-lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
     assert res.status == 0
-    return sign * res.fun, sign * res.eqlin.marginals
+    return -res.fun, -res.eqlin.marginals
 
 
-def test_captured_qutrit_master_does_not_cycle():
+def test_captured_qutrit_master_does_not_cycle(monkeypatch):
     # a c1inf master on a random qutrit channel (9 rows, 234 columns) on which
     # a leaving rule without Bland's tie-break cycled with zero step length
+    monkeypatch.setattr(lp_module, "MAX_PIVOTS", 20_000)
     lp, warm = _captured("cycling")
     best, _ = _highs(lp)
     for start in (warm, None):
-        sol = solve_lp(lp, warm_basis=start, max_pivots=20_000)
-        assert sol.status == "optimal"
+        sol = solve_lp(lp, warm_basis=start)
+        assert sol.status == "optimal" and sol.pivots == 1387
         assert sol.objective == pytest.approx(best, abs=1e-8)
         _assert_optimal_dual(lp, sol, best)
 
@@ -288,36 +287,44 @@ def test_captured_tiny_pivot_master_stays_feasible():
     best, _ = _highs(lp)
     for start in (warm, None):
         sol = solve_lp(lp, warm_basis=start)
-        assert sol.status == "optimal"
+        assert sol.status == "optimal" and sol.pivots == 9
         assert sol.objective == pytest.approx(best, abs=1e-9)
         assert np.abs(lp.A @ sol.x - lp.b).max() <= 1e-9
         _assert_optimal_dual(lp, sol, best)
 
 
-def test_captured_ququart_master_terminates_under_bland():
+def test_captured_ququart_master_terminates_under_bland(monkeypatch):
     # a fixed-average master of a random ququart channel (16 rows, 584
     # columns): the largest-coefficient rule cycles on it, and a roundoff-sized
     # step inside Bland's rule used to hand the choice back to it, forever
+    monkeypatch.setattr(lp_module, "MAX_PIVOTS", 20_000)
     lp, warm = _captured("ququart")
     best, _ = _highs(lp)
-    assert best == pytest.approx(0.910921378241, abs=1e-11)
+    assert best == pytest.approx(-0.910921378241, abs=1e-11)
     for start in (warm, None):
-        sol = solve_lp(lp, warm_basis=start, max_pivots=20_000)
-        assert sol.status == "optimal"
+        sol = solve_lp(lp, warm_basis=start)
+        assert sol.status == "optimal" and sol.pivots == 3785
         assert sol.objective == pytest.approx(best, abs=1e-9)
         _assert_optimal_dual(lp, sol, best)
+
+
+def test_pivot_cap_is_read_at_solve_time(monkeypatch):
+    monkeypatch.setattr(lp_module, "MAX_PIVOTS", 5)
+    lp, _ = _captured("cycling")
+    with pytest.raises(LpError, match="pivot limit 5 exceeded"):
+        solve_lp(lp)
 
 
 def _assert_optimal_dual(lp, sol, objective):
     """y is an optimal dual: it attains the objective and is dual feasible."""
     scale = 1.0 + abs(objective)
     assert sol.duals @ lp.b == pytest.approx(objective, abs=1e-7 * scale)
-    slack = lp.c - sol.duals @ lp.A
-    if lp.sense == "max":
-        slack = -slack
+    slack = sol.duals @ lp.A - lp.c
     assert slack.min() >= -1e-7 * scale
 
 
+# "min" draws the minimizations of c that the solver once took, now stated as
+# maximizations of -c; "max" draws maximizations from another seed
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_random_lps_match_highs(sense):
     rng = np.random.default_rng(11 if sense == "min" else 12)
@@ -326,8 +333,8 @@ def test_random_lps_match_highs(sense):
         n = int(rng.integers(m + 1, 4 * m + 2))
         a = rng.normal(size=(m, n))
         b = a @ rng.uniform(0.1, 1.0, size=n)  # strictly feasible: a nondegenerate optimum
-        c = rng.uniform(0.1, 1.0, size=n) * (1.0 if sense == "min" else -1.0)
-        lp = LinearProgram(c=c, A=a, b=b, sense=sense)
+        c = -rng.uniform(0.1, 1.0, size=n)
+        lp = LinearProgram(c=c, A=a, b=b)
         best, duals = _highs(lp)
         sol = solve_lp(lp)
         assert sol.status == "optimal"
@@ -350,7 +357,7 @@ def test_degenerate_lps_match_highs():
         x0 = np.zeros(n)
         x0[rng.choice(n - 1, size=m - 2, replace=False)] = rng.uniform(0.5, 1.5, size=m - 2)
         b = a @ x0
-        c = np.abs(rng.normal(size=n)).round(1) + 0.1  # ties between columns
+        c = -(np.abs(rng.normal(size=n)).round(1) + 0.1)  # ties between columns
         lp = LinearProgram(c=c, A=a, b=b)
         best, _ = _highs(lp)
         sol = solve_lp(lp)

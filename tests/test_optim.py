@@ -24,7 +24,6 @@ from qchancap.optim import (
     LINE_LEVEL,
     EntropySum,
     ascend_density_step,
-    batched_objective,
     line_max_concave,
     lockstep,
     minimize_on_sphere,
@@ -37,7 +36,6 @@ from qchancap.optim import (
 def _rayleigh(h):
     """f(v) = v^dag H v on a batch, with its complex gradient 2 H v."""
 
-    @batched_objective
     def fun_grad(v):
         hv = v @ h.T
         return np.einsum("si,si->s", v.conj(), hv).real, 2.0 * hv

@@ -17,7 +17,6 @@ from qchancap.core import (
     identity_channel,
     random_channel,
     random_density,
-    validate_channel,
 )
 from qchancap.oracles import (
     GridSpec,
@@ -238,7 +237,7 @@ def test_grid_density_identity():
 
 
 def test_grid_density_fixed_dual():
-    ch = validate_channel([np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * SZ])
+    ch = QuantumChannel([np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * SZ])
     tau = np.array([[0.3, 0.05], [0.05, 0.1]], dtype=complex)
     value, rho = grid_density_objective(ch, "fixed-dual", 0.01, tau=tau)
     from qchancap.optim import EntropySum
