@@ -60,7 +60,7 @@ class C11Result:
     ensemble: Ensemble  # input ensemble
     povm: Povm
     restart_values: list
-    status: str  # "converged" | "round-limit"
+    status: str  # "converged" | "round-limit" | "stalled"
     trace: list  # per-iterate dicts with value and chi of the output ensemble
 
 
@@ -388,9 +388,11 @@ def c11(
     searches of one round are one batched sphere search, and each restart's
     values are those it gives alone.  The landscape has stable non-global
     points, so all per-restart values are retained and the best pair is
-    returned.  The status is that of the restart the pair comes from:
-    "converged" if its alternation stopped gaining, "round-limit" if it ran
-    out of its ALTERNATIONS.  Every iterate's value and output-ensemble chi land
+    returned.  The status is that of the restart the pair comes from: when
+    its alternation stopped gaining, "converged" if every measurement and
+    ensemble step it ran converged, else the first status of such a step
+    that is not "converged"; "round-limit" if it ran out of its
+    ALTERNATIONS.  Every iterate's value and output-ensemble chi land
     on `trace`, ordered by restart, then alternation (the Holevo bound
     check).
     """
@@ -400,16 +402,16 @@ def c11(
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     runs = lockstep([_restart_task(ch, restricted_signals, r, np.random.default_rng(seeds[r]), opts)
                      for r in range(restarts)])
-    best = None  # (value, ensemble, povm, converged) of the best restart
+    best = None  # (value, ensemble, povm, status) of the best restart
     restart_values = []
     trace = []
-    for local_best, converged, rows in runs:
+    for local_best, status, rows in runs:
         trace.extend(rows)
         restart_values.append(local_best[0])
         if best is None or local_best[0] > best[0] + 1e-12:
-            best = (*local_best, converged)
+            best = (*local_best, status)
 
-    value, ens, povm, converged = best
+    value, ens, povm, status = best
     # re-evaluate so the reported value is exactly the accessible information
     # of the returned pair
     final_value = accessible_information_given(channel_ensemble(ch, ens), povm)
@@ -418,22 +420,22 @@ def c11(
         ensemble=ens,
         povm=povm,
         restart_values=restart_values,
-        status="converged" if converged else "round-limit",
+        status=status,
         trace=trace,
     )
 
 
 def _restart_task(ch, restricted_signals, r, rng, opts):
     """One restart's alternation as a resumable task; returns its best
-    (value, ensemble, povm), whether it converged, and its trace rows."""
+    (value, ensemble, povm), its status (see c11) and its trace rows."""
     ens = _initial_ensemble(ch, restricted_signals, r, rng)
     local_best = None
     prev_value = -np.inf
-    converged = False
+    steps = "converged"  # the first status of a step that did not converge
     trace = []
     for alt in range(ALTERNATIONS):
         out_ens = channel_ensemble(ch, ens)
-        povm, v_meas, _ = yield from optimize_measurement_task(out_ens, opts, rng)
+        povm, v_meas, meas_status = yield from optimize_measurement_task(out_ens, opts, rng)
         trace.append(
             {"restart": r, "alternation": alt, "step": "measurement",
              "value": v_meas, "chi": holevo_chi(out_ens)}
@@ -454,6 +456,9 @@ def _restart_task(ch, restricted_signals, r, rng, opts):
         ))
         ens = c1_res.ensemble
         v_ens = c1_res.value
+        for step_status in (meas_status, c1_res.status):
+            if steps == "converged":
+                steps = step_status
         trace.append(
             {"restart": r, "alternation": alt, "step": "ensemble",
              "value": v_ens, "chi": holevo_chi(channel_ensemble(ch, ens))}
@@ -461,7 +466,6 @@ def _restart_task(ch, restricted_signals, r, rng, opts):
         if v_ens > local_best[0]:
             local_best = (v_ens, ens, povm)
         if local_best[0] - prev_value < ALT_TOL:
-            converged = True
-            break
+            return local_best, steps, trace
         prev_value = local_best[0]
-    return local_best, converged, trace
+    return local_best, "round-limit", trace

@@ -55,7 +55,7 @@ class CEResult:
 class QResult:
     value: float
     rho_star: DensityMatrix
-    local_maxima: list  # (value, DensityMatrix), all distinct points the starts reached
+    local_maxima: list  # (value, DensityMatrix), the distinct points of the starts that converged
     status: str  # "converged" | "round-limit", of the start that gave value
 
 
@@ -139,12 +139,14 @@ def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
 def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QResult:
     """Multistart ascent of the single-letter coherent information.
 
-    There may be multiple local maxima; every distinct point the starts
-    reach is returned and the best is reported, with no global claim.  A
-    start stops once a full Frank-Wolfe + projected-gradient iteration gains
-    less than COHERENT_GAIN, or after COHERENT_ITERS iterations.  The status
-    is "converged" if the start that gave the best value stopped on its gain,
-    "round-limit" if it ran out of iterations.
+    There may be multiple local maxima; the best start's value is reported,
+    with no global claim.  A start stops once a full Frank-Wolfe +
+    projected-gradient iteration gains less than COHERENT_GAIN, or after
+    COHERENT_ITERS iterations.  The status is "converged" if the best start
+    stopped on its gain, "round-limit" if it ran out of iterations.
+    local_maxima lists the distinct points of the starts that stopped on
+    their gain, best first; a start cut off by COHERENT_ITERS reached no
+    maximum and is left out.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -179,11 +181,13 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
 
     ranked = sorted(locals_found, key=lambda t: -t[0])
     distinct = []
-    for val, mat, _ in ranked:
-        if all(np.abs(mat - other.mat).max() > 1e-4 for _, other in distinct):
+    for val, mat, status in ranked:
+        if status == "converged" and all(np.abs(mat - other.mat).max() > 1e-4
+                                         for _, other in distinct):
             distinct.append((val, DensityMatrix(mat)))
-    best_val, best_rho = distinct[0]
-    return QResult(value=best_val, rho_star=best_rho, local_maxima=distinct, status=ranked[0][2])
+    best_val, best_mat, best_status = ranked[0]
+    return QResult(value=best_val, rho_star=DensityMatrix(best_mat), local_maxima=distinct,
+                   status=best_status)
 
 
 # ---------------------------------------------------------------------------

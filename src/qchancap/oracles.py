@@ -20,9 +20,9 @@ down to single lattice points.  A plane is kept only where every spectrum in
 the objective is above _PLANE_FLOOR, where its gradient is finite and its
 roundoff far below the margin.  A dropped cell holds no point within the
 margin of the maximum, so every maximal point is evaluated, and ties go, as
-in the sweep, to the first in (z, x, y) index order.  The points are
-evaluated by the sweep's expressions (one batch per slice there, one per
-refinement step here), so the result is the sweep's bit for bit.
+in the sweep, to the first in (z, x, y) index order.  A point's value does
+not depend on the batch it is evaluated in (one batch per slice in the sweep,
+one per refinement step here), so the result is the sweep's bit for bit.
 
 All entropies go through the three module-level kernels `_h2`, `_xlog2x`
 and `_entropy_batch` (perfbench's tracer wraps them by name to count
@@ -194,15 +194,10 @@ def _qubit_channel_affine(ch: QuantumChannel):
 
 def _environment_affine(ch: QuantumChannel):
     """Environment matrix as an affine function of the Bloch vector."""
-    k = len(ch.kraus)
-    w0 = np.empty((k, k), dtype=complex)
-    ws = [np.empty((k, k), dtype=complex) for _ in range(3)]
-    for i in range(k):
-        for j in range(k):
-            prod = ch.kraus[j].conj().T @ ch.kraus[i]
-            w0[i, j] = 0.5 * np.trace(prod)
-            for a in range(3):
-                ws[a][i, j] = 0.5 * np.trace(PAULIS[a] @ prod)
+    # W0_ij = Tr(A_j^dag A_i) / 2 and (W_a)_ij = Tr(sigma_a A_j^dag A_i) / 2
+    kraus = np.stack(ch.kraus)
+    w0 = 0.5 * np.einsum("iqp,jqp->ij", kraus, kraus.conj())
+    ws = 0.5 * np.einsum("arp,jqp,iqr->aij", np.stack(PAULIS), kraus.conj(), kraus)
     return w0, ws
 
 
@@ -215,19 +210,24 @@ class _BallObjective:
         if objective == "fixed-dual":
             self.tau_tr, self.tau_bloch = float(np.trace(tau).real), bloch_vector(tau)
         else:
-            w0, ws = _environment_affine(ch)
-            self.w0, self.ws = w0, np.stack(ws)
+            self.w0, self.ws = _environment_affine(ch)
 
     def _env(self, n):
         return self.w0[None, :, :] + np.tensordot(n, self.ws, axes=(1, 0))
 
     def values(self, n: np.ndarray) -> np.ndarray:
-        """Values at the points n (P, 3)."""
-        n_out = n @ self.m.T + self.t
+        """Values at the points n (P, 3), each the same bits in any batch.
+
+        numpy takes a one-row matrix product by a vector path, with other
+        roundoff, so a single point goes through the products as two rows.
+        """
+        size = n.shape[0]
+        rows = np.repeat(n, 2, axis=0) if size == 1 else n
+        n_out = (rows @ self.m.T)[:size] + self.t
         h_out = _h2(0.5 * (1.0 + np.linalg.norm(n_out, axis=1)))
         if self.objective == "fixed-dual":
-            return h_out - 0.5 * (self.tau_tr + n @ self.tau_bloch)
-        h_env = _entropy_batch(self._env(n))
+            return h_out - 0.5 * (self.tau_tr + (rows @ self.tau_bloch)[:size])
+        h_env = _entropy_batch(self._env(rows)[:size])
         if self.objective == "coherent":
             return h_out - h_env
         h_in = _h2(0.5 * (1.0 + np.linalg.norm(n, axis=1)))
@@ -325,23 +325,6 @@ def _sweep(f: _BallObjective, axis: np.ndarray):
     return best_val, best_n
 
 
-def _lone_slices(sq: np.ndarray) -> np.ndarray:
-    """Whether each z slice of the ball holds exactly one lattice point.
-
-    sq holds the squared axis values.  (i0, i1), the two x indices nearest 0,
-    gives two points of every slice that holds it either way round; the
-    others (the poles) have few candidates and are counted.
-    """
-    lone = np.zeros(sq.size, dtype=bool)
-    i0 = int(np.argmin(sq))
-    i1 = i0 + 1 if i0 + 1 < sq.size else i0 - 1
-    two = (sq[i0] + sq[i1]) + sq <= 1.0 + _BALL_TOL
-    for iz in np.flatnonzero(~two):
-        near = sq[sq + sq[iz] <= 1.0 + _BALL_TOL]
-        lone[iz] = np.count_nonzero((near[:, None] + near[None, :]) + sq[iz] <= 1.0 + _BALL_TOL) == 1
-    return lone
-
-
 class _LatticeSearch:
     """Octree branch-and-bound for the first maximal lattice point of a
     concave ball objective, in the sweep's (z, x, y) index order.
@@ -356,7 +339,6 @@ class _LatticeSearch:
 
     def __init__(self, f: _BallObjective, axis: np.ndarray):
         self.f, self.axis, self.sq = f, axis, axis**2
-        self.lone = _lone_slices(self.sq)
         self.best, self.key = -np.inf, -1
         self.offset, self.grad = np.empty(0), np.empty((0, 3))
         self.shared = 0  # planes [0, shared) bound every cell
@@ -371,8 +353,6 @@ class _LatticeSearch:
         lo, hi, ids = self._refine(lo, hi, np.empty((lo.shape[0], 0), dtype=np.int64))
         self.shared = self.offset.size
         self._descend(lo, hi, ids[:, 1:])
-        if self.key < 0:
-            return self.best, np.zeros(3)
         iz, rest = divmod(self.key, size * size)
         return self.best, self.axis[[rest // size, rest % size, iz]]
 
@@ -440,16 +420,7 @@ class _LatticeSearch:
         inside = (self.sq[idx[:, 0]] + self.sq[idx[:, 1]]) + self.sq[idx[:, 2]] <= 1.0 + _BALL_TOL
         idx = idx[inside]
         n = self.axis[idx]
-        vals = np.empty(idx.shape[0])
-        # numpy's matrix products take a vector path, with other roundoff, for
-        # a single row; the sweep meets one only in a lone slice, so points of
-        # lone slices go alone and any other single point is padded to two rows
-        lone = self.lone[idx[:, 2]]
-        for i in np.flatnonzero(lone):
-            vals[i] = self.f.values(n[i:i + 1])[0]
-        rest = np.flatnonzero(~lone)
-        if rest.size:
-            vals[rest] = self.f.values(n[np.resize(rest, max(2, rest.size))])[:rest.size]
+        vals = self.f.values(n)
         if vals.size:
             size = self.axis.size
             top = vals.max()

@@ -98,7 +98,7 @@ def test_coherent_report(capsys):
     assert float(fields["value_bits"]) == pytest.approx(0.188722, abs=1e-4)
 
 
-def test_coherent_exits_2_when_its_best_start_hits_the_cap(capsys, monkeypatch, tmp_path):
+def _capped_coherent_qutrit(capsys, monkeypatch, tmp_path):
     from qchancap.channels import write_channel_file
     from qchancap.core import random_channel
 
@@ -108,8 +108,19 @@ def test_coherent_exits_2_when_its_best_start_hits_the_cap(capsys, monkeypatch, 
     path = tmp_path / "qutrit.qch"
     ch = random_channel(np.random.default_rng([5, 3, 2]), 3, 3, 2)
     write_channel_file(path, "qutrit", kraus=ch.kraus)
-    code, fields = run_text(capsys, ["coherent", "--channel", str(path)])
+    return run_text(capsys, ["coherent", "--channel", str(path)])
+
+
+def test_coherent_exits_2_when_its_best_start_hits_the_cap(capsys, monkeypatch, tmp_path):
+    code, fields = _capped_coherent_qutrit(capsys, monkeypatch, tmp_path)
     assert code == 2 and fields["status"] == "round-limit"
+
+
+def test_coherent_lists_no_maxima_when_no_start_converges(capsys, monkeypatch, tmp_path):
+    # the points where capped starts stopped are not local maxima
+    code, fields = _capped_coherent_qutrit(capsys, monkeypatch, tmp_path)
+    assert code == 2
+    assert fields["cert_local_maxima"] == "0" and json.loads(fields["local_values"]) == []
 
 
 def test_arimoto_blahut_cli(capsys):
@@ -219,6 +230,15 @@ def test_accinfo_round_limit_status(capsys):
     assert float(fields["value_bits"]) == pytest.approx(0.459147917027, abs=1e-11)
     code, fields = run_text(capsys, ["accinfo", "--channel", "trine.qch"])
     assert fields["status"] == "converged" and code == 0
+
+
+def test_c11_status_follows_its_measurement_steps(capsys):
+    # with no column-generation round no measurement step certifies, so the
+    # restarts stop gaining without converging
+    code, fields = run_text(capsys, ["c11", "--channel", "trine.qch", "--max-rounds", "0",
+                                     "--restarts", "2", "--seed", "7"])
+    assert fields["status"] == "round-limit"
+    assert code == 2
 
 
 def test_emit_csv_empty_rows(tmp_path):

@@ -14,6 +14,7 @@ from qchancap.core import (
     QuantumChannel,
     binary_entropy,
     entropy_of_spectrum,
+    environment_output,
     identity_channel,
     random_channel,
     random_density,
@@ -339,6 +340,36 @@ def test_branch_and_bound_degenerate_inputs():
         for step in (0.05, 0.04):
             _assert_same_as_sweep(ch, "qmi", step)
             _assert_same_as_sweep(ch, "fixed-dual", step, tau=_random_tau(rng))
+
+
+def test_environment_affine_is_the_environment_output():
+    rng = np.random.default_rng(13)
+    for k in (1, 2, 3, 4):
+        ch = random_channel(rng, 2, 2, k)
+        w0, ws = oracles._environment_affine(ch)
+        for _ in range(5):
+            n = rng.normal(size=3)
+            n /= max(1.0, np.linalg.norm(n))
+            rho = 0.5 * (np.eye(2) + sum(c * p for c, p in zip(n, oracles.PAULIS)))
+            want = environment_output(ch, rho)
+            assert np.abs(w0 + np.tensordot(n, ws, axes=(0, 0)) - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("objective", ["qmi", "coherent", "fixed-dual"])
+def test_ball_values_do_not_depend_on_the_batch(objective):
+    # the branch-and-bound evaluates other batches than the sweep, down to
+    # single points, and returns the sweep's maximum only if every point gets
+    # the same bits in every batch
+    rng, channels = _equivalence_channels()
+    for ch in channels:
+        tau = _random_tau(rng) if objective == "fixed-dual" else None
+        f, axis = oracles._ball_problem(ch, objective, 0.1, tau)
+        n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        n = n[(n**2).sum(axis=1) <= 1.0]
+        full = f.values(n)
+        for size in (1, 1, 1, 2, 3, 17, 256, n.shape[0]):
+            rows = rng.choice(n.shape[0], size, replace=False)
+            assert f.values(n[rows]).tobytes() == full[rows].tobytes()
 
 
 def test_coherent_sweeps_every_lattice_point(monkeypatch):
