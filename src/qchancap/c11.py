@@ -148,10 +148,9 @@ def measurement_pricing(
     """Search for directions whose coefficient beats the dual: c(w) > w^dag lam w.
 
     Returns a PricingOutcome whose columns carry the POVM coordinate vector,
-    the coefficient c(w), and the direction itself as the tag.  Reduced costs
-    use the minimization convention (negative improves); best_reduced_cost
-    is minus the largest violation found, clipped at 0, tol or not.  This is
-    the one-task case of measurement_pricing_task.
+    the coefficient c(w), and the direction itself as the tag;
+    best_violation is the largest violation found, clipped at 0, tol or not.
+    This is the one-task case of measurement_pricing_task.
     """
     return lockstep([measurement_pricing_task(out_ens, lam, starts, rng, tol)])[0]
 
@@ -159,11 +158,10 @@ def measurement_pricing(
 def measurement_pricing_task(out_ens: Ensemble, lam: HermitianMatrix, starts: int, rng,
                              tol: float = 1e-7):
     """measurement_pricing as a resumable task (see optim.lockstep): yields
-    its sphere search from `starts` random directions, returns the outcome."""
+    its sphere search from `starts` random directions drawn from the
+    Generator `rng`, returns the outcome."""
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     probs, mats, avg = _ensemble_arrays(out_ens)
     d = out_ens.dim
     fun_grad = _measurement_objective(probs, mats, avg, lam.mat)
@@ -176,7 +174,7 @@ def measurement_pricing_task(out_ens: Ensemble, lam: HermitianMatrix, starts: in
         if violation > tol:
             w = PureState(v)
             columns.append((mat_to_coords(w.projector()), info_coefficient(probs, mats, avg, v), w))
-    return PricingOutcome(columns=columns, best_reduced_cost=-best)
+    return PricingOutcome(columns=columns, best_violation=best)
 
 
 def _seed_directions(out_ens: Ensemble) -> list:
@@ -288,7 +286,7 @@ def optimize_measurement_task(out_ens: Ensemble, opts: C11Options, rng):
             support = np.flatnonzero(sol.x > 1e-10)
             lam = stationarity_dual(out_ens, sol.x[support], [master.tags[j] for j in support])
             outcome = yield from price(lam)
-            if information_bound(lam, -outcome.best_reduced_cost) - sol.objective <= slack:
+            if information_bound(lam, outcome.best_violation) - sol.objective <= slack:
                 return PricingOutcome(columns=[])
             improving = [col for col in outcome.columns
                          if col[1] - sol.duals @ col[0] > opts.pricing_tol]

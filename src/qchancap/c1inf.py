@@ -46,7 +46,7 @@ LINE_ROUNDS = 40  # bisection rounds of the master's line searches
 NULL_TOL = 1e-10  # relative singular value below which the support's outputs are dependent
 BUDGET_TOL = 1e-12  # bits of slack within which the budget row counts as active
 DEDUP_TOL = 1e-7  # projectors closer than this (max-norm) are the same column
-PRICING_TOL = 1e-7  # a priced state joins the master if its reduced cost is below -PRICING_TOL
+PRICING_TOL = 1e-7  # a priced state joins the master if its violation exceeds PRICING_TOL
 
 
 @dataclass
@@ -74,12 +74,6 @@ class C1InfProblem:
         for s in self.restricted_signals or ():
             if s.dim != self.channel.dim_in:
                 raise DimensionError(f"signal dim {s.dim} != channel input dim {self.channel.dim_in}")
-
-
-@dataclass
-class PricingReport:
-    state: PureState
-    reduced_cost: float
 
 
 @dataclass
@@ -125,29 +119,21 @@ def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
     return fun_grad
 
 
-def pricing_search(
-    ch: QuantumChannel,
-    tau: HermitianMatrix,
-    starts: int,
-    rng,
-    support=(),
-    tol: float = 1e-7,
-) -> list:
+def pricing_search(ch: QuantumChannel, tau: HermitianMatrix, starts: int, rng, support=()) -> list:
     """Look for unit vectors violating the dual constraint, i.e. with
-    f(v) = H(N(v v^dag)) - v^dag tau v < -tol.
+    f(v) = H(N(v v^dag)) - v^dag tau v < 0.
 
-    Projected-gradient (L-BFGS) descent runs from `starts` random vectors
-    plus every support state; all distinct violating local minima are
-    returned, best first.  An empty list means pricing found nothing.
+    Projected-gradient (L-BFGS) descent runs from every support state plus
+    `starts` random vectors drawn from the Generator `rng`; every distinct
+    violating local minimum is returned as a (violation -f(v), PureState)
+    pair, largest violation first.  An empty list means pricing found
+    nothing.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    support = list(support)
     start_vecs = [v.vec for v in support] + [random_pure(rng, ch.dim_in).vec for _ in range(starts)]
     minima = minimize_on_sphere(_pricing_objective(ch, tau.mat), ch.dim_in, start_vecs)
-    return [PricingReport(PureState(v), float(f)) for f, v in minima if f < -tol]
+    return [(-float(f), PureState(v)) for f, v in minima if f < 0.0]
 
 
 def divergence_tau(ch: QuantumChannel, omega: np.ndarray, chi: float) -> np.ndarray:
@@ -491,16 +477,16 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
         if chi_polished > chi:
             (master, p), chi = _prune(polished, weights), chi_polished
         tau = divergence_tau(ch, master.average(p), chi)
-        reports = pricing_search(ch, HermitianMatrix(tau), opts.starts, rng,
-                                 support=[PureState(v) for v in master.columns], tol=0.0)
-        gap = max(0.0, -min((r.reduced_cost for r in reports), default=0.0))
+        found = pricing_search(ch, HermitianMatrix(tau), opts.starts, rng,
+                               support=[PureState(v) for v in master.columns])
+        gap = max((violation for violation, _ in found), default=0.0)
         trace_rows.append(_trace_row(rnd, master, p, tau, chi))
         if gap <= opts.tol:
             break
         # appended columns carry weight 0: chi, rho and tau stay as returned
         size = len(p)
-        master, p = _add_columns(ch, master, p, [r.state for r in reports
-                                             if r.reduced_cost < -PRICING_TOL])
+        master, p = _add_columns(ch, master, p, [state for violation, state in found
+                                                 if violation > PRICING_TOL])
         if len(p) == size and chi <= chi_start:
             status = "stalled"
             break

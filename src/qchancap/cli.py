@@ -115,25 +115,16 @@ class RunReport:
         lines.append(f"version: {self.version}")
         return "\n".join(lines) + "\n"
 
-    CSV_HEADER = [
-        "capacity", "value_bits", "status", "seed",
-        "cert_dual_gap", "cert_pricing_residual", "cert_fw_gap", "cert_restart_spread",
-        "version",
-    ]
-
-    def to_csv_row(self) -> list:
-        certs = self.certificates
-        return [
-            self.capacity,
-            _fmt(self.value_bits),
-            self.status,
-            "" if self.seed is None else str(self.seed),
-            _fmt(certs["dual_gap"]) if "dual_gap" in certs else "",
-            _fmt(certs["pricing_residual"]) if "pricing_residual" in certs else "",
-            _fmt(certs["fw_gap"]) if "fw_gap" in certs else "",
-            _fmt(certs["restart_spread"]) if "restart_spread" in certs else "",
-            self.version,
-        ]
+    def to_csv(self) -> tuple:
+        """(header, [row]): the identity columns, then this report's
+        certificates in to_text's order, then the version."""
+        certs = sorted(self.certificates)
+        header = ["capacity", "value_bits", "status", "seed",
+                  *(f"cert_{key}" for key in certs), "version"]
+        row = [self.capacity, _fmt(self.value_bits), self.status,
+               "" if self.seed is None else str(self.seed),
+               *(_fmt(self.certificates[key]) for key in certs), self.version]
+        return header, [row]
 
 
 def emit_csv(header, rows, stream) -> None:
@@ -374,7 +365,7 @@ def main(argv=None) -> int:
         else:
             result.wall_time_s = time.monotonic() - started
             status = result.status
-            table = (RunReport.CSV_HEADER, [result.to_csv_row()]) if args.format == "csv" else None
+            table = result.to_csv() if args.format == "csv" else None
         if table:
             buf = io.StringIO()
             emit_csv(*table, buf)

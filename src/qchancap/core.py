@@ -385,15 +385,11 @@ def channel_ensemble(ch: QuantumChannel, ens: Ensemble) -> Ensemble:
 
 
 class Povm:
-    """Rank-one POVM {q_i w_i w_i^dag} with sum_i q_i w_i w_i^dag = I (1e-9).
+    """Rank-one POVM {q_i w_i w_i^dag} with sum_i q_i w_i w_i^dag = I (1e-9)."""
 
-    A `support` projector may be supplied for measurements that resolve the
-    identity only on a subspace; completeness is then checked against it.
-    """
+    __slots__ = ("weights", "directions", "dim")
 
-    __slots__ = ("weights", "directions", "dim", "support")
-
-    def __init__(self, items, dim: int = None, support: np.ndarray = None):
+    def __init__(self, items, dim: int = None):
         if not items:
             raise InvariantError("POVM needs at least one element")
         weights = np.array([float(q) for q, _ in items])
@@ -406,17 +402,12 @@ class Povm:
             if w.dim != d:
                 raise DimensionError("POVM directions span several dimensions")
             total += q * w.projector()
-        target = np.eye(d) if support is None else np.asarray(support, dtype=complex)
-        defect = float(np.abs(total - target).max())
+        defect = float(np.abs(total - np.eye(d)).max())
         if defect > POVM_TOL:
             raise InvariantError(f"POVM is not complete: identity defect {defect:.6e}")
         self.weights = _readonly(np.clip(weights, 0.0, None))
         self.directions = directions
         self.dim = d
-        self.support = None if support is None else _readonly(target)
-
-    def elements(self) -> list:
-        return [q * w.projector() for q, w in zip(self.weights, self.directions)]
 
     @staticmethod
     def projective(basis_vectors) -> "Povm":
@@ -459,13 +450,13 @@ def purify(rho: DensityMatrix, reference_unitary: np.ndarray = None) -> PureStat
     return PureState(phi)
 
 
-def square_root_measurement(states, complete: bool = True) -> Povm:
+def square_root_measurement(states) -> Povm:
     """POVM elements phi^{-1/2} w_i w_i^dag phi^{-1/2}, phi = sum_i w_i w_i^dag.
 
     The inverse square root is a pseudo-inverse (eigenvalues below 1e-10 are
-    dropped), so the elements resolve the identity on the span of the states.
-    With complete=True the orthocomplement is filled with projective elements,
-    making the result a valid POVM on the whole space.
+    dropped), so the elements resolve the identity on the span of the states;
+    the orthocomplement is filled with projective elements, making the result
+    a valid POVM on the whole space.
     """
     if not states:
         raise InvariantError("square-root measurement needs at least one state")
@@ -481,12 +472,9 @@ def square_root_measurement(states, complete: bool = True) -> Povm:
         u = inv_sqrt @ w.vec
         q = float(np.vdot(u, u).real)
         items.append((q, normalized_state(fix_phase(u))))
-    if complete:
-        for k in np.flatnonzero(~keep):
-            items.append((1.0, PureState(fix_phase(vecs[:, k]))))
-        return Povm(items, dim=d)
-    proj = vecs[:, keep] @ vecs[:, keep].conj().T
-    return Povm(items, dim=d, support=proj)
+    for k in np.flatnonzero(~keep):
+        items.append((1.0, PureState(fix_phase(vecs[:, k]))))
+    return Povm(items, dim=d)
 
 
 # ---------------------------------------------------------------------------

@@ -304,8 +304,10 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
         if not found:
             status = "converged"
             break
-        new = [rho for _, rho in found
-               if all(np.abs(rho - m).max() > 1e-9 for m in master.columns)]
+        new = []
+        for _, rho in found:  # skip densities within 1e-9 of a column or of one admitted before
+            if all(np.abs(rho - m).max() > 1e-9 for m in [*master.columns, *new]):
+                new.append(rho)
         if not new and value <= last:
             status = "stalled"
             break

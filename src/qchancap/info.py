@@ -99,27 +99,15 @@ def holevo_chi(ens: Ensemble) -> float:
     return max(von_neumann_entropy(avg) - inner, 0.0)
 
 
-def accessible_information_given(ens: Ensemble, povm) -> float:
-    """I(X;Y) for the joint P(i, j) = p_i Tr(E_j s_i) of one fixed measurement.
-
-    `povm` is either a rank-one Povm or a plain sequence of PSD element
-    matrices (covers degenerate measurements such as the one-outcome {I}).
-    """
-    if isinstance(povm, Povm):
-        if ens.dim != povm.dim:
-            raise DimensionError(f"ensemble dim {ens.dim} != POVM dim {povm.dim}")
-        rows = [
-            p * povm_probabilities(povm, DensityMatrix(m))
-            for p, m in zip(ens.probs, ens.density_mats())
-        ]
-    else:
-        elements = [np.asarray(e, dtype=complex) for e in povm]
-        if any(e.shape != (ens.dim, ens.dim) for e in elements):
-            raise DimensionError("POVM element shapes do not match the ensemble")
-        rows = [
-            p * np.array([float(np.trace(e @ m).real) for e in elements])
-            for p, m in zip(ens.probs, ens.density_mats())
-        ]
+def accessible_information_given(ens: Ensemble, povm: Povm) -> float:
+    """I(X;Y) for the joint P(i, j) = p_i q_j w_j^dag s_i w_j of one fixed
+    rank-one measurement."""
+    if ens.dim != povm.dim:
+        raise DimensionError(f"ensemble dim {ens.dim} != POVM dim {povm.dim}")
+    rows = [
+        p * povm_probabilities(povm, DensityMatrix(m))
+        for p, m in zip(ens.probs, ens.density_mats())
+    ]
     table = np.clip(np.stack(rows), 0.0, None)
     table = table / table.sum()
     return mutual_information(JointDistribution(table))

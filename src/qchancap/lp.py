@@ -93,12 +93,12 @@ class PricingOutcome:
     """Columns proposed by a pricing oracle.
 
     Each entry is (column vector, objective coefficient, tag).
-    best_reduced_cost is y.A_j - c_j of the best column found, clipped at 0:
-    negative improves.
+    best_violation is c_j - y.A_j of the best column found, clipped at 0:
+    positive improves the (maximizing) master.
     """
 
     columns: list
-    best_reduced_cost: float = 0.0
+    best_violation: float = 0.0
 
 
 def solve_lp(lp: LinearProgram, warm_basis=None) -> LpSolution:

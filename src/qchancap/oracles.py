@@ -6,14 +6,13 @@ probability-simplex enumeration for restricted Holevo chi, all as array code:
 closed-form simplex compositions (the 4-signal simplex streamed one leading
 coordinate at a time), closed-form 2x2 spectra, and the angle sweeps in blocks
 of a fixed number of points.  Every grid point is evaluated, except on the
-ball for the concave objectives.  Everything here is limited to qubit
+ball for the concave "qmi".  Everything here is limited to qubit
 inputs/outputs; grids blow up beyond d = 2.
 
-The ball is swept one z slice at a time for "coherent".  "qmi" and
-"fixed-dual" are concave in the Bloch vector (mutual information is concave
-in the input state; H(N(rho)) is concave and Tr(tau rho) linear), so the
-tangent plane at any evaluated point a, f(a) + grad f(a).(n - a), bounds f on
-the whole ball.  An octree over the lattice indices evaluates each cell's
+The ball is swept one z slice at a time for "coherent".  "qmi" is concave
+in the Bloch vector (mutual information is concave in the input state), so
+the tangent plane at any evaluated point a, f(a) + grad f(a).(n - a), bounds
+f on the whole ball.  An octree over the lattice indices evaluates each cell's
 centre and drops a cell once every plane it is given puts the cell's box more
 than _PRUNE_MARGIN below the best value found; the surviving cells are split
 down to single lattice points.  A plane is kept only where every spectrum in
@@ -35,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    HERMITIAN_TOL,
     LN2,
     SX,
     SY,
@@ -204,13 +202,10 @@ def _environment_affine(ch: QuantumChannel):
 class _BallObjective:
     """One of the Bloch-ball objectives as a function of the Bloch vector n."""
 
-    def __init__(self, ch: QuantumChannel, objective: str, tau):
+    def __init__(self, ch: QuantumChannel, objective: str):
         self.objective = objective
         self.m, self.t = _qubit_channel_affine(ch)
-        if objective == "fixed-dual":
-            self.tau_tr, self.tau_bloch = float(np.trace(tau).real), bloch_vector(tau)
-        else:
-            self.w0, self.ws = _environment_affine(ch)
+        self.w0, self.ws = _environment_affine(ch)
 
     def _env(self, n):
         return self.w0[None, :, :] + np.tensordot(n, self.ws, axes=(1, 0))
@@ -225,8 +220,6 @@ class _BallObjective:
         rows = np.repeat(n, 2, axis=0) if size == 1 else n
         n_out = (rows @ self.m.T)[:size] + self.t
         h_out = _h2(0.5 * (1.0 + np.linalg.norm(n_out, axis=1)))
-        if self.objective == "fixed-dual":
-            return h_out - 0.5 * (self.tau_tr + (rows @ self.tau_bloch)[:size])
         h_env = _entropy_batch(self._env(rows)[:size])
         if self.objective == "coherent":
             return h_out - h_env
@@ -234,18 +227,15 @@ class _BallObjective:
         return h_in + h_out - h_env
 
     def gradients(self, n: np.ndarray):
-        """Gradients at the points n (P, 3) of "qmi" or "fixed-dual", and
-        whether each spectrum in the objective is above _PLANE_FLOOR there."""
+        """Gradients at the points n (P, 3) of "qmi", and whether each
+        spectrum in the objective is above _PLANE_FLOOR there."""
         g_out, ok = _bloch_entropy_grad(n @ self.m.T + self.t)
-        grad = g_out @ self.m
-        if self.objective == "fixed-dual":
-            return grad - 0.5 * self.tau_bloch, ok
         g_in, ok_in = _bloch_entropy_grad(n)
         lam, vec = np.linalg.eigh(self._env(n))
         log_env = (vec * np.log2(np.maximum(lam, _PLANE_FLOOR))[:, None, :]) @ vec.conj().transpose(0, 2, 1)
         # -S(env) has partial derivatives Tr(W_a log2 env), since Tr W_a = 0
         g_env = np.einsum("ajk,pkj->pa", self.ws, log_env).real
-        return grad + g_in + g_env, ok & ok_in & (lam[:, 0] > _PLANE_FLOOR)
+        return g_out @ self.m + g_in + g_env, ok & ok_in & (lam[:, 0] > _PLANE_FLOOR)
 
 
 def _bloch_entropy_grad(n: np.ndarray):
@@ -259,24 +249,15 @@ def _bloch_entropy_grad(n: np.ndarray):
     return -(scale / LN2)[:, None] * n, 0.5 * (1.0 - r) > _PLANE_FLOOR
 
 
-def _ball_problem(ch: QuantumChannel, objective: str, step: float, tau):
+def _ball_problem(ch: QuantumChannel, objective: str, step: float):
     GridSpec(step, "bloch-ball")
-    if objective not in ("qmi", "coherent", "fixed-dual"):
+    if objective not in ("qmi", "coherent"):
         raise ValueError(f"unknown objective {objective!r}")
-    if objective == "fixed-dual":
-        if tau is None:
-            raise ValueError("fixed-dual needs tau")
-        tau = np.asarray(tau)
-        if (tau.shape != (2, 2) or not np.isfinite(tau).all()
-                or np.abs(tau - tau.conj().T).max() > HERMITIAN_TOL):
-            raise ValueError(f"tau must be a Hermitian 2x2 matrix, got {tau!r}")
-    elif tau is not None:
-        raise ValueError(f"objective {objective!r} takes no tau")
     axis = np.arange(-1.0, 1.0 + step / 2, step)
     near = (axis**2).min()
     if (near + near) + near > 1.0 + _BALL_TOL:  # the sweep's ball test at the point nearest the centre
         raise ValueError(f"no lattice point of step {step!r} lies in the Bloch ball")
-    return _BallObjective(ch, objective, tau), axis
+    return _BallObjective(ch, objective), axis
 
 
 def _density_result(value: float, n: np.ndarray):
@@ -284,28 +265,24 @@ def _density_result(value: float, n: np.ndarray):
     return value, DensityMatrix(rho)
 
 
-def grid_density_objective(
-    ch: QuantumChannel, objective: str, step: float, tau: np.ndarray = None
-):
+def grid_density_objective(ch: QuantumChannel, objective: str, step: float):
     """Maximum of a named density functional over the Bloch-ball lattice.
 
-    objective is one of "qmi" (quantum mutual information), "coherent"
-    (coherent information), or "fixed-dual" (H(N(rho)) - Tr(tau rho), tau a
-    Hermitian 2x2, required, and taken by no other objective).  The lattice
-    has spacing `step` on each axis.  "coherent" is swept one z slice at a
-    time; the concave "qmi" and "fixed-dual" are searched by branch-and-bound
-    with the same result.  Returns (value, maximizing DensityMatrix), the
-    first maximal point in (z, x, y) index order.
+    objective is "qmi" (quantum mutual information) or "coherent" (coherent
+    information).  The lattice has spacing `step` on each axis.  "coherent"
+    is swept one z slice at a time; the concave "qmi" is searched by
+    branch-and-bound with the same result.  Returns (value, maximizing
+    DensityMatrix), the first maximal point in (z, x, y) index order.
     """
-    f, axis = _ball_problem(ch, objective, step, tau)
+    f, axis = _ball_problem(ch, objective, step)
     if objective == "coherent":
         return _density_result(*_sweep(f, axis))
     return _density_result(*_LatticeSearch(f, axis).run())
 
 
-def _swept_density_objective(ch: QuantumChannel, objective: str, step: float, tau=None):
+def _swept_density_objective(ch: QuantumChannel, objective: str, step: float):
     """grid_density_objective by the exhaustive sweep, for every objective."""
-    return _density_result(*_sweep(*_ball_problem(ch, objective, step, tau)))
+    return _density_result(*_sweep(*_ball_problem(ch, objective, step)))
 
 
 def _sweep(f: _BallObjective, axis: np.ndarray):

@@ -140,22 +140,22 @@ def test_pricing_optimal_trine_dual_is_clean():
     out = trine_output_ensemble()
     sol = solve_lp(measurement_lp(out, anti_trine() + [PureState([1, 0]), PureState([0, 1])]))
     lam = HermitianMatrix(coords_to_mat(sol.duals, 2))
-    outcome = measurement_pricing(out, lam, starts=12, rng=1)
+    outcome = measurement_pricing(out, lam, starts=12, rng=np.random.default_rng(1))
     assert outcome.columns == []
 
 
 def test_pricing_large_identity_dual_finds_nothing():
     out = trine_output_ensemble()
     lam = HermitianMatrix(10.0 * np.eye(2))
-    assert measurement_pricing(out, lam, starts=6, rng=2).columns == []
+    assert measurement_pricing(out, lam, starts=6, rng=np.random.default_rng(2)).columns == []
 
 
 def test_pricing_zero_dual_finds_violations():
     out = trine_output_ensemble()
     lam = HermitianMatrix(np.zeros((2, 2)))
-    outcome = measurement_pricing(out, lam, starts=6, rng=3)
+    outcome = measurement_pricing(out, lam, starts=6, rng=np.random.default_rng(3))
     assert len(outcome.columns) >= 1
-    assert outcome.best_reduced_cost < -1e-3
+    assert outcome.best_violation > 1e-3
 
 
 # --- optimize_measurement --------------------------------------------------------
@@ -211,9 +211,9 @@ def test_information_bound_holds_for_random_povms(d):
         ens = Ensemble(list(zip(rng.dirichlet(np.ones(k)), [random_density(rng, d) for _ in range(k)])))
         lam = random_hermitian(rng, d)
         outcome = measurement_pricing(ens, lam, starts=16, rng=rng)
-        bound = information_bound(lam, -outcome.best_reduced_cost)
+        bound = information_bound(lam, outcome.best_violation)
         assert bound == pytest.approx(
-            np.trace(lam.mat).real + d * max(0.0, -outcome.best_reduced_cost), abs=1e-12
+            np.trace(lam.mat).real + d * max(0.0, outcome.best_violation), abs=1e-12
         )
         for _ in range(5):
             povm = random_rank_one_povm(rng, d, int(rng.integers(d, 2 * d + 2)))
@@ -231,8 +231,8 @@ def test_stationarity_dual_closes_two_state_gap():
             assert np.vdot(w.vec, lam.mat @ w.vec).real == pytest.approx(
                 info_coefficient(p, m, avg, w.vec), abs=1e-12
             )
-        outcome = measurement_pricing(out, lam, starts=8, rng=0)
-        bound = information_bound(lam, -outcome.best_reduced_cost)
+        outcome = measurement_pricing(out, lam, starts=8, rng=np.random.default_rng(0))
+        bound = information_bound(lam, outcome.best_violation)
         assert bound >= optimum - 1e-12
         assert bound - optimum <= 1e-9
 

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import argparse
+import csv
 import dataclasses
 import importlib
 import inspect
@@ -413,13 +414,15 @@ def _parameters(fn):
 
 
 def test_each_option_is_one_a_caller_sets():
-    # option fields are those the CLI or c11 sets; the solver, the chi master
-    # and the channel take no parameter that only tests would pass
+    # option fields are those the CLI or c11 sets; the solver, the chi master,
+    # the channel, the pricing, the measurements and the ball oracle take no
+    # parameter that only tests would pass
     from qchancap.c11 import C11Options
-    from qchancap.c1inf import C1InfOptions, maximize_chi
-    from qchancap.core import QuantumChannel
+    from qchancap.c1inf import C1InfOptions, maximize_chi, pricing_search
+    from qchancap.core import Povm, QuantumChannel, square_root_measurement
     from qchancap.ea import LimitedEaOptions
-    from qchancap.lp import LinearProgram, solve_lp
+    from qchancap.lp import LinearProgram, PricingOutcome, solve_lp
+    from qchancap.oracles import grid_density_objective
 
     assert _fields(C11Options) == ["starts", "pricing_tol", "measurement_rounds"]
     assert _fields(C1InfOptions) == ["tol", "starts", "seed", "max_rounds", "initial_weights"]
@@ -428,6 +431,11 @@ def test_each_option_is_one_a_caller_sets():
     assert _parameters(solve_lp) == ["lp", "warm_basis"]
     assert _parameters(maximize_chi) == ["master", "p", "budget"]
     assert _parameters(QuantumChannel) == ["kraus"]
+    assert _parameters(grid_density_objective) == ["ch", "objective", "step"]
+    assert _parameters(pricing_search) == ["ch", "tau", "starts", "rng", "support"]
+    assert _parameters(square_root_measurement) == ["states"]
+    assert _parameters(Povm) == ["items", "dim"]
+    assert _fields(PricingOutcome) == ["columns", "best_violation"]
 
 
 def test_readme_lists_each_subcommand_with_the_parsers_flags():
@@ -473,6 +481,48 @@ def test_limited_ea_cli_infinite_budget_gives_cea(capsys):
     code, fields = run_text(capsys, ["limited-ea", "--channel", "identity.qch", "--B", "inf"])
     assert code == 0
     assert float(fields["value_bits"]) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_limited_ea_cli_exits_2_when_stalled(capsys, monkeypatch):
+    # a pricing that proposes only the master's own columns admits nothing,
+    # so the run stalls at the first round that does not gain
+    ea_module = importlib.import_module("qchancap.ea")
+    monkeypatch.setattr(ea_module, "_limited_pricing",
+                        lambda ch, tau, mu, columns, *rest: [(1.0, m) for m in columns])
+    argv = ["limited-ea", "--channel", "depolarizing_0.3.qch", "--B", "0.5"]
+    code, fields = run_text(capsys, argv)
+    assert code == 2 and fields["status"] == "stalled"
+
+
+# --- a CSV report carries what the text report does ----------------------------
+
+REPORT_ARGV = {
+    "chi": ["--channel", "trine.qch"],
+    "accinfo": ["--channel", "trine.qch"],
+    "c11": ["--channel", "trine.qch", "--restarts", "2"],
+    "c1inf": ["--channel", "amplitude_damping_0.3.qch"],
+    "cea": ["--channel", "identity.qch"],
+    "coherent": ["--channel", "amplitude_damping_0.3.qch"],
+    "arimoto-blahut": ["--channel", "bsc_0.11_classical.qch"],
+    "limited-ea": ["--channel", "identity.qch", "--B", "0.5"],
+    "oracle": ["--channel", "identity.qch", "--name", "qmi", "--step", "0.1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(c for c in subcommand_flags() if c != "sweep"))
+def test_csv_report_carries_the_text_reports_certificates(capsys, tmp_path, command):
+    code, fields = run_text(capsys, [command, *REPORT_ARGV[command]])
+    path = tmp_path / "r.csv"
+    assert main([command, *REPORT_ARGV[command], "--format", "csv", "--out", str(path)]) == code
+    with open(path, newline="") as fh:
+        header, row = list(csv.reader(fh))
+    certs = sorted(key for key in fields if key.startswith("cert_"))
+    assert header == ["capacity", "value_bits", "status", "seed", *certs, "version"]
+    got = dict(zip(header, row))
+    assert {key: got[key] for key in certs} == {key: fields[key] for key in certs}
+    for key in ("capacity", "value_bits", "status", "version"):
+        assert got[key] == fields[key]
+    assert got["seed"] == fields.get("seed", "")
 
 
 # --- a stopping tolerance must be finite and positive --------------------------

@@ -450,13 +450,17 @@ def test_srm_two_copy_trine_pulls_apart():
 
 
 def test_srm_completeness_on_support():
+    # the states' elements resolve the identity on their span; the filled
+    # element spans the orthocomplement
     rng = np.random.default_rng(15)
     states = [random_pure(rng, 3) for _ in range(2)]
-    srm = square_root_measurement(states, complete=False)
-    total = sum(q * w.projector() for q, w in zip(srm.weights, srm.directions))
+    srm = square_root_measurement(states)
+    assert len(srm.weights) == 3
+    own = sum(q * w.projector() for q, w in zip(srm.weights[:2], srm.directions[:2]))
     span = np.stack([s.vec for s in states], axis=1)
     proj = span @ np.linalg.pinv(span)
-    assert np.abs(total - proj).max() < 1e-9
+    assert np.abs(own - proj).max() < 1e-9
+    assert srm.weights[2] == 1.0 and abs(srm.directions[2].vec.conj() @ span).max() < 1e-9
 
 
 def test_srm_empty_rejected():

@@ -271,6 +271,28 @@ def test_limited_ea_drops_members_of_roundoff_weight(name, budget, monkeypatch):
     assert avg_entropy <= budget + 1e-12
 
 
+def test_limited_ea_admits_a_density_once_per_round(monkeypatch):
+    # pricing may return one density twice in a round (two starts reaching
+    # the same maximum); the master gets it once, as in c1inf's _add_columns
+    real_pricing, real_master = ea_module._limited_pricing, ea_module._density_master
+    rho = random_density(np.random.default_rng(3), 2).mat
+    masters = []
+
+    def pricing(*args):
+        if len(masters) == 1:
+            return [(1.0, rho), (0.5, rho + 1e-12 * SZ)]
+        return real_pricing(*args)
+
+    def master(ch, mats):
+        masters.append(list(mats))
+        return real_master(ch, mats)
+
+    monkeypatch.setattr(ea_module, "_limited_pricing", pricing)
+    monkeypatch.setattr(ea_module, "_density_master", master)
+    limited_ea(depolarizing(0.3), 0.5)
+    assert sum(np.abs(m - rho).max() <= 1e-9 for m in masters[1]) == 1
+
+
 def _budget_cases():
     """Density masters whose unconstrained optimum spends more entropy than
     the budget, started from pure columns only (slack row)."""

@@ -151,7 +151,7 @@ def test_cg_no_columns_returned():
     lp = LinearProgram(c=[1.0], A=[[1.0]], b=[1.0])
 
     def pricing(sol):
-        return PricingOutcome(columns=[], best_reduced_cost=0.0)
+        return PricingOutcome(columns=[], best_violation=0.0)
 
     sol, rounds, converged = column_generation(lp, pricing)
     assert converged and rounds == 0
@@ -220,8 +220,8 @@ def test_cg_cutting_stock_matches_enumeration():
             if value > best + 1e-12:
                 best, best_pat = value, pat
         if best > 1.0 + 1e-9:
-            return PricingOutcome(columns=[(best_pat, -1.0, None)], best_reduced_cost=1.0 - best)
-        return PricingOutcome(columns=[], best_reduced_cost=0.0)
+            return PricingOutcome(columns=[(best_pat, -1.0, None)], best_violation=best - 1.0)
+        return PricingOutcome(columns=[], best_violation=0.0)
 
     sol, rounds, converged = column_generation(master, pricing, tol=1e-9)
     assert converged
@@ -235,7 +235,7 @@ def test_cg_rejects_duplicate_columns():
     def pricing(sol):
         calls.append(1)
         # claims an improvement but duplicates the existing column
-        return PricingOutcome(columns=[(np.array([1.0]), -0.5, None)], best_reduced_cost=-0.5)
+        return PricingOutcome(columns=[(np.array([1.0]), -0.5, None)], best_violation=0.5)
 
     sol, rounds, converged = column_generation(lp, pricing, tol=1e-9)
     assert converged and rounds == 0 and len(calls) == 1

@@ -38,8 +38,6 @@ TRINE = [
     np.array([-0.5, -np.sqrt(3) / 2]),
 ]
 
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 def test_grid_spec_validation():
     GridSpec(0.01, "bloch-ball")
@@ -237,50 +235,17 @@ def test_grid_density_identity():
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_grid_density_fixed_dual():
-    ch = QuantumChannel([np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * SZ])
-    tau = np.array([[0.3, 0.05], [0.05, 0.1]], dtype=complex)
-    value, rho = grid_density_objective(ch, "fixed-dual", 0.01, tau=tau)
-    from qchancap.optim import EntropySum
-
-    assert value == pytest.approx(EntropySum([(1.0, ch)], linear=-tau).value(rho.mat), abs=1e-12)
-
-
 def test_grid_density_unknown_objective():
-    with pytest.raises(ValueError):
-        grid_density_objective(identity_channel(2), "capacity", 0.01)
-    with pytest.raises(ValueError):
-        grid_density_objective(identity_channel(2), "fixed-dual", 0.01)
-
-
-def test_grid_density_rejects_misplaced_tau():
-    tau = np.diag([0.2, -0.1]).astype(complex)
-    for objective in ("qmi", "coherent"):
-        with pytest.raises(ValueError, match="tau"):
-            grid_density_objective(identity_channel(2), objective, 0.1, tau=tau)
-    bad_taus = [
-        np.eye(3),
-        np.array([0.1, 0.2]),
-        np.array([[0.1, 0.2], [0.0, 0.3]]),
-        np.array([[0.1, 1j], [1j, 0.3]]),
-        np.array([[np.nan, 0.0], [0.0, 0.1]]),
-    ]
-    for tau in bad_taus:
-        with pytest.raises(ValueError, match="Hermitian 2x2"):
-            grid_density_objective(identity_channel(2), "fixed-dual", 0.1, tau=tau)
-    grid_density_objective(identity_channel(2), "fixed-dual", 0.1, tau=[[0.1, 1j], [-1j, 0.3]])
+    for objective in ("capacity", "fixed-dual"):
+        with pytest.raises(ValueError, match="unknown objective"):
+            grid_density_objective(identity_channel(2), objective, 0.01)
 
 
 # --- branch-and-bound against the exhaustive sweep --------------------------------
 
-def _random_tau(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return (g + g.conj().T) / 2
-
-
-def _assert_same_as_sweep(ch, objective, step, tau=None):
-    value, rho = grid_density_objective(ch, objective, step, tau=tau)
-    swept, swept_rho = _swept_density_objective(ch, objective, step, tau=tau)
+def _assert_same_as_sweep(ch, objective, step):
+    value, rho = grid_density_objective(ch, objective, step)
+    swept, swept_rho = _swept_density_objective(ch, objective, step)
     assert value == swept
     assert np.array_equal(rho.mat, swept_rho.mat)
     return value, rho
@@ -296,10 +261,9 @@ def _equivalence_channels():
 
 @pytest.mark.parametrize("step", [1.57, 1.5, 0.7, 0.3, 0.13, 0.05, 0.04, 0.02])
 def test_branch_and_bound_matches_sweep(step):
-    rng, channels = _equivalence_channels()
+    _, channels = _equivalence_channels()
     for ch in channels:
         _assert_same_as_sweep(ch, "qmi", step)
-        _assert_same_as_sweep(ch, "fixed-dual", step, tau=_random_tau(rng))
 
 
 def test_branch_and_bound_matches_sweep_fine_depolarizing():
@@ -309,7 +273,6 @@ def test_branch_and_bound_matches_sweep_fine_depolarizing():
     value, _ = _assert_same_as_sweep(ch, "qmi", 0.01)
     # the maximally mixed input is a lattice point: C_E = 2 - H(0.7, 0.1, 0.1, 0.1)
     assert value == pytest.approx(2 + 0.7 * np.log2(0.7) + 0.3 * np.log2(0.1), abs=1e-12)
-    _assert_same_as_sweep(ch, "fixed-dual", 0.01, tau=_random_tau(rng))
 
 
 def _replacement(sigma_eigs, unitary):
@@ -322,11 +285,6 @@ def test_branch_and_bound_degenerate_inputs():
     rng = np.random.default_rng(4)
     unitary = random_channel(rng, 2, 2, 1).kraus[0]
     replacement = _replacement([0.7, 0.3], unitary)
-    # a constant objective: every lattice point ties, so the first one (the
-    # south pole, alone in the first slice) is returned
-    value, rho = _assert_same_as_sweep(replacement, "fixed-dual", 0.05, tau=np.zeros((2, 2)))
-    assert value == pytest.approx(binary_entropy(0.3), abs=1e-12)
-    assert np.abs(rho.mat - np.diag([0.0, 1.0])).max() < 1e-12
     # I = 0 in exact arithmetic, so the lattice maximum is a roundoff tie-break
     value, _ = _assert_same_as_sweep(replacement, "qmi", 0.05)
     assert abs(value) < 1e-12
@@ -339,7 +297,30 @@ def test_branch_and_bound_degenerate_inputs():
     ):
         for step in (0.05, 0.04):
             _assert_same_as_sweep(ch, "qmi", step)
-            _assert_same_as_sweep(ch, "fixed-dual", step, tau=_random_tau(rng))
+
+
+class _Flat:
+    """A constant ball objective: value 0 and a zero gradient everywhere,
+    every plane kept."""
+
+    def values(self, n):
+        return np.zeros(n.shape[0])
+
+    def gradients(self, n):
+        return np.zeros_like(n), np.ones(n.shape[0], dtype=bool)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.04, 0.3, 1.5])
+def test_branch_and_bound_breaks_exact_ties_as_the_sweep(step):
+    # every lattice point ties and no plane drops a cell, so only the tie-break
+    # decides: the first point in (z, x, y) index order
+    axis = np.arange(-1.0, 1.0 + step / 2, step)
+    value, n = oracles._LatticeSearch(_Flat(), axis).run()
+    swept, swept_n = oracles._sweep(_Flat(), axis)
+    assert value == swept == 0.0
+    assert np.array_equal(n, swept_n)
+    if step == 0.05:  # the south pole is alone in the first slice
+        assert np.abs(n - [0.0, 0.0, -1.0]).max() < 1e-12
 
 
 def test_environment_affine_is_the_environment_output():
@@ -355,15 +336,14 @@ def test_environment_affine_is_the_environment_output():
             assert np.abs(w0 + np.tensordot(n, ws, axes=(0, 0)) - want).max() < 1e-14
 
 
-@pytest.mark.parametrize("objective", ["qmi", "coherent", "fixed-dual"])
+@pytest.mark.parametrize("objective", ["qmi", "coherent"])
 def test_ball_values_do_not_depend_on_the_batch(objective):
     # the branch-and-bound evaluates other batches than the sweep, down to
     # single points, and returns the sweep's maximum only if every point gets
     # the same bits in every batch
     rng, channels = _equivalence_channels()
     for ch in channels:
-        tau = _random_tau(rng) if objective == "fixed-dual" else None
-        f, axis = oracles._ball_problem(ch, objective, 0.1, tau)
+        f, axis = oracles._ball_problem(ch, objective, 0.1)
         n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
         n = n[(n**2).sum(axis=1) <= 1.0]
         full = f.values(n)
