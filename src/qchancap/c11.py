@@ -52,6 +52,9 @@ class C11Options:
 
     def __post_init__(self):
         check_tolerance(self.pricing_tol, "C11Options.pricing_tol")
+        if self.measurement_rounds < 0:
+            raise ValueError("C11Options.measurement_rounds must be >= 0, "
+                             f"got {self.measurement_rounds}")
 
 
 @dataclass
@@ -322,7 +325,7 @@ def _complete_povm(weights, directions, dim: int) -> Povm:
     for lam, k in zip(eigs, range(dim)):
         if lam > 1e-12:
             items.append((float(lam), PureState(fix_phase(vecs[:, k]))))
-    return Povm(items, dim=dim)
+    return Povm(items)
 
 
 def induced_classical_channel(ch: QuantumChannel, povm: Povm) -> QuantumChannel:

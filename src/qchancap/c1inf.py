@@ -59,6 +59,8 @@ class C1InfOptions:
 
     def __post_init__(self):
         check_tolerance(self.tol, "C1InfOptions.tol")
+        if self.max_rounds < 0:
+            raise ValueError(f"C1InfOptions.max_rounds must be >= 0, got {self.max_rounds}")
 
 
 @dataclass
@@ -444,8 +446,8 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
     "stalled" if a round neither raised chi nor found a new column,
     "round-limit" otherwise.  With restricted signals the loop is the master
     alone and the gap exact.  Trace rows hold master_objective = sum_i p_i
-    H(N(psi_i)) and tr_tau_rho = Tr(tau rho); tau is dual feasible for the
-    fixed-average LP at rho exactly when the gap is zero.
+    H(N(psi_i)) and tr_tau_rho = Tr(tau rho), equal by construction since
+    Tr(tau rho) = S(N(rho)) - chi; pricing_residual is dual_gap.
     """
     ch = problem.channel
     opts = problem.options

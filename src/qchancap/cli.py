@@ -357,6 +357,8 @@ def main(argv=None) -> int:
     try:
         if "tol" in args:
             check_tolerance(args.tol, "--tol")
+        if "max_rounds" in args and args.max_rounds < 0:
+            raise ValueError(f"--max-rounds must be >= 0, got {args.max_rounds}")
         handler = _COMMANDS[args.command][0]
         started = time.monotonic()
         result = handler(args)

@@ -389,14 +389,14 @@ class Povm:
 
     __slots__ = ("weights", "directions", "dim")
 
-    def __init__(self, items, dim: int = None):
+    def __init__(self, items):
         if not items:
             raise InvariantError("POVM needs at least one element")
         weights = np.array([float(q) for q, _ in items])
         if weights.min() < -1e-12:
             raise InvariantError(f"negative POVM weight {weights.min():.3e}")
         directions = tuple(w for _, w in items)
-        d = dim if dim is not None else directions[0].dim
+        d = directions[0].dim
         total = np.zeros((d, d), dtype=complex)
         for q, w in zip(weights, directions):
             if w.dim != d:
@@ -474,7 +474,7 @@ def square_root_measurement(states) -> Povm:
         items.append((q, normalized_state(fix_phase(u))))
     for k in np.flatnonzero(~keep):
         items.append((1.0, PureState(fix_phase(vecs[:, k]))))
-    return Povm(items, dim=d)
+    return Povm(items)
 
 
 # ---------------------------------------------------------------------------
@@ -560,4 +560,4 @@ def random_rank_one_povm(rng: np.random.Generator, dim: int, outcomes: int) -> P
         v = row.conj()
         w = float(np.vdot(v, v).real)
         items.append((w, normalized_state(fix_phase(v))))
-    return Povm(items, dim=dim)
+    return Povm(items)

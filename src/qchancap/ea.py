@@ -3,10 +3,11 @@
 C_E is a concave maximization over input states, solved Frank-Wolfe style
 (linearize, move toward the best vertex, exact line search) with projected
 gradient refinement; the Frank-Wolfe gap at the returned iterate is a true
-upper bound on suboptimality.  The single-letter coherent information gets a
-multistart ascent with no global claim.  The limited-entanglement formula
-runs on c1inf's chi master over density columns, with the entanglement
-budget as one linear row, and density pricing; it is flagged experimental.
+upper bound on suboptimality.  The single-letter coherent information and
+limited-EA's density pricing are multistart sphere searches with no global
+claim.  The limited-entanglement formula runs on c1inf's chi master over
+density columns, with the entanglement budget as one linear row, and
+density pricing; it is flagged experimental.
 """
 
 from dataclasses import dataclass
@@ -33,12 +34,14 @@ from .optim import (
     ascend_density_step,
     line_max_concave,
     minimize_on_sphere,
+    minimize_on_spheres,
     renormalize_density,
 )
 
 CEA_ITERS = 300  # c_ea's Frank-Wolfe iterations
-COHERENT_ITERS = 200  # coherent_info_max's iterations per start
-COHERENT_GAIN = 1e-9  # a coherent_info_max start stops once an iteration gains less
+REFINE_STEPS = 4  # c_ea's projected-gradient steps after each Frank-Wolfe step
+COHERENT_ITERS = 200  # coherent_info_max's search iterations per start
+COHERENT_GAIN = 1e-9  # a coherent_info_max start has converged once an iteration gains less
 
 
 @dataclass
@@ -55,7 +58,7 @@ class CEResult:
 class QResult:
     value: float
     rho_star: DensityMatrix
-    local_maxima: list  # (value, DensityMatrix), the distinct points of the starts that converged
+    local_maxima: list  # (value, DensityMatrix), distinct densities of the converged starts
     status: str  # "converged" | "round-limit", of the start that gave value
 
 
@@ -88,11 +91,10 @@ def _fw_step(obj: EntropySum, mat, val):
     return gap, mat, val
 
 
-def _refine(obj: EntropySum, mat, val, steps):
-    """Up to `steps` projected-gradient steps, each kept only if it gains."""
-    for _ in range(steps):
-        nxt, moved = ascend_density_step(obj.grad, mat, bisect_rounds=30,
-                                         line_deriv=obj.line_deriv)
+def _refine(obj: EntropySum, mat, val):
+    """Up to REFINE_STEPS projected-gradient steps, each kept only if it gains."""
+    for _ in range(REFINE_STEPS):
+        nxt, moved = ascend_density_step(obj.grad, mat, line_deriv=obj.line_deriv)
         if not moved:
             break
         nxt = renormalize_density(nxt)
@@ -124,7 +126,7 @@ def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
         gap, mat, val = _fw_step(obj, mat, obj.value(mat))
         if gap < tol:
             break
-        mat, _ = _refine(obj, mat, val, 4)
+        mat, _ = _refine(obj, mat, val)
     rho_star = DensityMatrix(renormalize_density(mat))
     return CEResult(
         value=quantum_mutual_information(ch, rho_star),
@@ -136,58 +138,61 @@ def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
     )
 
 
+def _density_search(obj: EntropySum, d: int):
+    """fun_grad for a sphere search maximizing obj over rho = M M^dag / Tr(M M^dag):
+    each row v = vec(M) gives -obj(rho) and its gradient in v.  rho does not
+    change when M is scaled, so unit vectors in C^{d^2} reach every density."""
+    eye = np.eye(d)
+
+    def fun_grad(v):
+        m = v.reshape(-1, d, d)
+        t = np.einsum("si,si->s", v, v.conj()).real[:, None, None]
+        rho = (m @ m.conj().swapaxes(1, 2)) / t
+        val, g = obj.value_grad(rho)
+        p = g - np.einsum("sij,sji->s", g, rho).real[:, None, None] * eye
+        return -val, -(2.0 * (p @ m) / t).reshape(-1, d * d)
+
+    return fun_grad
+
+
 def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QResult:
     """Multistart ascent of the single-letter coherent information.
 
-    There may be multiple local maxima; the best start's value is reported,
-    with no global claim.  A start stops once a full Frank-Wolfe +
-    projected-gradient iteration gains less than COHERENT_GAIN, or after
-    COHERENT_ITERS iterations.  The status is "converged" if the best start
-    stopped on its gain, "round-limit" if it ran out of iterations.
-    local_maxima lists the distinct points of the starts that stopped on
-    their gain, best first; a start cut off by COHERENT_ITERS reached no
-    maximum and is left out.
+    The starts, M = I and 2*max(starts, d) complex Gaussian M, are one batch
+    of sphere searches over vec(M) (_density_search), one problem each, of at
+    most COHERENT_ITERS iterations.  A start has converged when one more
+    iteration from its end gains less than COHERENT_GAIN.  The best start's
+    value and status ("converged" | "round-limit") are reported, with no
+    global claim.  local_maxima lists the distinct densities (more than 1e-4
+    apart) of the starts that converged, best first.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
     d = ch.dim_in
     rng = np.random.default_rng(seed)
     obj = coherent_objective(ch)
+    fun_grad = _density_search(obj, d)
 
-    start_mats = [np.eye(d) / d]
-    for _ in range(max(starts, d)):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        start_mats.append(
-            (1 - 1e-6) * np.outer(v, v.conj()) + 1e-6 * np.eye(d) / d
-        )
-    for _ in range(max(starts, d)):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        full = g @ g.conj().T
-        start_mats.append(full / full.trace().real)
+    rand = [rng.normal(size=d * d) + 1j * rng.normal(size=d * d) for _ in range(2 * max(starts, d))]
+    start_vecs = [v / np.linalg.norm(v) for v in [np.eye(d).ravel(), *rand]]
 
-    locals_found = []
-    for mat in start_mats:
-        val = obj.value(mat)
-        status = "round-limit"
-        for _ in range(COHERENT_ITERS):
-            prev = val
-            _, mat, val = _fw_step(obj, mat, val)
-            mat, val = _refine(obj, mat, val, 3)
-            if val - prev < COHERENT_GAIN:
-                status = "converged"
-                break
-        locals_found.append((val, renormalize_density(mat), status))
+    ends = [minima[0] for minima in minimize_on_spheres(
+        [(fun_grad, [v]) for v in start_vecs], d * d, maxiter=COHERENT_ITERS)]
+    after = minimize_on_spheres([(fun_grad, [v]) for _, v in ends], d * d, maxiter=1)
+    converged = [f - minima[0][0] < COHERENT_GAIN for (f, _), minima in zip(ends, after)]
+    rhos = np.stack([renormalize_density(m @ m.conj().T)
+                     for m in np.reshape([v for _, v in ends], (-1, d, d))])
+    values = obj.value(rhos).tolist()
 
-    ranked = sorted(locals_found, key=lambda t: -t[0])
+    order = sorted(range(len(ends)), key=lambda i: -values[i])
     distinct = []
-    for val, mat, status in ranked:
-        if status == "converged" and all(np.abs(mat - other.mat).max() > 1e-4
-                                         for _, other in distinct):
-            distinct.append((val, DensityMatrix(mat)))
-    best_val, best_mat, best_status = ranked[0]
-    return QResult(value=best_val, rho_star=DensityMatrix(best_mat), local_maxima=distinct,
-                   status=best_status)
+    for i in order:
+        if converged[i] and all(np.abs(rhos[i] - other.mat).max() > 1e-4
+                                for _, other in distinct):
+            distinct.append((values[i], DensityMatrix(rhos[i])))
+    best = order[0]
+    return QResult(value=values[best], rho_star=DensityMatrix(rhos[best]), local_maxima=distinct,
+                   status="converged" if converged[best] else "round-limit")
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +226,24 @@ def _density_master(ch: QuantumChannel, mats):
 
 
 def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
-    """Ascend phi(rho) = (1-mu) H(rho) - H_env(rho) - Tr(tau rho) over densities
-    rho = M M^dag / Tr(M M^dag).
-
-    phi depends on M only through rho, which is invariant under scaling M, so
-    this is a sphere search over vec(M) in C^{d^2}.  Returns the violating
+    """Ascend phi(rho) = (1-mu) H(rho) - H_env(rho) - Tr(tau rho) over densities,
+    a sphere search over vec(M) (see _density_search).  Returns the violating
     densities (phi(rho) > tol) as (violation, rho) pairs, best first.
     """
     d = ch.dim_in
     eye = np.eye(d)
     phi = EntropySum([(1.0 - mu, identity_channel(d)), (-1.0, complementary_channel(ch))],
                      linear=-tau)
-
-    def fun_grad(v):
-        m = v.reshape(-1, d, d)
-        t = np.einsum("si,si->s", v, v.conj()).real[:, None, None]
-        rho = (m @ m.conj().swapaxes(1, 2)) / t
-        val, g = phi.value_grad(rho)
-        p = g - np.einsum("sij,sji->s", g, rho).real[:, None, None] * eye
-        return -val, -(2.0 * (p @ m) / t).reshape(-1, d * d)
-
     start_mats = [np.linalg.cholesky((1 - 1e-9) * mat + 1e-9 * eye / d)
                   for mat in [*columns[-3:], rho_bar]]
     for _ in range(starts):
         start_mats.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     start_vecs = [m.ravel() / np.linalg.norm(m) for m in start_mats]
 
-    minima = minimize_on_sphere(fun_grad, d * d, start_vecs, gtol=1e-9, maxiter=300)
+    minima = minimize_on_sphere(_density_search(phi, d), d * d, start_vecs, gtol=1e-9,
+                                maxiter=300)
     rhos = np.stack([renormalize_density(m @ m.conj().T)
-                     for m in (v.reshape(d, d) for _, v in minima)])
+                     for m in np.reshape([v for _, v in minima], (-1, d, d))])
     violations = phi.value(rhos)
     found = [(float(val), rho) for val, rho in zip(violations, rhos) if val > tol]
     found.sort(key=lambda it: -it[0])

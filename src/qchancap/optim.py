@@ -30,6 +30,8 @@ MAX_EXPANSION = 64.0  # longest step the line search extends to; the first trial
 MAX_TRIALS = 60  # line-search evaluations per iteration
 LINE_LEVEL = 5  # bisection rounds per derivative call: 2**5 - 1 points at once
 DISTINCT_TOL = 1e-6  # minima closer than this (max-norm) are one
+MIN_DIRECTION_NORM = 1e-9  # an ascent step with a shorter projected gradient does not move
+BISECT_ROUNDS = 30  # bisection rounds of an ascent step's line search
 
 
 def _rowdot(a, b):
@@ -280,34 +282,28 @@ def traceless_part(mat: np.ndarray) -> np.ndarray:
     return mat - (np.trace(mat) / d) * np.eye(d)
 
 
-def ascend_density_step(
-    grad_fn,
-    rho: np.ndarray,
-    min_direction_norm: float = 1e-9,
-    bisect_rounds: int = 12,
-    *,
-    line_deriv,
-):
+def ascend_density_step(grad_fn, rho: np.ndarray, *, line_deriv):
     """One projected-gradient ascent step over the density-matrix set.
 
     grad_fn(rho) -> Hermitian gradient ndarray, called once per step.  The
     move direction is the traceless projection of the gradient, normalized
-    and clipped at the PSD boundary.  line_deriv(rho, direction) returns the
+    and clipped at the PSD boundary; a projection shorter than
+    MIN_DIRECTION_NORM gives no move.  line_deriv(rho, direction) returns the
     derivative of t -> f(rho + t*direction) as a function of an array of t
     (EntropySum.line_deriv); line_max_concave fixes the step length from it
-    in `bisect_rounds` bisection rounds (concave objectives).
+    in BISECT_ROUNDS bisection rounds (concave objectives).
     Returns (new_rho, moved: bool).
     """
     grad = grad_fn(rho)
     direction = traceless_part(grad)
     dnorm = np.linalg.norm(direction)
-    if dnorm < min_direction_norm:
+    if dnorm < MIN_DIRECTION_NORM:
         return rho, False
     direction = direction / dnorm  # unit scale keeps the bisection resolution stable
     t_hi = psd_boundary_step(rho, direction)
     if t_hi <= 0.0:
         return rho, False
-    t = line_max_concave(line_deriv(rho, direction), t_hi, rounds=bisect_rounds)
+    t = line_max_concave(line_deriv(rho, direction), t_hi, rounds=BISECT_ROUNDS)
     if t <= 0.0:
         return rho, False
     return rho + t * direction, True

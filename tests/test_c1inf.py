@@ -399,6 +399,23 @@ def test_c1inf_result_invariants():
     assert res.pricing_residual < 1e-6
 
 
+def test_trace_columns_and_residual_are_equal_by_construction():
+    # Tr(tau rho) = S(N(rho)) - chi = sum_i p_i H(N(psi_i)) for tau =
+    # -N^dag(log2 N(rho)) - chi I, so the two trace columns bound nothing
+    from qchancap.channels import trine_signals
+
+    rng = np.random.default_rng(2026)
+    problems = [C1InfProblem(identity_channel(2), restricted_signals=trine_signals())]
+    for _ in range(12):
+        d = int(rng.integers(2, 5))
+        problems.append(C1InfProblem(random_channel(rng, d, d, int(rng.integers(1, 4)))))
+    for problem in problems:
+        res = c1inf(problem)
+        assert res.trace and res.pricing_residual == res.dual_gap
+        for row in res.trace:
+            assert abs(row["master_objective"] - row["tr_tau_rho"]) <= 1e-12
+
+
 def test_c1inf_tensor_product_superadditive_regression():
     # chi_max of a product channel is at least the sum of the parts
     ch = bsc_embed(0.11)

@@ -99,17 +99,27 @@ def test_coherent_report(capsys):
     assert float(fields["value_bits"]) == pytest.approx(0.188722, abs=1e-4)
 
 
-def _capped_coherent_qutrit(capsys, monkeypatch, tmp_path):
+def _coherent_qutrit(capsys, tmp_path):
     from qchancap.channels import write_channel_file
     from qchancap.core import random_channel
 
-    # every start on this qutrit channel still gains after the default 200
-    # iterations; a cap of 3 makes the run short
-    monkeypatch.setattr(importlib.import_module("qchancap.ea"), "COHERENT_ITERS", 3)
     path = tmp_path / "qutrit.qch"
     ch = random_channel(np.random.default_rng([5, 3, 2]), 3, 3, 2)
     write_channel_file(path, "qutrit", kraus=ch.kraus)
     return run_text(capsys, ["coherent", "--channel", str(path)])
+
+
+def _capped_coherent_qutrit(capsys, monkeypatch, tmp_path):
+    # after 3 search iterations every start on this qutrit channel still
+    # gains more than COHERENT_GAIN in one more
+    monkeypatch.setattr(importlib.import_module("qchancap.ea"), "COHERENT_ITERS", 3)
+    return _coherent_qutrit(capsys, tmp_path)
+
+
+def test_coherent_converges_on_a_qutrit(capsys, tmp_path):
+    code, fields = _coherent_qutrit(capsys, tmp_path)
+    assert code == 0 and fields["status"] == "converged"
+    assert float(fields["value_bits"]) >= 0.69737
 
 
 def test_coherent_exits_2_when_its_best_start_hits_the_cap(capsys, monkeypatch, tmp_path):
@@ -434,7 +444,7 @@ def test_each_option_is_one_a_caller_sets():
     assert _parameters(grid_density_objective) == ["ch", "objective", "step"]
     assert _parameters(pricing_search) == ["ch", "tau", "starts", "rng", "support"]
     assert _parameters(square_root_measurement) == ["states"]
-    assert _parameters(Povm) == ["items", "dim"]
+    assert _parameters(Povm) == ["items"]
     assert _fields(PricingOutcome) == ["columns", "best_violation"]
 
 
@@ -546,6 +556,27 @@ def test_a_tolerance_that_certifies_nothing_is_rejected(capsys, command, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(c for c, flags in subcommand_flags().items()
+                                           if "--max-rounds" in flags))
+def test_a_negative_round_count_is_rejected(capsys, command):
+    assert main([command, *TOL_ARGV[command], "--max-rounds", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-rounds must be >= 0, got -1" in captured.err
+
+
+def test_options_reject_a_negative_round_count():
+    from qchancap.c11 import C11Options
+    from qchancap.c1inf import C1InfOptions
+
+    with pytest.raises(ValueError, match="^C11Options.measurement_rounds must be >= 0"):
+        C11Options(measurement_rounds=-1)
+    with pytest.raises(ValueError, match="^C1InfOptions.max_rounds must be >= 0"):
+        C1InfOptions(max_rounds=-1)
+    assert C11Options(measurement_rounds=0).measurement_rounds == 0
+    assert C1InfOptions(max_rounds=0).max_rounds == 0
 
 
 def test_library_entry_points_reject_a_tolerance_that_certifies_nothing():

@@ -373,7 +373,13 @@ def test_povm_projective_diagonal():
 
 def test_povm_incomplete_rejected():
     with pytest.raises(InvariantError):
-        Povm([(1.0, PureState([1, 0]))], dim=2)
+        Povm([(1.0, PureState([1, 0]))])
+
+
+def test_povm_takes_its_dimension_from_the_directions():
+    assert Povm.projective(np.eye(3)).dim == 3
+    with pytest.raises(DimensionError):
+        Povm([(1.0, PureState([1, 0])), (1.0, PureState([0, 1, 0]))])
 
 
 # --- purification ----------------------------------------------------------

@@ -148,6 +148,17 @@ def test_coherent_converges_on_the_bundled_qubit_channels(name):
     assert coherent_info_max(parse_channel(name).channel).status == "converged"
 
 
+@pytest.mark.parametrize("seed, kraus_count", [(18, 3), (21, 3), (39, 3), (40, 4)])
+def test_coherent_reaches_the_ball_oracle(seed, kraus_count):
+    # channels where a converged Frank-Wolfe ascent once stopped below the grid
+    from qchancap.oracles import grid_density_objective
+
+    ch = random_channel(np.random.default_rng(seed), 2, 2, kraus_count)
+    res = coherent_info_max(ch)
+    assert res.status == "converged"
+    assert res.value >= grid_density_objective(ch, "coherent", 0.02)[0] - 1e-9
+
+
 def test_cea_status_compares_its_gap_with_tol(monkeypatch):
     ch = amplitude_damping(0.3)
     full = c_ea(ch)
