@@ -14,9 +14,6 @@ from .core import (
     PureState,
     QuantumChannel,
     apply_channel,
-    fidelity,
-    fidelity_pure_overlap,
-    partial_trace,
     povm_probabilities,
     purify,
     shannon_entropy,

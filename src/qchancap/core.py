@@ -1,7 +1,7 @@
 """Complex Hermitian linear algebra and quantum primitives.
 
-States, channels, measurements, entropies, partial trace, purification,
-and the real-coordinate encoding of Hermitian matrices used by the LP
+States, channels, measurements, entropies, purification, and the
+real-coordinate encoding of Hermitian matrices used by the LP
 layers.  All entropies are in bits (log base 2) and rest on one kernel,
 log2_clipped.  Values are immutable after construction and every
 operation here is a pure function.
@@ -57,7 +57,7 @@ class HermitianMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
         defect = float(np.abs(mat - mat.conj().T).max())
-        if defect > HERMITIAN_TOL:
+        if not defect <= HERMITIAN_TOL:  # NaN fails every comparison
             raise InvariantError(f"matrix is not Hermitian: max deviation {defect:.3e}")
         # symmetrize away the sub-tolerance roundoff so eigh sees an exact Hermitian
         self.mat = _readonly((mat + mat.conj().T) / 2.0)
@@ -70,10 +70,10 @@ class DensityMatrix(HermitianMatrix):
     def __init__(self, mat):
         super().__init__(mat)
         tr = float(self.mat.trace().real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise InvariantError(f"trace is {tr!r}, expected 1 within {TRACE_TOL}")
         lo = float(np.linalg.eigvalsh(self.mat)[0])
-        if lo < -PSD_TOL:
+        if not lo >= -PSD_TOL:
             raise InvariantError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
 
     @staticmethod
@@ -89,7 +89,7 @@ class PureState:
     def __init__(self, vec):
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         nrm2 = float(np.vdot(vec, vec).real)
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not abs(nrm2 - 1.0) <= NORM_TOL:
             raise InvariantError(f"squared norm is {nrm2!r}, expected 1 within {NORM_TOL}")
         self.vec = _readonly(vec)
         self.dim = vec.shape[0]
@@ -164,7 +164,7 @@ class QuantumChannel:
         dim_out, dim_in = shape
         ident = sum(a.conj().T @ a for a in ops)
         defect = float(np.abs(ident - np.eye(dim_in)).max())
-        if defect > CHANNEL_TOL:
+        if not defect <= CHANNEL_TOL:
             raise InvariantError(
                 f"channel is not trace-preserving: identity defect {defect:.6e}"
             )
@@ -245,24 +245,6 @@ def identity_channel(dim: int) -> QuantumChannel:
     return QuantumChannel([np.eye(dim)])
 
 
-def partial_trace(rho: DensityMatrix, dims: tuple, keep: str) -> DensityMatrix:
-    """Trace out one factor of a bipartite state.
-
-    dims = (dA, dB) with rho.dim == dA*dB; keep is "A" or "B".
-    """
-    da, db = dims
-    if rho.dim != da * db:
-        raise DimensionError(f"dim {rho.dim} does not factor as {da}*{db}")
-    t = rho.mat.reshape(da, db, da, db)
-    if keep == "A":
-        red = np.einsum("ijkj->ik", t)
-    elif keep == "B":
-        red = np.einsum("ijil->jl", t)
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(red)
-
-
 def log2_clipped(x, floor: float = ENTROPY_CLIP):
     """log2 x elementwise, 0 where x <= floor (so x log2 x drops those entries)."""
     return np.log2(np.where(x > floor, x, 1.0))
@@ -271,10 +253,10 @@ def log2_clipped(x, floor: float = ENTROPY_CLIP):
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
-    if p.min() < -1e-12:
-        raise InvariantError(f"negative probability {p.min():.3e}")
+    if not p.min() >= -1e-12:
+        raise InvariantError(f"probabilities must be nonnegative: min {p.min():.3e}")
     s = float(p.sum())
-    if abs(s - 1.0) > 1e-9:
+    if not abs(s - 1.0) <= 1e-9:
         raise InvariantError(f"probabilities sum to {s!r}, expected 1 within 1e-9")
     return entropy_of_spectrum(p)
 
@@ -315,29 +297,6 @@ def binary_entropy(p: float) -> float:
     return entropy_of_spectrum(np.array([p, 1.0 - p]))
 
 
-def fidelity(rho_in: DensityMatrix, rho_out: DensityMatrix) -> float:
-    """Tr sqrt(sqrt(rho_out) rho_in sqrt(rho_out)); symmetric in its arguments."""
-    if rho_in.dim != rho_out.dim:
-        raise DimensionError("fidelity requires equal dimensions")
-    s = _psd_sqrt(rho_out.mat)
-    inner = s @ rho_in.mat @ s
-    eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sqrt(eigs).sum())
-
-
-def fidelity_pure_overlap(u: PureState, v: PureState) -> float:
-    """Squared-overlap convention |u^dag v|^2 for pure states."""
-    if u.dim != v.dim:
-        raise DimensionError("overlap requires equal dimensions")
-    return float(abs(np.vdot(u.vec, v.vec)) ** 2)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(mat)
-    eigs = np.clip(eigs, 0.0, None)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
-
-
 class Ensemble:
     """Weighted states {(p_i, state_i)}: p_i >= 0, sum 1 (1e-10), one dimension."""
 
@@ -347,9 +306,9 @@ class Ensemble:
         if not items:
             raise InvariantError("ensemble needs at least one item")
         probs = np.array([float(p) for p, _ in items])
-        if probs.min() < -1e-12:
-            raise InvariantError(f"negative probability {probs.min():.3e}")
-        if abs(probs.sum() - 1.0) > TRACE_TOL:
+        if not probs.min() >= -1e-12:
+            raise InvariantError(f"probabilities must be nonnegative: min {probs.min():.3e}")
+        if not abs(probs.sum() - 1.0) <= TRACE_TOL:
             raise InvariantError(
                 f"probabilities sum to {probs.sum()!r}, expected 1 within {TRACE_TOL}"
             )
@@ -393,8 +352,8 @@ class Povm:
         if not items:
             raise InvariantError("POVM needs at least one element")
         weights = np.array([float(q) for q, _ in items])
-        if weights.min() < -1e-12:
-            raise InvariantError(f"negative POVM weight {weights.min():.3e}")
+        if not weights.min() >= -1e-12:
+            raise InvariantError(f"POVM weights must be nonnegative: min {weights.min():.3e}")
         directions = tuple(w for _, w in items)
         d = directions[0].dim
         total = np.zeros((d, d), dtype=complex)
@@ -403,7 +362,7 @@ class Povm:
                 raise DimensionError("POVM directions span several dimensions")
             total += q * w.projector()
         defect = float(np.abs(total - np.eye(d)).max())
-        if defect > POVM_TOL:
+        if not defect <= POVM_TOL:
             raise InvariantError(f"POVM is not complete: identity defect {defect:.6e}")
         self.weights = _readonly(np.clip(weights, 0.0, None))
         self.directions = directions

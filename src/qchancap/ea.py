@@ -1,10 +1,11 @@
 """Entanglement-assisted capacity and related density-matrix ascents.
 
-C_E is a concave maximization over input states, solved Frank-Wolfe style
-(linearize, move toward the best vertex, exact line search) with projected
-gradient refinement; the Frank-Wolfe gap at the returned iterate is a true
-upper bound on suboptimality.  The single-letter coherent information and
-limited-EA's density pricing are multistart sphere searches with no global
+Every density objective here runs one sphere search over vec(M), with
+rho = M M^dag / Tr(M M^dag) (_density_search).  C_E is a concave
+maximization over input states: its searches end in rounds, and the
+Frank-Wolfe gap at a round's end point is a true upper bound on that
+point's suboptimality.  The single-letter coherent information and
+limited-EA's density pricing are multistart searches with no global
 claim.  The limited-entanglement formula runs on c1inf's chi master over
 density columns, with the entanglement budget as one linear row, and
 density pricing; it is flagged experimental.
@@ -31,15 +32,13 @@ from .c1inf import C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
 from .info import limited_ea_objective, quantum_mutual_information
 from .optim import (
     EntropySum,
-    ascend_density_step,
     line_max_concave,
     minimize_on_sphere,
     minimize_on_spheres,
     renormalize_density,
 )
 
-CEA_ITERS = 300  # c_ea's Frank-Wolfe iterations
-REFINE_STEPS = 4  # c_ea's projected-gradient steps after each Frank-Wolfe step
+CEA_ROUNDS = 20  # c_ea's rounds of one sphere search and one Frank-Wolfe step
 COHERENT_ITERS = 200  # coherent_info_max's search iterations per start
 COHERENT_GAIN = 1e-9  # a coherent_info_max start has converged once an iteration gains less
 
@@ -48,8 +47,8 @@ COHERENT_GAIN = 1e-9  # a coherent_info_max start has converged once an iteratio
 class CEResult:
     value: float
     rho_star: DensityMatrix
-    gradient_residual: float  # Frank-Wolfe gap at termination
-    iterations: int
+    gradient_residual: float  # Frank-Wolfe gap at rho_star
+    iterations: int  # rounds run
     entanglement_rate: float  # H(rho_star), EPR pairs consumed per use
     status: str  # "converged" | "round-limit"
 
@@ -73,66 +72,47 @@ def coherent_objective(ch: QuantumChannel) -> EntropySum:
     return EntropySum([(1.0, ch), (-1.0, complementary_channel(ch))])
 
 
-def _fw_step(obj: EntropySum, mat, val):
-    """One Frank-Wolfe step from `mat`, whose value is `val`: the gap, and the
-    line-searched move toward the maximizing vertex (a pure state of the
-    gradient's top eigenvector) with its value."""
+def _fw_step(obj: EntropySum, mat):
+    """One Frank-Wolfe step from `mat`: the gap, and the line-searched move
+    toward the maximizing vertex (a pure state of the gradient's top
+    eigenvector)."""
     g = obj.grad(mat)
     eigs, vecs = np.linalg.eigh(g)
     gap = float(eigs[-1] - np.trace(g @ mat).real)
     vertex = np.outer(vecs[:, -1], vecs[:, -1].conj())
     direction = vertex - mat
     t = line_max_concave(obj.line_deriv(mat, direction), 1.0, rounds=40)
-    if t > 0:
-        nxt = mat + t * direction
-        nxt_val = obj.value(nxt)
-        if nxt_val >= val:
-            return gap, nxt, nxt_val
-    return gap, mat, val
-
-
-def _refine(obj: EntropySum, mat, val):
-    """Up to REFINE_STEPS projected-gradient steps, each kept only if it gains."""
-    for _ in range(REFINE_STEPS):
-        nxt, moved = ascend_density_step(obj.grad, mat, line_deriv=obj.line_deriv)
-        if not moved:
-            break
-        nxt = renormalize_density(nxt)
-        nxt_val = obj.value(nxt)
-        if nxt_val <= val:
-            break
-        mat, val = nxt, nxt_val
-    return mat, val
+    return gap, mat + t * direction
 
 
 def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
     """Entanglement-assisted capacity by certified concave maximization.
 
-    Alternates Frank-Wolfe steps (which provide the duality-gap certificate)
-    with projected-gradient refinement for fast interior convergence, for at
-    most CEA_ITERS iterations.  Iterates are kept infinitesimally mixed so
-    the matrix logs stay tame.  The status is "converged" once the
-    Frank-Wolfe gap is below tol, "round-limit" otherwise.
+    Runs rounds of one sphere search over vec(M) (_density_search), at most
+    CEA_ROUNDS of them; the first starts at M = I/sqrt(d).  The Frank-Wolfe
+    gap at a round's end point bounds how far its value is below C_E.  The
+    status is "converged" once that gap is below tol.  Otherwise the next
+    round starts from the Frank-Wolfe step's line-searched move, and the
+    status is "round-limit" at the cap.  rho_star is the last end point.
     """
     check_tolerance(tol, "tol")
     d = ch.dim_in
-    mix = np.eye(d) / d
-    mat = mix.copy()
     obj = qmi_objective(ch)
-    gap = np.inf
-    iterations = 0
-    for iterations in range(1, CEA_ITERS + 1):
-        mat = (1.0 - 1e-9) * mat + 1e-9 * mix
-        gap, mat, val = _fw_step(obj, mat, obj.value(mat))
+    fun_grad = _density_search(obj, d)
+    start = np.eye(d).ravel() / np.sqrt(d)
+    for rounds in range(1, CEA_ROUNDS + 1):
+        [(_, end)] = minimize_on_sphere(fun_grad, d * d, [start])
+        mat = _densities([end], d)[0]
+        gap, nxt = _fw_step(obj, mat)
         if gap < tol:
             break
-        mat, _ = _refine(obj, mat, val)
-    rho_star = DensityMatrix(renormalize_density(mat))
+        start = _factor(nxt)
+    rho_star = DensityMatrix(mat)
     return CEResult(
         value=quantum_mutual_information(ch, rho_star),
         rho_star=rho_star,
         gradient_residual=gap,
-        iterations=iterations,
+        iterations=rounds,
         entanglement_rate=von_neumann_entropy(rho_star),
         status="converged" if gap < tol else "round-limit",
     )
@@ -153,6 +133,19 @@ def _density_search(obj: EntropySum, d: int):
         return -val, -(2.0 * (p @ m) / t).reshape(-1, d * d)
 
     return fun_grad
+
+
+def _densities(vecs, d: int) -> np.ndarray:
+    """The densities M M^dag / Tr(M M^dag) of search vectors vec(M), stacked."""
+    return np.stack([renormalize_density(m @ m.conj().T) for m in np.reshape(vecs, (-1, d, d))])
+
+
+def _factor(mat) -> np.ndarray:
+    """A unit search vector vec(M) for the density mat: M is the Cholesky
+    factor of mat mixed with 1e-9 of I/d, which makes it positive definite."""
+    d = mat.shape[0]
+    m = np.linalg.cholesky((1 - 1e-9) * mat + 1e-9 * np.eye(d) / d)
+    return m.ravel() / np.linalg.norm(m)
 
 
 def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QResult:
@@ -180,8 +173,7 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
         [(fun_grad, [v]) for v in start_vecs], d * d, maxiter=COHERENT_ITERS)]
     after = minimize_on_spheres([(fun_grad, [v]) for _, v in ends], d * d, maxiter=1)
     converged = [f - minima[0][0] < COHERENT_GAIN for (f, _), minima in zip(ends, after)]
-    rhos = np.stack([renormalize_density(m @ m.conj().T)
-                     for m in np.reshape([v for _, v in ends], (-1, d, d))])
+    rhos = _densities([v for _, v in ends], d)
     values = obj.value(rhos).tolist()
 
     order = sorted(range(len(ends)), key=lambda i: -values[i])
@@ -231,19 +223,16 @@ def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
     densities (phi(rho) > tol) as (violation, rho) pairs, best first.
     """
     d = ch.dim_in
-    eye = np.eye(d)
     phi = EntropySum([(1.0 - mu, identity_channel(d)), (-1.0, complementary_channel(ch))],
                      linear=-tau)
-    start_mats = [np.linalg.cholesky((1 - 1e-9) * mat + 1e-9 * eye / d)
-                  for mat in [*columns[-3:], rho_bar]]
+    start_vecs = [_factor(mat) for mat in [*columns[-3:], rho_bar]]
     for _ in range(starts):
-        start_mats.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    start_vecs = [m.ravel() / np.linalg.norm(m) for m in start_mats]
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        start_vecs.append(m.ravel() / np.linalg.norm(m))
 
     minima = minimize_on_sphere(_density_search(phi, d), d * d, start_vecs, gtol=1e-9,
                                 maxiter=300)
-    rhos = np.stack([renormalize_density(m @ m.conj().T)
-                     for m in np.reshape([v for _, v in minima], (-1, d, d))])
+    rhos = _densities([v for _, v in minima], d)
     violations = phi.value(rhos)
     found = [(float(val), rho) for val, rho in zip(violations, rhos) if val > tol]
     found.sort(key=lambda it: -it[0])

@@ -36,9 +36,9 @@ class JointDistribution:
         table = np.asarray(table, dtype=float)
         if table.ndim != 2:
             raise DimensionError(f"joint distribution must be a matrix, got shape {table.shape}")
-        if table.min() < 0.0:
-            raise InvariantError(f"negative joint probability {table.min():.3e}")
-        if abs(table.sum() - 1.0) > 1e-9:
+        if not table.min() >= 0.0:  # NaN fails every comparison
+            raise InvariantError(f"joint probabilities must be nonnegative: min {table.min():.3e}")
+        if not abs(table.sum() - 1.0) <= 1e-9:
             raise InvariantError(f"joint probabilities sum to {table.sum()!r}")
         self.table = table.copy()
         self.table.flags.writeable = False
@@ -57,10 +57,10 @@ class ClassicalChannel:
 
     def __init__(self, transitions):
         t = np.asarray(transitions, dtype=float)
-        if t.ndim != 2 or t.min() < -1e-12:
+        if t.ndim != 2 or not t.min() >= -1e-12:  # NaN fails every comparison
             raise InvariantError("transition matrix must be nonnegative and 2-d")
         rows = t.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-10:
+        if not np.abs(rows - 1.0).max() <= 1e-10:
             raise InvariantError(f"rows must sum to 1; max deviation {np.abs(rows - 1.0).max():.3e}")
         self.transitions = np.clip(t, 0.0, None)
         self.transitions.flags.writeable = False

@@ -12,8 +12,11 @@ row.  The pivot rule is largest-coefficient.  After a run of degenerate
 pivots it switches to Bland's rule on both sides for the rest of the solve:
 the entering column is the eligible one of smallest index, and the leaving
 row, among those tied at the minimum ratio, the one whose basic variable has
-the smallest index.  In exact arithmetic that rules out cycling (Bland 1977);
-under roundoff the pivot cap still bounds the run.
+the smallest index.  A pivot counts as degenerate when its objective gain
+(step times reduced cost) is at most 1e-12, so roundoff-sized steps cannot
+reset the run that switches Bland's rule on, and once on it stays on.  In
+exact arithmetic Bland's rule rules out cycling (Bland 1977); under roundoff
+the pivot cap still bounds the run.
 """
 
 from dataclasses import dataclass, field
@@ -314,7 +317,7 @@ def _simplex(work, b, cost, basis, artificial, pivots):
             if abs(d[leave]) < NEGLIGIBLE_PIVOT and not forced:
                 passed_over[j] = True
                 continue
-        degenerate_streak = degenerate_streak + 1 if (best_t < 1e-12 or bland) else 0
+        degenerate_streak = degenerate_streak + 1 if (best_t * reduced[j] <= 1e-12 or bland) else 0
         basis[leave] = j
         pivots += 1
         passed_over[:] = False

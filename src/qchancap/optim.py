@@ -3,9 +3,10 @@
 Multistart local minimization over unit state vectors, for one problem or
 for several at once, and the lockstep driver that runs independent
 resumable tasks so that their searches share one batch; the entropy-sum
-objectives of the density-matrix ascents, line maximization of concave
-objectives along density-matrix segments, and the step-to-boundary
-computation that keeps iterates positive semidefinite.
+objectives of the density searches, and line maximization of concave
+objectives along density-matrix segments (C_E's Frank-Wolfe step).  The
+projected-gradient ascent step and its PSD step-to-boundary are reached
+only by the tests and perfbench's tracer, which wraps the step by name.
 """
 
 import numpy as np
@@ -282,6 +283,7 @@ def traceless_part(mat: np.ndarray) -> np.ndarray:
     return mat - (np.trace(mat) / d) * np.eye(d)
 
 
+# No engine calls this; it stays while perfbench's tracer wraps it by name.
 def ascend_density_step(grad_fn, rho: np.ndarray, *, line_deriv):
     """One projected-gradient ascent step over the density-matrix set.
 

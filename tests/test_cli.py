@@ -116,6 +116,19 @@ def _capped_coherent_qutrit(capsys, monkeypatch, tmp_path):
     return _coherent_qutrit(capsys, tmp_path)
 
 
+def test_cea_converges_on_a_ququart(capsys, tmp_path):
+    # an ascent of Frank-Wolfe and projected-gradient steps hit its cap here
+    from qchancap.channels import write_channel_file
+    from qchancap.core import random_channel
+
+    path = tmp_path / "ququart.qch"
+    ch = random_channel(np.random.default_rng(142), 4, 2, 3)
+    write_channel_file(path, "ququart", kraus=ch.kraus)
+    code, fields = run_text(capsys, ["cea", "--channel", str(path)])
+    assert code == 0 and fields["status"] == "converged"
+    assert float(fields["value_bits"]) >= 1.975339655543 - 1e-9
+
+
 def test_coherent_converges_on_a_qutrit(capsys, tmp_path):
     code, fields = _coherent_qutrit(capsys, tmp_path)
     assert code == 0 and fields["status"] == "converged"
@@ -132,6 +145,40 @@ def test_coherent_lists_no_maxima_when_no_start_converges(capsys, monkeypatch, t
     code, fields = _capped_coherent_qutrit(capsys, monkeypatch, tmp_path)
     assert code == 2
     assert fields["cert_local_maxima"] == "0" and json.loads(fields["local_values"]) == []
+
+
+def _corrupt_file(tmp_path, bundled, place, value):
+    """A copy of a bundled channel file with one number replaced by a
+    literal that Python's json reads (NaN, Infinity)."""
+    from qchancap.channels import resolve_channel_path
+
+    doc = json.loads(resolve_channel_path(bundled).read_text())
+    place(doc)[0] = value
+    path = tmp_path / "corrupt.qch"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+CORRUPT = [
+    ("arimoto-blahut", "bsc_0.11_classical.qch", lambda doc: doc["transition"][0],
+     "transition matrix"),
+    ("chi", "trine.qch", lambda doc: doc["signals"][1][0], "not a unit vector"),
+    *[(command, "identity.qch", lambda doc: doc["kraus"][0][0][0], "not trace-preserving")
+      for command in ("cea", "coherent", "c1inf")],
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("command, bundled, place, invariant", CORRUPT,
+                         ids=[case[0] for case in CORRUPT])
+def test_a_non_finite_entry_is_rejected(capsys, tmp_path, command, bundled, place, invariant,
+                                        value):
+    # NaN fails every comparison, so a check of the form defect > tol let it through
+    path = _corrupt_file(tmp_path, bundled, place, value)
+    assert main([command, "--channel", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert invariant in captured.err
 
 
 def test_arimoto_blahut_cli(capsys):

@@ -12,6 +12,7 @@ from qchancap.core import (
     random_channel,
     random_density,
     random_pure,
+    shannon_entropy,
 )
 from qchancap.c1inf import (
     C1InfOptions,
@@ -94,6 +95,49 @@ def test_cea_at_least_c1inf():
         assert ce.value >= c1.value - 1e-6
 
 
+@pytest.mark.parametrize("seed, kraus_count, value", [(39, 3, 1.960701620323),
+                                                      (142, 3, 1.975339655543),
+                                                      (48, 4, 1.375818026867)])
+def test_cea_converges_on_ququarts(seed, kraus_count, value):
+    # an ascent of Frank-Wolfe steps and projected-gradient steps ended these
+    # below these values, at its iteration cap
+    res = c_ea(random_channel(np.random.default_rng(seed), 4, 2, kraus_count))
+    assert res.status == "converged" and res.gradient_residual < 1e-7
+    assert res.value >= value - 1e-9
+
+
+def erasure(eps, d):
+    """The erasure channel on C^d: the input, or with probability eps the flag |d>."""
+    keep = np.sqrt(1 - eps) * np.eye(d + 1, d)
+    flag = np.eye(d + 1)[d]
+    return QuantumChannel([keep, *[np.sqrt(eps) * np.outer(flag, e) for e in np.eye(d)]])
+
+
+def weyl_depolarizing(p, d):
+    """The depolarizing channel on C^d from the d^2 Weyl operators X^a Z^b, and
+    its error probabilities: 1 - p + p/d^2 for the identity, p/d^2 for each other."""
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+           for a in range(d) for b in range(d)]
+    probs = np.full(d * d, p / d**2)
+    probs[0] += 1 - p
+    return QuantumChannel([np.sqrt(q) * op for q, op in zip(probs, ops)]), probs
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_cea_meets_the_closed_forms(d):
+    # Bennett, DiVincenzo and Smolin (1997) for erasure; Bennett, Shor, Smolin
+    # and Thapliyal (2002) for depolarizing
+    res = c_ea(erasure(0.3, d))
+    assert res.status == "converged"
+    assert res.value == pytest.approx(2 * 0.7 * np.log2(d), abs=1e-12)
+    ch, probs = weyl_depolarizing(0.3, d)
+    res = c_ea(ch)
+    assert res.status == "converged"
+    assert res.value == pytest.approx(2 * np.log2(d) - shannon_entropy(probs), abs=1e-12)
+
+
 def test_qmi_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -160,11 +204,11 @@ def test_coherent_reaches_the_ball_oracle(seed, kraus_count):
 
 
 def test_cea_status_compares_its_gap_with_tol(monkeypatch):
-    ch = amplitude_damping(0.3)
-    full = c_ea(ch)
+    full = c_ea(amplitude_damping(0.3))
     assert full.status == "converged" and full.gradient_residual < 1e-7
-    monkeypatch.setattr(ea_module, "CEA_ITERS", 1)
-    short = c_ea(ch)
+    # one round leaves this channel's gap above 1e-7; a second round closes it
+    monkeypatch.setattr(ea_module, "CEA_ROUNDS", 1)
+    short = c_ea(random_channel(np.random.default_rng(142), 4, 2, 3))
     assert short.status == "round-limit" and short.gradient_residual >= 1e-7
 
 

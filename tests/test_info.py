@@ -6,6 +6,7 @@ import pytest
 from qchancap.core import (
     DensityMatrix,
     Ensemble,
+    InvariantError,
     Povm,
     PureState,
     QuantumChannel,
@@ -99,6 +100,14 @@ def test_mutual_information_bsc():
 def test_joint_distribution_validation():
     with pytest.raises(Exception):
         JointDistribution(np.array([[0.6, -0.1], [0.3, 0.2]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classical_tables_reject_non_finite_entries(bad):
+    with pytest.raises(InvariantError, match="joint probabilities"):
+        JointDistribution(np.array([[bad, 0.25], [0.25, 0.25]]))
+    with pytest.raises(InvariantError, match="transition matrix|rows must sum to 1"):
+        ClassicalChannel([[bad, 0.5], [0.5, 0.5]])
 
 
 # --- Holevo chi -----------------------------------------------------------------

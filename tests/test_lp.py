@@ -308,6 +308,21 @@ def test_captured_ququart_master_terminates_under_bland(monkeypatch):
         _assert_optimal_dual(lp, sol, best)
 
 
+def test_captured_warm_measurement_master_terminates(monkeypatch):
+    # a c11 measurement master of a random qutrit channel (9 rows, 88
+    # columns), warm-started from the previous basis: its basis cycled in
+    # steps of at most 4.2e-12, which reset a degenerate-pivot count kept on
+    # the step length, so Bland's rule never began
+    monkeypatch.setattr(lp_module, "MAX_PIVOTS", 20_000)
+    lp, warm = _captured("roundoff")
+    best, _ = _highs(lp)
+    for start, pivots in ((warm, 567), (None, 51)):
+        sol = solve_lp(lp, warm_basis=start)
+        assert sol.status == "optimal" and sol.pivots == pivots
+        assert sol.objective == pytest.approx(best, abs=1e-11)
+        _assert_optimal_dual(lp, sol, best)
+
+
 def test_pivot_cap_is_read_at_solve_time(monkeypatch):
     monkeypatch.setattr(lp_module, "MAX_PIVOTS", 5)
     lp, _ = _captured("cycling")
