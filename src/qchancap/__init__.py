@@ -13,9 +13,7 @@ from .core import (
     Povm,
     PureState,
     QuantumChannel,
-    apply_channel,
     povm_probabilities,
-    purify,
     shannon_entropy,
     square_root_measurement,
     tensor,

@@ -124,26 +124,6 @@ def resolve_channel_path(path) -> Path:
     raise ChannelFileError(f"channel file not found: {path}")
 
 
-def write_channel_file(path, name, kraus=None, signals=None, transition=None, metadata=None):
-    doc = {"name": name}
-    if transition is not None:
-        doc["transition"] = [[float(x) for x in row] for row in np.asarray(transition)]
-    else:
-        ops = [np.asarray(a, dtype=complex) for a in kraus]
-        doc["dim_out"], doc["dim_in"] = ops[0].shape
-        doc["kraus"] = [
-            [[[float(x.real), float(x.imag)] for x in row] for row in op] for op in ops
-        ]
-        if signals is not None:
-            doc["signals"] = [
-                [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
-                for v in signals
-            ]
-    if metadata:
-        doc["metadata"] = metadata
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Built-in channel library.
 # ---------------------------------------------------------------------------

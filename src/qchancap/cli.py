@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    DensityMatrix,
     Ensemble,
     Povm,
     PureState,
@@ -64,25 +63,6 @@ def dump_ensemble(ens: Ensemble) -> list:
 
 def dump_povm(povm: Povm) -> list:
     return [[float(q), _dump_vector(w.vec)] for q, w in zip(povm.weights, povm.directions)]
-
-
-def load_ensemble(dumped, dim: int) -> Ensemble:
-    items = []
-    for p, payload in dumped:
-        arr = np.asarray(payload, dtype=float)
-        if arr.ndim == 2:  # vector of [re, im] pairs
-            items.append((p, PureState(arr[:, 0] + 1j * arr[:, 1])))
-        else:
-            items.append((p, DensityMatrix(arr[..., 0] + 1j * arr[..., 1])))
-    return Ensemble(items)
-
-
-def load_povm(dumped) -> Povm:
-    items = []
-    for q, vec in dumped:
-        arr = np.asarray(vec, dtype=float)
-        items.append((q, PureState(arr[:, 0] + 1j * arr[:, 1])))
-    return Povm(items)
 
 
 @dataclass
@@ -136,6 +116,19 @@ def emit_csv(header, rows, stream) -> None:
         writer.writerow([x if isinstance(x, str) else _fmt(x) for x in row])
 
 
+def _channel_file(args) -> ChannelFile:
+    """Parse --channel.  arimoto-blahut reads a transition matrix and every
+    other subcommand Kraus operators; a file of the other kind is an error."""
+    cf = parse_channel(args.channel)
+    classical = cf.transition is not None
+    if classical != (args.command == "arimoto-blahut"):
+        kind, needs = ("classical", "'kraus' operators") if classical else (
+            "quantum", "a 'transition' matrix")
+        raise ChannelFileError(
+            f"{args.channel}: channel '{cf.name}' is {kind}; {args.command} needs {needs}")
+    return cf
+
+
 def _uniform_signal_ensemble(cf: ChannelFile) -> Ensemble:
     if not cf.signals:
         raise ChannelFileError(
@@ -146,7 +139,7 @@ def _uniform_signal_ensemble(cf: ChannelFile) -> Ensemble:
 
 
 def _cmd_chi(args) -> RunReport:
-    cf = parse_channel(args.channel)
+    cf = _channel_file(args)
     ens = _uniform_signal_ensemble(cf)
     out_ens = channel_ensemble(cf.channel, ens)
     value = holevo_chi(out_ens)
@@ -157,7 +150,7 @@ def _cmd_chi(args) -> RunReport:
 
 
 def _cmd_accinfo(args) -> RunReport:
-    cf = parse_channel(args.channel)
+    cf = _channel_file(args)
     ens = _uniform_signal_ensemble(cf)
     out_ens = channel_ensemble(cf.channel, ens)
     opts = C11Options(starts=args.starts, pricing_tol=args.tol, measurement_rounds=args.max_rounds)
@@ -170,7 +163,7 @@ def _cmd_accinfo(args) -> RunReport:
 
 
 def _cmd_c1inf(args) -> RunReport:
-    cf = parse_channel(args.channel)
+    cf = _channel_file(args)
     opts = C1InfOptions(
         tol=args.tol, starts=args.starts, seed=args.seed, max_rounds=args.max_rounds
     )
@@ -187,7 +180,7 @@ def _cmd_c1inf(args) -> RunReport:
 
 
 def _cmd_c11(args) -> RunReport:
-    cf = parse_channel(args.channel)
+    cf = _channel_file(args)
     opts = C11Options(starts=args.starts, pricing_tol=args.tol, measurement_rounds=args.max_rounds)
     res = c11(cf.channel, restricted_signals=cf.signals,
               restarts=args.restarts, seed=args.seed, opts=opts)
@@ -201,7 +194,7 @@ def _cmd_c11(args) -> RunReport:
 
 
 def _cmd_cea(args) -> RunReport:
-    cf = parse_channel(args.channel)
+    cf = _channel_file(args)
     res = c_ea(cf.channel, tol=args.tol)
     return RunReport(
         capacity="cea", value_bits=res.value, status=res.status,
@@ -215,7 +208,7 @@ def _cmd_cea(args) -> RunReport:
 
 
 def _cmd_coherent(args) -> RunReport:
-    cf = parse_channel(args.channel)
+    cf = _channel_file(args)
     res = coherent_info_max(cf.channel, starts=args.starts, seed=args.seed)
     return RunReport(
         capacity="coherent", value_bits=res.value, status=res.status, seed=args.seed,
@@ -226,7 +219,7 @@ def _cmd_coherent(args) -> RunReport:
 
 
 def _cmd_limited_ea(args) -> RunReport:
-    cf = parse_channel(args.channel)
+    cf = _channel_file(args)
     opts = LimitedEaOptions(seed=args.seed, tol=max(args.tol, 1e-8))
     value, ens, status = limited_ea(cf.channel, args.B, opts)
     return RunReport(
@@ -238,11 +231,7 @@ def _cmd_limited_ea(args) -> RunReport:
 
 
 def _cmd_arimoto_blahut(args) -> RunReport:
-    cf = parse_channel(args.channel)
-    if cf.transition is None:
-        raise ChannelFileError(
-            f"channel '{cf.name}' is quantum; arimoto-blahut needs a 'transition' matrix"
-        )
+    cf = _channel_file(args)
     value, dist = arimoto_blahut(ClassicalChannel(cf.transition), tol=args.tol)
     return RunReport(
         capacity="arimoto-blahut", value_bits=value, status="converged",
@@ -251,7 +240,7 @@ def _cmd_arimoto_blahut(args) -> RunReport:
 
 
 def _cmd_oracle(args) -> RunReport:
-    cf = parse_channel(args.channel)
+    cf = _channel_file(args)
     if args.name == "accinfo":
         ens = _uniform_signal_ensemble(cf)
         out_ens = channel_ensemble(cf.channel, ens)

@@ -174,13 +174,6 @@ class QuantumChannel:
         self.diagonal_output = all(np.count_nonzero(a.any(axis=1)) <= 1 for a in ops)
 
 
-def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the Kraus sum to a density matrix."""
-    if rho.dim != ch.dim_in:
-        raise DimensionError(f"state dim {rho.dim} != channel input dim {ch.dim_in}")
-    return DensityMatrix(channel_apply_mat(ch, rho.mat))
-
-
 def channel_apply_mat(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
     """Kraus sum on a raw matrix or a stack (..., d, d) of them (no validity
     wrapping)."""
@@ -384,31 +377,6 @@ def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def purify(rho: DensityMatrix, reference_unitary: np.ndarray = None) -> PureState:
-    """A purification on system (x) reference, reference dimension = rank(rho).
-
-    Phi = sum_k sqrt(l_k) e_k (x) f_k with {l_k, e_k} the nonzero eigenpairs
-    and {f_k} the reference basis (optionally rotated by `reference_unitary`);
-    the partial trace over the reference recovers rho.
-    """
-    eigs, vecs = np.linalg.eigh(rho.mat)
-    order = np.argsort(eigs)[::-1]
-    eigs, vecs = eigs[order], vecs[:, order]
-    keep = eigs > 1e-12
-    eigs, vecs = eigs[keep], vecs[:, keep]
-    r = int(eigs.size)
-    ref = np.eye(r, dtype=complex)
-    if reference_unitary is not None:
-        ref = np.asarray(reference_unitary, dtype=complex)
-        if ref.shape != (r, r):
-            raise DimensionError(f"reference unitary must be {r}x{r}, got {ref.shape}")
-    phi = np.zeros(rho.dim * r, dtype=complex)
-    for k in range(r):
-        phi += np.sqrt(eigs[k]) * np.kron(vecs[:, k], ref[:, k])
-    phi /= np.linalg.norm(phi)
-    return PureState(phi)
-
-
 def square_root_measurement(states) -> Povm:
     """POVM elements phi^{-1/2} w_i w_i^dag phi^{-1/2}, phi = sum_i w_i w_i^dag.
 
@@ -505,18 +473,3 @@ def random_channel(
     )
     q, _ = np.linalg.qr(g)
     return QuantumChannel([q[i * dim_out:(i + 1) * dim_out, :] for i in range(kraus_count)])
-
-
-def random_rank_one_povm(rng: np.random.Generator, dim: int, outcomes: int) -> Povm:
-    """Random rank-one POVM from the first dim columns of a Haar-ish unitary."""
-    if outcomes < dim:
-        raise DimensionError("need at least dim outcomes")
-    g = rng.normal(size=(outcomes, outcomes)) + 1j * rng.normal(size=(outcomes, outcomes))
-    q, _ = np.linalg.qr(g)
-    iso = q[:, :dim]
-    items = []
-    for row in iso:
-        v = row.conj()
-        w = float(np.vdot(v, v).real)
-        items.append((w, normalized_state(fix_phase(v))))
-    return Povm(items)

@@ -261,11 +261,13 @@ def _simplex(work, b, cost, basis, artificial, pivots):
     enter, and rows where they sit basic force a zero-ratio exit as soon
     as the entering column touches them.
 
-    Outside Bland's rule, an entering column whose ratio test leaves only a
-    negligible pivot is passed over until the next pivot, as long as another
-    column can enter: pivoting on such an element makes a near-singular
-    basis, whose next ratio test is computed from noise and can leave the
-    basic solution infeasible.
+    The leaving row is always a minimum-ratio row, so a step never drives a
+    basic variable (artificials included) past its bound by more than
+    roundoff.  Negligible pivots have one rule: outside Bland's rule, an
+    entering column whose minimum-ratio row offers only a pivot below
+    NEGLIGIBLE_PIVOT is passed over until the next pivot, as long as another
+    column can enter, because pivoting on such an element makes a
+    near-singular basis.
     """
     m = b.size
     basis = np.array(basis, dtype=int)
@@ -311,9 +313,11 @@ def _simplex(work, b, cost, basis, artificial, pivots):
         if not candidates:
             return basis, xb, "unbounded", pivots
         if bland:
-            leave, best_t = _bland_leaving(candidates, basis)
+            # Bland: among the tied rows, the smallest basic index leaves
+            leave, best_t = _leaving_row(candidates, lambda i, cur: basis[i] < basis[cur])
         else:
-            leave, best_t = _choose_leaving(candidates, xb, d, basis, artificial)
+            leave, best_t = _leaving_row(
+                candidates, lambda i, cur: _prefer_leaving(d, basis, artificial, i, cur))
             if abs(d[leave]) < NEGLIGIBLE_PIVOT and not forced:
                 passed_over[j] = True
                 continue
@@ -323,51 +327,17 @@ def _simplex(work, b, cost, basis, artificial, pivots):
         passed_over[:] = False
 
 
-def _ratio_window(best: float) -> float:
-    return best + 1e-9 * (1.0 + best)
-
-
-def _bland_leaving(candidates, basis):
-    """Bland's leaving rule: among the rows tied at the minimum ratio, the one
-    whose basic variable has the smallest index."""
+def _leaving_row(candidates, prefer):
+    """The minimum-ratio row: among the candidate (ratio, row) pairs within a
+    small window of the best ratio, the row that `prefer(i, current)` ranks
+    first.  Returns (row, best ratio)."""
     best = min(t for t, _ in candidates)
-    window = _ratio_window(best)
-    leave = min((i for t, i in candidates if t <= window), key=lambda i: basis[i])
-    return leave, best
-
-
-def _choose_leaving(candidates, xb, d, basis, artificial):
-    """Ratio-test selection with two stability passes.
-
-    Inside a small window around the best ratio the largest pivot wins.  If
-    even that pivot is negligible (a near-zero basic variable blocking with a
-    near-zero coefficient), the blocking rows with negligible pivots are
-    dropped and the step re-taken against the healthy rows, provided the
-    whole basic solution stays feasible to 1e-9; pivoting on such an element
-    would leave a near-singular basis.
-    """
-
-    def pick(cands):
-        best = min(t for t, _ in cands)
-        window = _ratio_window(best)
-        chosen = -1
-        for t, i in cands:
-            if t > window:
-                continue
-            if chosen < 0 or _prefer_leaving(d, basis, artificial, i, chosen):
-                chosen = i
-        return chosen, best
-
-    leave, best_t = pick(candidates)
-    if abs(d[leave]) < NEGLIGIBLE_PIVOT:
-        strong = [(t, i) for t, i in candidates if abs(d[i]) >= NEGLIGIBLE_PIVOT]
-        if strong:
-            alt_leave, alt_t = pick(strong)
-            drift = xb - alt_t * d
-            drift[alt_leave] = alt_t
-            if float(drift.min()) >= -1e-9:
-                return alt_leave, alt_t
-    return leave, best_t
+    window = best + 1e-9 * (1.0 + best)
+    chosen = -1
+    for t, i in candidates:
+        if t <= window and (chosen < 0 or prefer(i, chosen)):
+            chosen = i
+    return chosen, best
 
 
 def _prefer_leaving(d, basis, artificial, i, current) -> bool:

@@ -20,7 +20,6 @@ from qchancap.core import (
     random_channel,
     random_density,
     random_pure,
-    random_rank_one_povm,
 )
 from qchancap.c11 import induced_classical_channel
 from qchancap.c1inf import (
@@ -40,6 +39,8 @@ from qchancap.c1inf import (
 from qchancap.info import arimoto_blahut, ClassicalChannel, holevo_chi
 from qchancap.optim import EntropySum
 from qchancap.oracles import simplex_enumerate_chi
+
+from helpers import random_rank_one_povm
 
 c1inf_module = importlib.import_module("qchancap.c1inf")  # the package exports c1inf() by that name
 

@@ -19,10 +19,11 @@ from qchancap.channels import (
     trine_signals,
     two_copy_trine_signals,
     two_state_signals,
-    write_channel_file,
 )
 from qchancap.c1inf import C1InfProblem, c1inf
-from qchancap.core import apply_channel, DensityMatrix, QuantumChannel, identity_channel
+from qchancap.core import QuantumChannel, channel_apply_mat, identity_channel
+
+from helpers import write_channel_file
 
 
 def test_builtin_channels_are_valid():
@@ -39,15 +40,15 @@ def test_fully_depolarizing_erases_input():
     from qchancap.core import random_density
 
     for _ in range(5):
-        out = apply_channel(ch, random_density(rng, 2))
-        assert np.abs(out.mat - np.eye(2) / 2).max() < 1e-12
+        out = channel_apply_mat(ch, random_density(rng, 2).mat)
+        assert np.abs(out - np.eye(2) / 2).max() < 1e-12
 
 
 def test_bsc_embed_acts_as_classical_bsc():
     ch = bsc_embed(0.11)
-    out = apply_channel(ch, DensityMatrix(np.diag([1.0, 0.0])))
-    assert np.abs(np.diag(out.mat).real - np.array([0.89, 0.11])).max() < 1e-12
-    assert np.abs(out.mat - np.diag(np.diag(out.mat))).max() < 1e-12
+    out = channel_apply_mat(ch, np.diag([1.0, 0.0]))
+    assert np.abs(np.diag(out).real - np.array([0.89, 0.11])).max() < 1e-12
+    assert np.abs(out - np.diag(np.diag(out))).max() < 1e-12
 
 
 def test_diagonal_output_is_derived_from_the_kraus_operators():

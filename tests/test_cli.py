@@ -15,12 +15,12 @@ from qchancap.cli import (
     build_parser,
     emit_csv,
     fig1_rows,
-    load_ensemble,
-    load_povm,
     main,
 )
 from qchancap.core import binary_entropy, channel_ensemble, DensityMatrix
 from qchancap.info import accessible_information_given, holevo_chi, quantum_mutual_information
+
+from helpers import load_ensemble, load_povm, write_channel_file
 
 
 def run_text(capsys, argv):
@@ -45,7 +45,7 @@ def test_accinfo_roundtrip(capsys):
     value = float(fields["value_bits"])
     assert value == pytest.approx(np.log2(3) - 1, abs=1e-4)
     # the dumped ensemble and POVM reproduce the reported value
-    ens = load_ensemble(json.loads(fields["ensemble"]), 2)
+    ens = load_ensemble(json.loads(fields["ensemble"]))
     povm = load_povm(json.loads(fields["povm"]))
     from qchancap.channels import parse_channel
 
@@ -58,7 +58,7 @@ def test_c1inf_roundtrip(capsys):
     assert code == 0
     value = float(fields["value_bits"])
     assert value == pytest.approx(1 - binary_entropy(0.11), abs=1e-5)
-    ens = load_ensemble(json.loads(fields["ensemble"]), 2)
+    ens = load_ensemble(json.loads(fields["ensemble"]))
     from qchancap.channels import parse_channel
 
     out_ens = channel_ensemble(parse_channel("bsc_0.11.qch").channel, ens)
@@ -84,7 +84,7 @@ def test_c11_roundtrip(capsys):
     )
     assert code == 0
     value = float(fields["value_bits"])
-    ens = load_ensemble(json.loads(fields["ensemble"]), 2)
+    ens = load_ensemble(json.loads(fields["ensemble"]))
     povm = load_povm(json.loads(fields["povm"]))
     from qchancap.channels import parse_channel
 
@@ -100,7 +100,6 @@ def test_coherent_report(capsys):
 
 
 def _coherent_qutrit(capsys, tmp_path):
-    from qchancap.channels import write_channel_file
     from qchancap.core import random_channel
 
     path = tmp_path / "qutrit.qch"
@@ -118,7 +117,6 @@ def _capped_coherent_qutrit(capsys, monkeypatch, tmp_path):
 
 def test_cea_converges_on_a_ququart(capsys, tmp_path):
     # an ascent of Frank-Wolfe and projected-gradient steps hit its cap here
-    from qchancap.channels import write_channel_file
     from qchancap.core import random_channel
 
     path = tmp_path / "ququart.qch"
@@ -194,6 +192,28 @@ def test_arimoto_blahut_rejects_quantum_file(capsys):
     assert "transition" in capsys.readouterr().err
 
 
+QUANTUM_ONLY_ARGV = {
+    "chi": [], "accinfo": [], "c11": [], "c1inf": [], "cea": [], "coherent": [],
+    "limited-ea": ["--B", "0.5"], "oracle": ["--name", "qmi"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUANTUM_ONLY_ARGV))
+def test_quantum_subcommands_reject_a_classical_file(capsys, command):
+    argv = [command, "--channel", "bsc_0.11_classical.qch", *QUANTUM_ONLY_ARGV[command]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bsc_0.11_classical.qch: ")
+    assert "is classical" in captured.err
+
+
+def test_c11_on_dephasing_at_seed_2_finishes(capsys):
+    # a negligible pivot in one of its measurement masters once lifted an
+    # artificial off zero, and the run ended in an LP error
+    assert main(["c11", "--channel", "dephasing_0.25.qch", "--seed", "2"]) == 0
+
+
 def test_missing_channel_is_error(capsys):
     assert main(["chi", "--channel", "nowhere.qch"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -249,7 +269,7 @@ def test_limited_ea_cli(capsys):
     value = float(fields["value_bits"])
     assert 1.0 - 1e-6 <= value <= 2.0 + 1e-6
     assert fields["experimental"] == "true"
-    ens = load_ensemble(json.loads(fields["ensemble"]), 2)
+    ens = load_ensemble(json.loads(fields["ensemble"]))
     from qchancap.channels import parse_channel
     from qchancap.info import limited_ea_objective
 

@@ -12,7 +12,6 @@ from qchancap.core import (
     Povm,
     PureState,
     QuantumChannel,
-    apply_channel,
     binary_entropy,
     channel_apply_mat,
     check_tolerance,
@@ -28,7 +27,6 @@ from qchancap.core import (
     matrix_entropy,
     normalized_state,
     povm_probabilities,
-    purify,
     random_channel,
     random_density,
     random_pure,
@@ -37,6 +35,8 @@ from qchancap.core import (
     tensor,
     von_neumann_entropy,
 )
+
+from helpers import random_rank_one_povm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -83,13 +83,13 @@ def test_validate_channel_shape_mismatch():
         QuantumChannel([np.eye(2), np.eye(3)])
 
 
-# --- apply_channel ----------------------------------------------------------
+# --- channel_apply_mat ------------------------------------------------------
 
 def test_apply_identity():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 2)
-    out = apply_channel(identity_channel(2), rho)
-    assert np.abs(out.mat - rho.mat).max() < 1e-14
+    out = channel_apply_mat(identity_channel(2), rho.mat)
+    assert np.abs(out - rho.mat).max() < 1e-14
 
 
 def test_apply_depolarizing_matches_direct_formula():
@@ -99,20 +99,15 @@ def test_apply_depolarizing_matches_direct_formula():
         ch = QuantumChannel(depolarizing_kraus(p))
         rho = random_density(rng, 2)
         expected = (1 - 4 * p / 3) * rho.mat + (2 * p / 3) * np.eye(2)
-        got = apply_channel(ch, rho)
-        assert np.abs(got.mat - expected).max() < 1e-12
+        got = channel_apply_mat(ch, rho.mat)
+        assert np.abs(got - expected).max() < 1e-12
 
 
 def test_apply_bit_flip_on_zero():
     ch = QuantumChannel([SX])
     rho = DensityMatrix(np.diag([1.0, 0.0]))
-    out = apply_channel(ch, rho)
-    assert np.abs(out.mat - np.diag([0.0, 1.0])).max() < 1e-14
-
-
-def test_apply_channel_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        apply_channel(identity_channel(3), DensityMatrix(np.eye(2) / 2))
+    out = channel_apply_mat(ch, rho.mat)
+    assert np.abs(out - np.diag([0.0, 1.0])).max() < 1e-14
 
 
 def test_apply_channel_preserves_trace_and_psd():
@@ -123,7 +118,7 @@ def test_apply_channel_preserves_trace_and_psd():
         kmin = -(-d_in // d_out)  # smallest Kraus count admitting an isometry
         ch = random_channel(rng, d_in, d_out, int(rng.integers(kmin, kmin + 3)))
         rho = random_density(rng, d_in)
-        out = apply_channel(ch, rho)  # constructor enforces trace 1 and PSD
+        out = DensityMatrix(channel_apply_mat(ch, rho.mat))  # enforces trace 1 and PSD
         assert abs(out.mat.trace().real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(out.mat)[0] > -1e-9
 
@@ -153,18 +148,6 @@ def test_tensor_trine_self():
 def test_tensor_kind_mismatch():
     with pytest.raises(TypeError):
         tensor(PureState([1, 0]), DensityMatrix(np.eye(2) / 2))
-
-
-# --- partial trace, the reference for the purification tests -----------------
-
-def _trace_out_second(mat, da, db):
-    # independent oracle: naive triple-loop index contraction over the second factor
-    out = np.zeros((da, da), dtype=complex)
-    for i in range(da):
-        for k in range(da):
-            for j in range(db):
-                out[i, k] += mat[i * db + j, k * db + j]
-    return out
 
 
 # --- entropies ----------------------------------------------------------------
@@ -278,8 +261,6 @@ def test_trine_povm_probabilities():
 
 def test_povm_probabilities_complete():
     rng = np.random.default_rng(11)
-    from qchancap.core import random_rank_one_povm
-
     for _ in range(50):
         povm = random_rank_one_povm(rng, 2, int(rng.integers(2, 6)))
         rho = random_density(rng, 2)
@@ -301,53 +282,6 @@ def test_povm_takes_its_dimension_from_the_directions():
     assert Povm.projective(np.eye(3)).dim == 3
     with pytest.raises(DimensionError):
         Povm([(1.0, PureState([1, 0])), (1.0, PureState([0, 1, 0]))])
-
-
-# --- purification ----------------------------------------------------------
-
-def test_purify_maximally_mixed():
-    rho = DensityMatrix(np.eye(2) / 2)
-    phi = purify(rho)
-    back = _trace_out_second(phi.density().mat, 2, 2)
-    assert np.abs(back - rho.mat).max() < 1e-9
-
-
-def test_purify_pure_state():
-    v = random_pure(np.random.default_rng(12), 3)
-    phi = purify(v.density())
-    assert phi.dim == 3  # rank-one reference
-    assert abs(abs(np.vdot(phi.vec, v.vec)) - 1.0) < 1e-9
-
-
-def test_purify_roundtrip_random():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        d = int(rng.integers(2, 5))
-        rho = random_density(rng, d)
-        r = int(np.sum(np.linalg.eigvalsh(rho.mat) > 1e-12))
-        phi = purify(rho)
-        back = _trace_out_second(phi.density().mat, d, r)
-        assert np.abs(back - rho.mat).max() < 1e-9
-
-
-def test_purify_reference_basis_invariance():
-    # the joint output entropy is independent of the purifying reference basis
-    rng = np.random.default_rng(14)
-    rho = random_density(rng, 2)
-    ch = random_channel(rng, 2, 2, 2)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    u, _ = np.linalg.qr(g)
-    ents = []
-    for ref in (None, u):
-        phi = purify(rho, reference_unitary=ref)
-        joint = apply_channel(tensor(ch, identity_channel(2)), phi.density())
-        ents.append(von_neumann_entropy(joint))
-    assert ents[0] == pytest.approx(ents[1], abs=1e-8)
-    # and both agree with the environment view
-    env = environment_output(ch, rho.mat)
-    assert ents[0] == pytest.approx(
-        von_neumann_entropy(DensityMatrix(env)), abs=1e-9
-    )
 
 
 # --- square root measurement -------------------------------------------------

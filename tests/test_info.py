@@ -10,15 +10,12 @@ from qchancap.core import (
     Povm,
     PureState,
     QuantumChannel,
-    apply_channel,
     binary_entropy,
     channel_apply_mat,
     identity_channel,
-    purify,
     random_channel,
     random_density,
     random_pure,
-    random_rank_one_povm,
     tensor,
     von_neumann_entropy,
 )
@@ -33,6 +30,8 @@ from qchancap.info import (
     mutual_information,
     quantum_mutual_information,
 )
+
+from helpers import purify, random_rank_one_povm
 
 TRINE = [
     np.array([1.0, 0.0]),
@@ -228,8 +227,8 @@ def test_qmi_concave():
 def _purified_joint_entropy(ch, rho):
     """S((N (x) I)(Phi)) for a purification Phi of rho, written out."""
     phi = purify(rho)
-    joint = apply_channel(tensor(ch, identity_channel(phi.dim // rho.dim)), phi.density())
-    return von_neumann_entropy(joint)
+    joint = channel_apply_mat(tensor(ch, identity_channel(phi.dim // rho.dim)), phi.projector())
+    return von_neumann_entropy(DensityMatrix(joint))
 
 
 def test_environment_entropy_matches_the_purification_path():

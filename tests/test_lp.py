@@ -260,8 +260,9 @@ def _captured(name):
     return lp, tuple(int(j) for j in data[f"{name}_warm"])
 
 
-def _highs(lp):
-    res = linprog(-lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+def _highs(lp, **options):
+    res = linprog(-lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs",
+                  options=options)
     assert res.status == 0
     return -res.fun, -res.eqlin.marginals
 
@@ -320,6 +321,23 @@ def test_captured_warm_measurement_master_terminates(monkeypatch):
         sol = solve_lp(lp, warm_basis=start)
         assert sol.status == "optimal" and sol.pivots == pivots
         assert sol.objective == pytest.approx(best, abs=1e-11)
+        _assert_optimal_dual(lp, sol, best)
+
+
+def test_captured_trine2_master_keeps_its_artificials_at_zero():
+    # a c11 measurement master of the two-copy trine (16 rows, 14 columns, at
+    # seed 2): phase 1 leaves an artificial basic at -1.4e-15, and the first
+    # phase-2 pivot meets its row with a negligible entry.  Re-taking that
+    # step against the other rows lifted the artificial to 6.6e-8, so the
+    # terminal basis failed the primal-residual check, warm and cold.
+    lp, warm = _captured("trine2")
+    # HiGHS at its default tolerances stops at a relaxed 0.58326
+    best, _ = _highs(lp, primal_feasibility_tolerance=1e-9, dual_feasibility_tolerance=1e-9)
+    for start in (warm, None):
+        sol = solve_lp(lp, warm_basis=start)
+        assert sol.status == "optimal" and sol.pivots == 14
+        assert np.abs(lp.A @ sol.x - lp.b).max() <= 1e-8
+        assert sol.objective == pytest.approx(best, abs=1e-8)
         _assert_optimal_dual(lp, sol, best)
 
 

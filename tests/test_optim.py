@@ -17,7 +17,6 @@ from qchancap.core import (
     log2_safe,
     random_channel,
     random_density,
-    random_rank_one_povm,
 )
 from qchancap.ea import coherent_objective, qmi_objective
 from qchancap.optim import (
@@ -31,6 +30,8 @@ from qchancap.optim import (
     psd_boundary_step,
     traceless_part,
 )
+
+from helpers import random_rank_one_povm
 
 
 def _rayleigh(h):
