@@ -16,7 +16,6 @@ find a global optimum, so runs are restarted and per-restart values kept.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import (
     DimensionError,
@@ -258,10 +257,10 @@ def optimize_measurement(out_ens: Ensemble, opts: C11Options = None, rng=None):
     master need not.  If it neither certifies nor yields a column that
     improves the master, the round prices at the LP dual (trace equal to the
     objective, so its certificate is "no column beats the dual by more than
-    pricing_tol").  The final weights are re-fit by nonnegative least
-    squares on the selected directions so completeness holds to POVM
-    tolerance despite LP roundoff.  Without `rng` the search draws from
-    default_rng(0).  This is the one-task case of optimize_measurement_task.
+    pricing_tol").  The POVM is the master's support (weights above
+    1e-10), made exactly complete by _complete_povm despite LP roundoff.
+    Without `rng` the search draws from default_rng(0).  This is the
+    one-task case of optimize_measurement_task.
     """
     opts = opts or C11Options()
     if rng is None:
@@ -301,12 +300,7 @@ def optimize_measurement_task(out_ens: Ensemble, opts: C11Options, rng):
         master, pricing, tol=opts.pricing_tol, max_rounds=opts.measurement_rounds
     )
     keep = sol.x > 1e-10
-    directions = [w for w, k in zip(master.tags, keep) if k]
-    # re-fit the weights on the selected directions only (an enlarged fit
-    # would be degenerate and free to walk away from the optimized POVM)
-    a = np.stack([mat_to_coords(w.projector()) for w in directions], axis=1)
-    weights, _ = nnls(a, mat_to_coords(np.eye(d)))
-    povm = _complete_povm(weights, directions, d)
+    povm = _complete_povm(sol.x[keep], [w for w, k in zip(master.tags, keep) if k], d)
     status = "converged" if converged else "round-limit"
     return povm, accessible_information_given(out_ens, povm), status
 

@@ -232,9 +232,13 @@ def _cmd_limited_ea(args) -> RunReport:
 
 def _cmd_arimoto_blahut(args) -> RunReport:
     cf = _channel_file(args)
-    value, dist = arimoto_blahut(ClassicalChannel(cf.transition), tol=args.tol)
+    bounds = []
+    value, dist = arimoto_blahut(ClassicalChannel(cf.transition), tol=args.tol, trace=bounds)
+    lower, upper = bounds[-1]
     return RunReport(
-        capacity="arimoto-blahut", value_bits=value, status="converged",
+        capacity="arimoto-blahut", value_bits=value,
+        status="converged" if upper - lower < args.tol else "round-limit",
+        certificates={"gap": upper - lower},
         extras={"input_distribution": [round(float(p), 12) for p in dist]},
     )
 

@@ -155,18 +155,18 @@ def arimoto_blahut(channel: ClassicalChannel, tol: float = 1e-9, trace: list = N
     """Capacity of a discrete memoryless channel with a two-sided stopping rule.
 
     Returns (capacity, input distribution).  Iterates the standard
-    multiplicative update, at most AB_ITERS times; stops once the
-    max-vs-mean divergence bounds pinch to within tol.  The achievable lower
-    bound I(r) is reported; when `trace` is a list it collects (lower,
-    upper) per iteration.
+    multiplicative update; stops once the max-vs-mean divergence bounds
+    pinch to within tol, or at the AB_ITERS-th bound without updating, so
+    the returned value is always the achievable lower bound I(r) of the
+    returned r.  When `trace` is a list it collects (lower, upper) per
+    iteration; a caller tells the two stops apart by its last pair.
     """
     check_tolerance(tol, "tol")
     p = channel.transitions
     m = p.shape[0]
     r = np.full(m, 1.0 / m)
     logp = log2_clipped(p, 0.0)
-    lower = -np.inf
-    for _ in range(AB_ITERS):
+    for it in range(1, AB_ITERS + 1):
         s = r @ p  # output marginal
         logs = log2_clipped(s, 0.0)
         # divergence of each row from the output marginal
@@ -175,7 +175,7 @@ def arimoto_blahut(channel: ClassicalChannel, tol: float = 1e-9, trace: list = N
         upper = float(d.max())
         if trace is not None:
             trace.append((lower, upper))
-        if upper - lower < tol:
+        if upper - lower < tol or it == AB_ITERS:
             break
         r = r * np.exp2(d - d.max())
         r = r / r.sum()

@@ -29,7 +29,6 @@ evaluations), which rest on core's log2_clipped and matrix_entropy.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,16 +68,13 @@ _PRUNE_MARGIN = 1e-9
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    resolution: float
-    domain: str  # "bloch-ball" | "sphere-angles" | "simplex"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.resolution) and self.resolution > 0):
-            raise ValueError(f"grid step must be finite and positive, got {self.resolution!r}")
-        if self.domain == "simplex" and self.resolution > 1:
-            raise ValueError(f"simplex step must be at most 1, got {self.resolution!r}")
+def check_grid_step(step: float, simplex: bool = False) -> None:
+    """Reject a grid step that is not finite and positive, or, on the
+    probability simplex, above 1."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"grid step must be finite and positive, got {step!r}")
+    if simplex and step > 1:
+        raise ValueError(f"simplex step must be at most 1, got {step!r}")
 
 
 def bloch_vector(mat: np.ndarray) -> np.ndarray:
@@ -171,7 +167,7 @@ def grid_accessible_info_2d(ens: Ensemble, step: float) -> float:
     (planar trines: in-plane rotation plus a tilt of the plane).  Returns the
     best mutual information found (at least 0).
     """
-    GridSpec(step, "sphere-angles")
+    check_grid_step(step)
     if ens.dim != 2:
         raise DimensionError("the accessible-information grid handles qubits only")
     probs = np.asarray(ens.probs)
@@ -250,7 +246,7 @@ def _bloch_entropy_grad(n: np.ndarray):
 
 
 def _ball_problem(ch: QuantumChannel, objective: str, step: float):
-    GridSpec(step, "bloch-ball")
+    check_grid_step(step)
     if objective not in ("qmi", "coherent"):
         raise ValueError(f"unknown objective {objective!r}")
     axis = np.arange(-1.0, 1.0 + step / 2, step)
@@ -416,7 +412,7 @@ def simplex_enumerate_chi(ch: QuantumChannel, states: list, step: float):
     spacing 1/round(1/step); ties go to the lexicographically first point.
     Returns (value, p).
     """
-    GridSpec(step, "simplex")
+    check_grid_step(step, simplex=True)
     k = len(states)
     if k > 4:
         raise DimensionError("simplex enumeration handles at most 4 states")

@@ -32,6 +32,7 @@ from qchancap.c11 import (
     measurement_pricing,
     optimize_measurement,
     stationarity_dual,
+    _complete_povm,
     _ensemble_arrays,
     _measurement_objective,
     _seed_directions,
@@ -340,6 +341,44 @@ def test_optimize_measurement_round_limit_status():
     povm, value, status = optimize_measurement(trine_output_ensemble(), C11Options(measurement_rounds=0))
     assert status == "round-limit"
     assert value < np.log2(3) - 1 - 0.1  # the seed master's square-root measurement
+
+
+def _near_complete_sets():
+    """(weights, directions, dim): weights above 1e-10 whose weighted
+    projectors miss the identity by about 1e-9 per entry, in both directions,
+    and a set that leaves one basis direction out."""
+    trine = trine_signals()
+    u, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3))
+                        + 1j * np.random.default_rng(5).normal(size=(3, 3)))
+    basis = [PureState(u[:, k]) for k in range(3)]
+    return [
+        (np.full(3, 2 / 3) * (1 - 1e-9), trine, 2),
+        (np.full(3, 2 / 3) * (1 + 1e-9), trine, 2),
+        (np.array([1 + 1e-9, 1 - 1e-9, 1 + 2e-9]), basis, 3),
+        (np.array([1.0, 1.0, 1e-10 * 1.5]), basis, 3),
+        (np.ones(2), [PureState(e) for e in np.eye(3)[:2]], 3),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_complete_povm_keeps_the_support_and_adds_only_the_remainder(case):
+    weights, directions, d = _near_complete_sets()[case]
+    povm = _complete_povm(weights, directions, d)
+    assert isinstance(povm, Povm)
+    total = sum(q * w.projector() for q, w in zip(povm.weights, povm.directions))
+    assert np.abs(total - np.eye(d)).max() <= 1e-12
+    assert povm.weights.min() >= 0.0
+    # the given directions, in order, each weight scaled by one factor <= 1
+    n = len(directions)
+    assert all(a is b for a, b in zip(povm.directions[:n], directions))
+    scale = povm.weights[:n] / weights
+    assert scale.max() <= 1.0
+    assert np.ptp(scale) <= 1e-15
+    # one extra outcome per remainder eigenvalue above 1e-12
+    given = sum(q * w.projector() for q, w in zip(weights, directions))
+    remainder = np.linalg.eigvalsh(np.eye(d) - scale[0] * given)
+    assert len(povm.weights) - n == int((remainder > 1e-12).sum())
+    assert povm.weights[n:].min(initial=np.inf) > 1e-12
 
 
 # --- induced classical channel ----------------------------------------------------

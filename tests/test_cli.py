@@ -6,10 +6,14 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qchancap
 from qchancap.cli import (
     RunReport,
     build_parser,
@@ -185,6 +189,36 @@ def test_arimoto_blahut_cli(capsys):
     )
     assert code == 0
     assert float(fields["value_bits"]) == pytest.approx(1 - binary_entropy(0.11), abs=1e-9)
+
+
+def test_arimoto_blahut_reports_round_limit_at_its_iteration_cap(capsys, tmp_path, monkeypatch):
+    from qchancap import info
+
+    monkeypatch.setattr(info, "AB_ITERS", 1)
+    transition = [[0.9, 0.1], [0.2, 0.8]]
+    path = tmp_path / "capped.qch"
+    write_channel_file(path, "capped", transition=transition)
+    code, fields = run_text(capsys, ["arimoto-blahut", "--channel", str(path)])
+    assert code == 2
+    assert fields["status"] == "round-limit"
+    assert float(fields["cert_gap"]) == pytest.approx(0.025139, abs=1e-6)
+    # the returned distribution is the one whose lower bound is returned
+    value, dist = info.arimoto_blahut(info.ClassicalChannel(transition))
+    joint = info.JointDistribution(dist[:, None] * np.asarray(transition))
+    assert abs(info.mutual_information(joint) - value) <= 1e-12
+
+
+def test_the_package_runs_on_numpy_alone():
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from qchancap.cli import main\n"
+              "assert main(['accinfo', '--channel', 'trine.qch']) == 0\n"
+              "assert main(['c11', '--channel', 'trine.qch', '--restarts', '2']) == 0\n")
+    src = os.path.dirname(os.path.dirname(qchancap.__file__))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
 
 
 def test_arimoto_blahut_rejects_quantum_file(capsys):
@@ -368,8 +402,8 @@ def test_run_report_text_fields():
     assert "version:" in text
 
 
-# --- regression: lockstep runs print what one-at-a-time runs printed ----------
-# captured before c11's restarts and the sweep's rows ran in lockstep
+# --- regression: captured reports and the fig1 CSV ---------------------------
+# the fig1 digest was captured before the sweep's rows ran in lockstep
 # (OpenBLAS 0.3.31, x86-64; another BLAS build may round differently)
 
 CAPTURED_REPORTS = {
@@ -378,13 +412,13 @@ CAPTURED_REPORTS = {
         "value_bits: 0.645421097335",
         "status: converged",
         "seed: 7",
-        "cert_restart_spread: 0.060458675556",
+        "cert_restart_spread: 0.0604586755558",
         "restart_values: [0.584962459331, 0.645421097335, 0.645421097335, 0.645421097335, "
         "0.645421097335, 0.584962421779, 0.645421097335, 0.645421097335]",
-        "ensemble: [[0.5000000000004408, [[1.0, 0.0], [0.0, 0.0]]], "
-        "[0.4999999999995593, [[-0.5, 0.0], [-0.8660254037844386, 0.0]]]]",
+        "ensemble: [[0.5000000000001622, [[1.0, 0.0], [0.0, 0.0]]], "
+        "[0.4999999999998378, [[-0.5, 0.0], [-0.8660254037844386, 0.0]]]]",
         "povm: [[0.9999999999999996, [[0.9659258262890684, 0.0], [-0.2588190451025207, 0.0]]], "
-        "[0.9999999999999992, [[0.25881904510252096, 0.0], [0.9659258262890684, 0.0]]]]",
+        "[0.9999999999999986, [[0.25881904510252096, 0.0], [0.9659258262890684, 0.0]]]]",
         "version: 0.1.0",
     ]),
     "accinfo": (["accinfo", "--channel", "trine2.qch", "--seed", "5"], [
@@ -397,12 +431,21 @@ CAPTURED_REPORTS = {
         "[0.3333333333333333, [[0.25, 0.0], [-0.4330127018922193, 0.0], [-0.4330127018922193, 0.0], "
         "[0.7499999999999999, 0.0]]], [0.3333333333333333, [[0.25, 0.0], [0.4330127018922193, 0.0], "
         "[0.4330127018922193, 0.0], [0.7499999999999999, 0.0]]]]",
-        "povm: [[1.0, [[-1.9626155733547205e-17, 0.0], [-0.7071067811865474, 0.0], "
-        "[0.7071067811865475, 0.0], [1.1102230246251565e-16, 0.0]]], [0.9999999999999996, "
+        "povm: [[0.9999999999999998, [[-1.9626155733547205e-17, 0.0], [-0.7071067811865474, 0.0], "
+        "[0.7071067811865475, 0.0], [1.1102230246251565e-16, 0.0]]], [0.9999999999999991, "
         "[[0.985598559653489, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.1691019787257627, 0.0]]], "
-        "[1.0, [[0.11957315586905015, 0.0], [-0.5, 0.0], [-0.5, 0.0], [0.696923425058676, 0.0]]], "
-        "[0.9999999999999996, [[0.11957315586905015, 0.0], [0.5, 0.0], [0.5, 0.0], "
+        "[0.9999999999999994, [[0.11957315586905015, 0.0], [-0.5, 0.0], [-0.5, 0.0], "
+        "[0.696923425058676, 0.0]]], "
+        "[0.999999999999999, [[0.11957315586905015, 0.0], [0.5, 0.0], [0.5, 0.0], "
         "[0.696923425058676, 0.0]]]]",
+        "version: 0.1.0",
+    ]),
+    "arimoto-blahut": (["arimoto-blahut", "--channel", "bsc_0.11_classical.qch"], [
+        "capacity: arimoto-blahut",
+        "value_bits: 0.500084041835",
+        "status: converged",
+        "cert_gap: 0",
+        "input_distribution: [0.5, 0.5]",
         "version: 0.1.0",
     ]),
 }

@@ -20,13 +20,13 @@ from qchancap.core import (
     random_density,
 )
 from qchancap.oracles import (
-    GridSpec,
     _compositions,
     _entropy_batch,
     _projective_sweep,
     _swept_density_objective,
     _trine_sweep,
     bloch_vector,
+    check_grid_step,
     grid_accessible_info_2d,
     grid_density_objective,
     simplex_enumerate_chi,
@@ -40,14 +40,14 @@ TRINE = [
 
 
 def test_grid_spec_validation():
-    GridSpec(0.01, "bloch-ball")
-    GridSpec(1.0, "simplex")
-    GridSpec(3.0, "sphere-angles")
+    check_grid_step(0.01)
+    check_grid_step(1.0, simplex=True)
+    check_grid_step(3.0)
     for bad in (0.0, -0.1, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
-            GridSpec(bad, "simplex")
+            check_grid_step(bad, simplex=True)
     with pytest.raises(ValueError):
-        GridSpec(1.5, "simplex")
+        check_grid_step(1.5, simplex=True)
 
 
 BAD_STEPS = [0.0, -0.1, np.nan, np.inf]

@@ -8,7 +8,7 @@ shows up here is reached only by tests, if at all.
 
     python tools/reach.py [--src PATH] [--seed N]
 
-Standard library only (the program it traces needs numpy and scipy).  The
+Standard library only (the program it traces needs numpy).  The
 header line gives the traced run's wall time; exit status 1
 means some op or command raised, and each such failure is listed.
 """
