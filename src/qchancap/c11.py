@@ -36,7 +36,7 @@ from .core import (
 from .c1inf import C1InfOptions, C1InfProblem, c1inf
 from .info import accessible_information_given, holevo_chi
 from .lp import LinearProgram, PricingOutcome, column_generation_task
-from .optim import lockstep
+from .optim import RowKernel, lockstep
 
 ZERO_OUTCOME = 1e-14  # below this overlap an outcome never occurs
 ALT_TOL = 1e-7  # a restart converges once an alternation gains less than this
@@ -51,6 +51,8 @@ class C11Options:
 
     def __post_init__(self):
         check_tolerance(self.pricing_tol, "C11Options.pricing_tol")
+        if self.starts < 1:
+            raise ValueError(f"C11Options.starts must be >= 1, got {self.starts}")
         if self.measurement_rounds < 0:
             raise ValueError("C11Options.measurement_rounds must be >= 0, "
                              f"got {self.measurement_rounds}")
@@ -110,34 +112,39 @@ def measurement_lp(out_ens: Ensemble, directions: list) -> LinearProgram:
     )
 
 
-def _measurement_objective(probs, mats, avg, lam: np.ndarray):
+def _measurement_objective(probs, mats, avg, lam: np.ndarray) -> RowKernel:
     """Maximize c(w) - w^dag lam w; implemented as a minimization of its
-    negative with the complex gradient.
+    negative with the complex gradient.  The pricing searches of a lockstep
+    round share calls of its kernel, _measurement_rows.
 
-    The returned fun_grad takes a batch of shape (S, d) and returns values of
-    shape (S,) and gradients of shape (S, d).
+    Called on a batch of shape (S, d), it returns values of shape (S,) and
+    gradients of shape (S, d).
     """
-    probs = np.asarray(probs, dtype=float)
-    mats = np.stack(mats)
-    used = probs > 0.0
+    return RowKernel(_measurement_rows, np.asarray(probs, dtype=float), np.stack(mats), avg, lam)
 
-    def fun_grad(v):
-        lam_v = v @ lam.T
-        penalty = np.einsum("si,si->s", v.conj(), lam_v).real
-        b = np.einsum("si,si->s", v.conj(), v @ avg.T).real
-        mv = np.einsum("kij,sj->ski", mats, v)
-        a = np.einsum("si,ski->sk", v.conj(), mv).real
-        occurs = (a > ZERO_OUTCOME) & used
-        b_safe = np.maximum(b, ZERO_OUTCOME)[:, None]
-        ratio = np.where(occurs, np.log2(np.where(occurs, a, 1.0) / b_safe), 0.0)
-        value = (probs * a * ratio).sum(axis=1)
-        grad = np.einsum("k,sk,ski->si", probs, ratio, mv)
-        never = b < ZERO_OUTCOME  # an outcome that never occurs contributes c(w) = 0
-        f = np.where(never, penalty, -(value - penalty))
-        g = np.where(never[:, None], 2.0 * lam_v, -2.0 * (grad - lam_v))
-        return f, g
 
-    return fun_grad
+def _measurement_rows(v, probs, mats, avg, lam):
+    """The kernel of _measurement_objective (see optim.RowKernel).  The bits
+    of a BLAS product depend on its row count, so lam v and avg v are
+    products over each problem's own rows, one per problem in a stack; the
+    rest is row by row."""
+    blocks = v.reshape(len(lam), -1, v.shape[1])
+    lam_v = (blocks @ lam.swapaxes(1, 2)).reshape(v.shape)
+    avg_v = (blocks @ avg.swapaxes(1, 2)).reshape(v.shape)
+    probs, mats = (np.repeat(p, blocks.shape[1], axis=0) for p in (probs, mats))
+    penalty = np.einsum("si,si->s", v.conj(), lam_v).real
+    b = np.einsum("si,si->s", v.conj(), avg_v).real
+    mv = np.einsum("skij,sj->ski", mats, v)
+    a = np.einsum("si,ski->sk", v.conj(), mv).real
+    occurs = (a > ZERO_OUTCOME) & (probs > 0.0)
+    b_safe = np.maximum(b, ZERO_OUTCOME)[:, None]
+    ratio = np.where(occurs, np.log2(np.where(occurs, a, 1.0) / b_safe), 0.0)
+    value = (probs * a * ratio).sum(axis=1)
+    grad = np.einsum("sk,sk,ski->si", probs, ratio, mv)
+    never = b < ZERO_OUTCOME  # an outcome that never occurs contributes c(w) = 0
+    f = np.where(never, penalty, -(value - penalty))
+    g = np.where(never[:, None], 2.0 * lam_v, -2.0 * (grad - lam_v))
+    return f, g
 
 
 def measurement_pricing(

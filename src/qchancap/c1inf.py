@@ -59,6 +59,8 @@ class C1InfOptions:
 
     def __post_init__(self):
         check_tolerance(self.tol, "C1InfOptions.tol")
+        if self.starts < 1:
+            raise ValueError(f"C1InfOptions.starts must be >= 1, got {self.starts}")
         if self.max_rounds < 0:
             raise ValueError(f"C1InfOptions.max_rounds must be >= 0, got {self.max_rounds}")
 

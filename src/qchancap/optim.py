@@ -58,24 +58,59 @@ def minimize_on_sphere(
     return minimize_on_spheres([(fun_grad, start_vectors)], dim, gtol, maxiter)[0]
 
 
+class RowKernel:
+    """A search objective: a kernel shared by several problems, with one
+    problem's parameters.  kernel(V, *params) evaluates the rows V of
+    consecutive problems of equal row count, params[i][j] being problem j's
+    i-th parameter; an instance called as fun_grad(V) evaluates its own problem.
+    """
+
+    def __init__(self, kernel, *params):
+        self.kernel, self.params = kernel, [np.asarray(p) for p in params]
+
+    def __call__(self, v):
+        return self.kernel(v, *(p[None] for p in self.params))
+
+
+def _shared_kernels(spans):
+    """The problem spans grouped by kernel: one fun_grad object, or RowKernels
+    with one kernel, row count and parameter shapes and dtypes.  Yields
+    (members, rows, counts, params, call), rows a slice when it can be."""
+    groups = {}
+    for k, (_, fun, a, b) in enumerate(spans):
+        key = ((fun.kernel, b - a, *((p.shape, p.dtype) for p in fun.params))
+               if isinstance(fun, RowKernel) else id(fun))
+        groups.setdefault(key, []).append(k)
+    for members in groups.values():
+        funs = [spans[k][1] for k in members]
+        counts = np.array([spans[k][3] - spans[k][2] for k in members])
+        rows = np.concatenate([np.arange(*spans[k][2:]) for k in members])
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        params = [np.stack(p) for p in zip(*(getattr(f, "params", []) for f in funs))]
+        yield np.array(members), rows, counts, params, getattr(funs[0], "kernel", funs[0])
+
+
 def minimize_on_spheres(problems, dim: int, gtol: float = 1e-10, maxiter: int = 400):
     """Multistart local minimization of several objectives at once.
 
     `problems` lists (fun_grad, start_vectors) pairs of equal dimension, each
-    fun_grad as in minimize_on_sphere.  The starts of all problems are the
-    rows of one batch: one L-BFGS on the real embedding of the normalized
-    objective f(x/|x|), every start with its own correction pairs, two-loop
-    recursion and line search (Armijo backtracking; an accepted step is
-    doubled while the slope along the direction stays steep, as a Wolfe line
-    search would).  A start stops when its gradient's largest entry is at
-    most gtol, when its relative decrease falls to 1e-15 (also when the line
-    search can only promise less), or after maxiter iterations; a stopped
-    start is frozen.  Each fun_grad is called on exactly its own problem's
-    rows, all of them, whenever one of them is still moving, and not again
-    once none is, so a problem's minima are bit for bit those of running it
-    alone: every step of the iteration is row by row.  Returns one list of
-    distinct minima per problem, as minimize_on_sphere does; duplicates are
-    merged within a problem, never across problems.
+    fun_grad as in minimize_on_sphere or a RowKernel.  The starts of all
+    problems are the rows of one batch: one L-BFGS on the real embedding of
+    the normalized objective f(x/|x|), every start with its own correction
+    pairs, two-loop recursion and line search (Armijo backtracking; an
+    accepted step is doubled while the slope along the direction stays
+    steep, as a Wolfe line search would).  A start stops when its gradient's
+    largest entry is at most gtol, when its relative decrease falls to
+    1e-15 (also when the line search can only promise less), or after
+    maxiter iterations; a stopped start is frozen.  Problems that share a
+    kernel (_shared_kernels) are evaluated by one call per evaluation, on
+    all rows of each whose rows are not all frozen.  A kernel must give each
+    row the bits it gives on that row's problem alone; then a problem's
+    minima are bit for bit those of running it alone, since every step of
+    the iteration is row by row.  Returns one list of distinct minima per
+    problem, as minimize_on_sphere does; duplicates are merged within a
+    problem, never across problems.
     """
     blocks = [np.asarray(list(starts), dtype=complex).reshape(-1, dim) for _, starts in problems]
     edges = np.cumsum([0] + [len(b) for b in blocks])
@@ -84,20 +119,30 @@ def minimize_on_spheres(problems, dim: int, gtol: float = 1e-10, maxiter: int = 
     if not spans:
         return [[] for _ in problems]
     firsts = [a for _, _, a, _ in spans]
+    kernels = list(_shared_kernels(spans))
+
+    def evaluate(vecs, on):
+        """Values and gradients of the spans marked on; elsewhere +inf,
+        which no line search accepts."""
+        f = np.full(len(vecs), np.inf)
+        grads = np.zeros_like(vecs)
+        for members, rows, counts, params, call in kernels:
+            live = on[members]
+            if live.all():
+                f[rows], grads[rows] = call(vecs[rows], *params)
+            elif live.any():
+                idx = np.arange(len(vecs))[rows][np.repeat(live, counts)]
+                f[idx], grads[idx] = call(vecs[idx], *(p[live] for p in params))
+        return f, grads
+
     v0 = np.concatenate(blocks)
     x = np.concatenate([v0.real, v0.imag], axis=1)
 
     def embedded(x, live):
-        """Values and projected gradients of the problems with a live row;
-        the other rows read +inf, which no line search accepts."""
+        """Values and projected gradients in the real embedding."""
         r = np.sqrt(_rowdot(x, x))[:, None]
         u = x / r
-        vecs = u[:, :dim] + 1j * u[:, dim:]
-        f = np.full(len(x), np.inf)
-        grads = np.zeros_like(vecs)
-        for (_, fun, a, b), on in zip(spans, np.logical_or.reduceat(live, firsts).tolist()):
-            if on:
-                f[a:b], grads[a:b] = fun(vecs[a:b])
+        f, grads = evaluate(u[:, :dim] + 1j * u[:, dim:], np.logical_or.reduceat(live, firsts))
         g = np.concatenate([grads.real, grads.imag], axis=1)
         return f, (g - u * _rowdot(u, g)[:, None]) / r
 
@@ -174,10 +219,10 @@ def minimize_on_spheres(problems, dim: int, gtol: float = 1e-10, maxiter: int = 
 
     v = x[:, :dim] + 1j * x[:, dim:]
     v = np.array([snap_vector(fix_phase(row / np.linalg.norm(row))) for row in v])
+    values, _ = evaluate(v, np.ones(len(spans), dtype=bool))
     minima = [[] for _ in problems]
-    for i, fun, a, b in spans:
-        values, _ = fun(v[a:b])
-        for f_row, row in sorted(((float(val), row) for val, row in zip(values, v[a:b])),
+    for i, _, a, b in spans:
+        for f_row, row in sorted(((float(val), row) for val, row in zip(values[a:b], v[a:b])),
                                  key=_sphere_sort_key):
             if all(np.abs(row - u).max() > DISTINCT_TOL for _, u in minima[i]):
                 minima[i].append((f_row, row))
@@ -188,13 +233,13 @@ def lockstep(tasks):
     """Run resumable tasks together, batching their sphere searches.
 
     A task is a generator that yields a search request (fun_grad,
-    start_vectors), with start_vectors of shape (S, dim), receives the
-    minima minimize_on_sphere would return for it, and finally returns its
-    result.  Each round advances every live task to its next request, then
-    answers all the round's requests of one dimension with one
-    minimize_on_spheres call.  Tasks never see each other's rows, so each
-    result is the one the task gives when run alone.  Returns the tasks'
-    results, in order.
+    start_vectors), a problem of minimize_on_spheres, receives the minima
+    minimize_on_sphere would return for it, and finally returns its result.
+    Each round advances every live task to its next request, then answers
+    all the round's requests of one dimension with one minimize_on_spheres
+    call: one kernel call per evaluation for requests that share a kernel,
+    and each result the one the task gives when run alone.  Returns the
+    tasks' results, in order.
     """
     results = [None] * len(tasks)
     answers = dict.fromkeys(range(len(tasks)))
@@ -425,6 +470,7 @@ def renormalize_density(mat: np.ndarray) -> np.ndarray:
 __all__ = [
     "LN2",
     "EntropySum",
+    "RowKernel",
     "ascend_density_step",
     "line_max_concave",
     "lockstep",

@@ -478,8 +478,9 @@ def test_c11_trace_is_ordered_by_restart_then_alternation(trine_run):
 
 class CountingSearches:
     """Counts pricing searches per random stream (one stream per c11 restart
-    or sweep row), and the batched calls that answer them: the
-    minimize_on_spheres calls not made by c1inf's own searches."""
+    or sweep row), the batched calls that answer them (the
+    minimize_on_spheres calls not made by c1inf's own searches), and the
+    calls of the measurement objective's kernel."""
 
     def __init__(self, monkeypatch):
         import sys
@@ -489,8 +490,10 @@ class CountingSearches:
         self.per_stream = {}
         self.calls = 0
         self.solo_calls = 0
+        self.kernel_calls = 0
         real_pricing = c11_module.measurement_pricing_task
         real_batch, real_solo = optim_module.minimize_on_spheres, c1inf_module.minimize_on_sphere
+        real_kernel = c11_module._measurement_rows
 
         def pricing(out_ens, lam, starts, rng, *args, **kwargs):
             self.per_stream[id(rng)] = self.per_stream.get(id(rng), 0) + 1
@@ -504,7 +507,12 @@ class CountingSearches:
             self.solo_calls += 1
             return real_solo(*args, **kwargs)
 
+        def kernel(*args):
+            self.kernel_calls += 1
+            return real_kernel(*args)
+
         monkeypatch.setattr(c11_module, "measurement_pricing_task", pricing)
+        monkeypatch.setattr(c11_module, "_measurement_rows", kernel)
         monkeypatch.setattr(optim_module, "minimize_on_spheres", batch)
         monkeypatch.setattr(c1inf_module, "minimize_on_sphere", solo)
 
@@ -520,6 +528,8 @@ def test_c11_restarts_share_one_batched_search_per_round(monkeypatch):
     # 208 searches one at a time before the restarts ran in lockstep
     assert sum(counter.per_stream.values()) >= 4 * counter.batched
     assert counter.batched == max(counter.per_stream.values()) <= 45
+    # 5,534 when each search's objective was called on its own rows alone
+    assert counter.kernel_calls <= 2118
 
 
 def test_fig1_rows_share_one_batched_search_per_round(monkeypatch):
@@ -529,6 +539,8 @@ def test_fig1_rows_share_one_batched_search_per_round(monkeypatch):
     cli_module.fig1_rows(64)
     assert len(counter.per_stream) == 64
     assert counter.batched == max(counter.per_stream.values())
+    # 2,150 when each search's objective was called on its own rows alone
+    assert counter.kernel_calls <= 191
 
 
 def test_c11_identity_unrestricted():

@@ -689,6 +689,26 @@ def test_options_reject_a_negative_round_count():
     assert C1InfOptions(max_rounds=0).max_rounds == 0
 
 
+@pytest.mark.parametrize("command", ["accinfo", "c1inf"])
+def test_a_start_count_below_one_is_rejected(capsys, command):
+    # a restricted-signal c1inf run never prices, so only the options catch it
+    assert main([command, "--channel", "trine.qch", "--starts", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "starts must be >= 1, got -3" in captured.err
+
+
+def test_options_reject_a_start_count_below_one():
+    from qchancap.c11 import C11Options
+    from qchancap.c1inf import C1InfOptions
+
+    with pytest.raises(ValueError, match="^C11Options.starts must be >= 1, got 0"):
+        C11Options(starts=0)
+    with pytest.raises(ValueError, match="^C1InfOptions.starts must be >= 1, got 0"):
+        C1InfOptions(starts=0)
+    assert C11Options(starts=1).starts == C1InfOptions(starts=1).starts == 1
+
+
 def test_library_entry_points_reject_a_tolerance_that_certifies_nothing():
     from qchancap.c11 import C11Options
     from qchancap.c1inf import C1InfOptions

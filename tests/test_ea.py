@@ -203,6 +203,43 @@ def test_coherent_reaches_the_ball_oracle(seed, kraus_count):
     assert res.value >= grid_density_objective(ch, "coherent", 0.02)[0] - 1e-9
 
 
+COHERENT_CAPTURED = [  # channel, value.hex(), number of local maxima, digest
+    # a channel is (builder in qchancap.channels, parameter) or the
+    # (stream, d, Kraus count) of a random_channel
+    (("depolarizing", 0.3), "0x1.8b80000000000p-39", 9, "0a499de09122f15e9ed9e6ae741af4a2"),
+    (("amplitude_damping", 0.2), "0x1.032ea4e109cccp-1", 1, "e30988688a743a7f54792b890c36c14c"),
+    (("dephasing", 0.25), "0x1.82809d5be7074p-3", 1, "f672f7a4abf160df2c4eaa32617e1a88"),
+    ((0, 2, 2), "0x1.1313ab2c2d886p-2", 1, "40893cf1d3cb7f72c33fced2327b6396"),
+    ((1, 2, 3), "0x1.7eb9800000000p-38", 9, "9454c7dc748429379c861e32ff9d7597"),
+    ((2, 3, 2), "0x1.42c7dbeb55e8cp-1", 1, "b03d0ea43b5863d4f94761e571761b7d"),
+    ((3, 4, 2), "0x1.131c889b36f24p+0", 1, "4b0fbdba564f2ab01d73610131d7f426"),
+]
+
+
+@pytest.mark.parametrize("case", COHERENT_CAPTURED, ids=lambda case: str(case[0]))
+def test_coherent_starts_keep_their_values_bit_for_bit(case):
+    # captured while each start's objective was called on its own row alone;
+    # all starts now share one call per evaluation
+    import hashlib
+
+    from qchancap import channels
+
+    spec, value_hex, count, digest = case
+    if isinstance(spec[0], str):
+        ch = getattr(channels, spec[0])(spec[1])
+    else:
+        stream, d, k = spec
+        ch = random_channel(np.random.default_rng([19, stream]), d, d, k)
+    res = coherent_info_max(ch)
+    h = hashlib.sha256()
+    for value, rho in res.local_maxima:
+        h.update(np.float64(value).tobytes())
+        h.update(rho.mat.tobytes())
+    h.update(res.rho_star.mat.tobytes())
+    assert (res.value.hex(), res.status, len(res.local_maxima)) == (value_hex, "converged", count)
+    assert h.hexdigest()[:32] == digest
+
+
 def test_cea_status_compares_its_gap_with_tol(monkeypatch):
     full = c_ea(amplitude_damping(0.3))
     assert full.status == "converged" and full.gradient_residual < 1e-7

@@ -6,7 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
-from qchancap.c11 import _measurement_objective, induced_classical_channel
+from qchancap.c11 import _measurement_objective, _measurement_rows, induced_classical_channel
 from qchancap.core import (
     LN2,
     adjoint_apply,
@@ -22,6 +22,7 @@ from qchancap.ea import coherent_objective, qmi_objective
 from qchancap.optim import (
     LINE_LEVEL,
     EntropySum,
+    RowKernel,
     ascend_density_step,
     line_max_concave,
     lockstep,
@@ -175,6 +176,56 @@ def test_lockstep_answers_each_round_with_one_search_per_dimension(monkeypatch):
             _as_bytes(real([(f, starts)], d)[0]) for f, starts in group
         ]
     assert lockstep([]) == []
+
+
+def _measurement_problems(d):
+    """Measurement pricing problems, each with its own three-state ensemble
+    and dual, at dual sizes that make them stop at different iterations."""
+    rng = np.random.default_rng(60 + d)
+    problems = []
+    for scale in (0.0, 0.2, 0.5, 1.0, 3.0):
+        probs = rng.dirichlet(np.ones(3))
+        mats = [random_density(rng, d).mat for _ in range(3)]
+        avg = sum(p * m for p, m in zip(probs, mats))
+        lam = scale * _random_hermitian(rng, d)
+        problems.append((_measurement_objective(probs, mats, avg, lam), _random_starts(rng, d, 6)))
+    return problems
+
+
+def _evaluations(log):
+    """Split a log of problem indices into batched evaluations: each one
+    evaluates its live problems in increasing order."""
+    evaluations = []
+    for i in log:
+        if not evaluations or i <= evaluations[-1][-1]:
+            evaluations.append([])
+        evaluations[-1].append(i)
+    return evaluations
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_measurement_problems_share_one_kernel_call_per_evaluation(d):
+    problems = _measurement_problems(d)
+    solo = [_as_bytes(minimize_on_sphere(f, d, starts)) for f, starts in problems]
+    # one wrapper per problem: no shared kernel, one call per problem
+    apart_log = []
+    apart = minimize_on_spheres(
+        [(_logged(f, apart_log, i), starts) for i, (f, starts) in enumerate(problems)], d)
+    # one kernel: one call per batched evaluation, on the live problems' rows
+    shared_log = []
+    by_dual = {f.params[-1].tobytes(): i for i, (f, _) in enumerate(problems)}
+
+    def kernel(v, *params):
+        assert len(v) == 6 * len(params[-1])
+        shared_log.append([by_dual[lam.tobytes()] for lam in params[-1]])
+        return _measurement_rows(v, *params)
+
+    shared = minimize_on_spheres(
+        [(RowKernel(kernel, *f.params), starts) for f, starts in problems], d)
+    assert [_as_bytes(m) for m in shared] == [_as_bytes(m) for m in apart] == solo
+    assert shared_log == _evaluations(apart_log)
+    assert min(len(live) for live in shared_log) < len(problems)  # some stop early
+    assert len(shared_log) < len(apart_log)
 
 
 # --- line search ----------------------------------------------------------------
