@@ -93,20 +93,24 @@ def info_coefficient(probs, mats, avg, w: np.ndarray) -> float:
     return total
 
 
+def _columns(arrays, directions: list):
+    """Master columns for these directions: the POVM coordinate rows of their
+    projectors and their coefficients c(w), for the (probs, mats, avg) of
+    _ensemble_arrays."""
+    rows = [mat_to_coords(w.projector()) for w in directions]
+    return rows, [info_coefficient(*arrays, w.vec) for w in directions]
+
+
 def measurement_lp(out_ens: Ensemble, directions: list) -> LinearProgram:
     """Master LP: maximize sum_j q_j c(w_j) subject to the POVM completeness
     rows sum_j q_j w_j w_j^dag = I (d^2 Hermitian coordinates)."""
-    probs, mats, avg = _ensemble_arrays(out_ens)
     d = out_ens.dim
-    cols, coefs = [], []
-    for w in directions:
-        if w.dim != d:
-            raise DimensionError("direction dimension does not match the ensemble")
-        cols.append(mat_to_coords(w.projector()))
-        coefs.append(info_coefficient(probs, mats, avg, w.vec))
+    if any(w.dim != d for w in directions):
+        raise DimensionError("direction dimension does not match the ensemble")
+    rows, coefs = _columns(_ensemble_arrays(out_ens), directions)
     return LinearProgram(
         c=np.array(coefs),
-        A=np.stack(cols, axis=1),
+        A=np.stack(rows, axis=1),
         b=mat_to_coords(np.eye(d)),
         tags=list(directions),
     )
@@ -171,19 +175,19 @@ def measurement_pricing_task(out_ens: Ensemble, lam: HermitianMatrix, starts: in
     Generator `rng`, returns the outcome."""
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    probs, mats, avg = _ensemble_arrays(out_ens)
+    arrays = _ensemble_arrays(out_ens)
     d = out_ens.dim
-    fun_grad = _measurement_objective(probs, mats, avg, lam.mat)
+    fun_grad = _measurement_objective(*arrays, lam.mat)
     minima = yield fun_grad, np.array([random_pure(rng, d).vec for _ in range(starts)])
-    columns = []
+    directions = []
     best = 0.0
     for f, v in minima:
         violation = -f  # c(w) - w^dag lam w
         best = max(best, violation)
         if violation > tol:
-            w = PureState(v)
-            columns.append((mat_to_coords(w.projector()), info_coefficient(probs, mats, avg, v), w))
-    return PricingOutcome(columns=columns, best_violation=best)
+            directions.append(PureState(v))
+    rows, coefs = _columns(arrays, directions)
+    return PricingOutcome(columns=list(zip(rows, coefs, directions)), best_violation=best)
 
 
 def _seed_directions(out_ens: Ensemble) -> list:
@@ -222,11 +226,10 @@ def stationarity_dual(out_ens: Ensemble, weights, directions) -> HermitianMatrix
     one.  Since c is homogeneous of degree 2, w^dag grad c(w) = 2 c(w)
     (Euler), and an exact solution also gives w_j^dag lam w_j = c(w_j).
     """
-    probs, mats, avg = _ensemble_arrays(out_ens)
     d = out_ens.dim
     vecs = np.stack([w.vec for w in directions])
     # the objective at lam = 0 is -c, so its gradient is -grad c
-    _, neg_grad = _measurement_objective(probs, mats, avg, np.zeros((d, d)))(vecs)
+    _, neg_grad = _measurement_objective(*_ensemble_arrays(out_ens), np.zeros((d, d)))(vecs)
     basis = np.stack([coords_to_mat(e, d) for e in np.eye(d * d)])
     root_q = np.sqrt(np.asarray(weights, dtype=float))[:, None]
     images = root_q[:, :, None] * np.einsum("kab,jb->jak", basis, vecs)  # lam w_j per coordinate
@@ -349,20 +352,6 @@ def induced_classical_channel(ch: QuantumChannel, povm: Povm) -> QuantumChannel:
     return QuantumChannel(kraus)
 
 
-def _signal_weights(ens: Ensemble, signals: list) -> tuple:
-    """Map an ensemble supported on a subset of `signals` back onto the full
-    signal list (zero weight for unused signals)."""
-    weights = np.zeros(len(signals))
-    for p, s in ens.items():
-        for i, sig in enumerate(signals):
-            if abs(abs(np.vdot(s.vec, sig.vec)) - 1.0) < 1e-9:
-                weights[i] += p
-                break
-    if weights.sum() <= 0.0:
-        weights[:] = 1.0
-    return tuple(weights / weights.sum())
-
-
 def _initial_ensemble(ch, restricted_signals, restart_index, rng):
     if restricted_signals:
         k = len(restricted_signals)
@@ -390,7 +379,9 @@ def c11(
     searches of one round are one batched sphere search, and each restart's
     values are those it gives alone.  The landscape has stable non-global
     points, so all per-restart values are retained and the best pair is
-    returned.  The status is that of the restart the pair comes from: when
+    returned.  With restricted signals each ensemble step starts from the
+    previous one's `signal_weights` (the first from the initial ensemble's
+    weights).  The status is that of the restart the pair comes from: when
     its alternation stopped gaining, "converged" if every measurement and
     ensemble step it ran converged, else the first status of such a step
     that is not "converged"; "round-limit" if it ran out of its
@@ -431,40 +422,36 @@ def _restart_task(ch, restricted_signals, r, rng, opts):
     """One restart's alternation as a resumable task; returns its best
     (value, ensemble, povm), its status (see c11) and its trace rows."""
     ens = _initial_ensemble(ch, restricted_signals, r, rng)
+    weights = ens.probs / ens.probs.sum()  # restricted mode: the next ensemble step's start
+    out_ens = channel_ensemble(ch, ens)
+    chi = holevo_chi(out_ens)
     local_best = None
     prev_value = -np.inf
     steps = "converged"  # the first status of a step that did not converge
     trace = []
     for alt in range(ALTERNATIONS):
-        out_ens = channel_ensemble(ch, ens)
+        row = {"restart": r, "alternation": alt}
         povm, v_meas, meas_status = yield from optimize_measurement_task(out_ens, opts, rng)
-        trace.append(
-            {"restart": r, "alternation": alt, "step": "measurement",
-             "value": v_meas, "chi": holevo_chi(out_ens)}
-        )
+        trace.append({**row, "step": "measurement", "value": v_meas, "chi": chi})
         if local_best is None or v_meas > local_best[0]:
             local_best = (v_meas, ens, povm)
 
-        induced = induced_classical_channel(ch, povm)
-        c1_opts = C1InfOptions(
-            seed=int(rng.integers(2**31)),
-            initial_weights=_signal_weights(ens, restricted_signals)
-            if restricted_signals else None,
-        )
         c1_res = c1inf(C1InfProblem(
-            induced,
+            induced_classical_channel(ch, povm),
             restricted_signals=list(restricted_signals) if restricted_signals else None,
-            options=c1_opts,
+            options=C1InfOptions(seed=int(rng.integers(2**31)),
+                                 initial_weights=tuple(weights) if restricted_signals else None),
         ))
         ens = c1_res.ensemble
+        if restricted_signals:
+            weights = c1_res.signal_weights / c1_res.signal_weights.sum()
+        out_ens = channel_ensemble(ch, ens)
+        chi = holevo_chi(out_ens)
         v_ens = c1_res.value
         for step_status in (meas_status, c1_res.status):
             if steps == "converged":
                 steps = step_status
-        trace.append(
-            {"restart": r, "alternation": alt, "step": "ensemble",
-             "value": v_ens, "chi": holevo_chi(channel_ensemble(ch, ens))}
-        )
+        trace.append({**row, "step": "ensemble", "value": v_ens, "chi": chi})
         if v_ens > local_best[0]:
             local_best = (v_ens, ens, povm)
         if local_best[0] - prev_value < ALT_TOL:

@@ -42,7 +42,7 @@ from .optim import (
 MASTER_GAP = 1e-10  # the master stops at this Frank-Wolfe gap
 MASTER_ITERS = 1000  # maximize_chi's iteration cap
 NEWTON_SHARE = 0.1  # Newton on the face while its gap exceeds this share of the FW gap
-LINE_ROUNDS = 40  # bisection rounds of the master's line searches
+LINE_ROUNDS = 40  # bisection rounds of the chi master's and c_ea's line searches
 NULL_TOL = 1e-10  # relative singular value below which the support's outputs are dependent
 BUDGET_TOL = 1e-12  # bits of slack within which the budget row counts as active
 DEDUP_TOL = 1e-7  # projectors closer than this (max-norm) are the same column
@@ -78,12 +78,19 @@ class C1InfProblem:
         for s in self.restricted_signals or ():
             if s.dim != self.channel.dim_in:
                 raise DimensionError(f"signal dim {s.dim} != channel input dim {self.channel.dim_in}")
+        weights, k = self.options.initial_weights, len(self.restricted_signals or ())
+        if weights is not None and not (k and np.shape(weights) == (k,)
+                                        and np.isfinite(weights).all() and np.min(weights) >= 0.0
+                                        and 0.0 < np.sum(weights) < np.inf):
+            raise ValueError("C1InfOptions.initial_weights needs one finite, nonnegative weight per "
+                             f"restricted signal with a positive sum: got {weights!r} for {k} signals")
 
 
 @dataclass
 class C1InfResult:
     value: float
     ensemble: Ensemble
+    signal_weights: np.ndarray  # restricted mode: the weight of each signal, zeros included
     rho: DensityMatrix
     tau: HermitianMatrix
     dual_gap: float
@@ -447,9 +454,12 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
     `pricing_residual` and `dual_gap`: "converged" once it is at most tol,
     "stalled" if a round neither raised chi nor found a new column,
     "round-limit" otherwise.  With restricted signals the loop is the master
-    alone and the gap exact.  Trace rows hold master_objective = sum_i p_i
-    H(N(psi_i)) and tr_tau_rho = Tr(tau rho), equal by construction since
-    Tr(tau rho) = S(N(rho)) - chi; pricing_residual is dual_gap.
+    alone, started from initial_weights if given, and the gap exact;
+    `signal_weights` holds its weights, one per signal (zeros included, where
+    `ensemble` drops the signal), and is None unrestricted.  Trace rows hold
+    master_objective = sum_i p_i H(N(psi_i)) and tr_tau_rho = Tr(tau rho),
+    equal by construction since Tr(tau rho) = S(N(rho)) - chi;
+    pricing_residual is dual_gap.
     """
     ch = problem.channel
     opts = problem.options
@@ -460,7 +470,7 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
         vecs = [v.vec for v in problem.restricted_signals]
         weights = np.ones(len(vecs))
         if opts.initial_weights is not None:
-            weights = np.clip(opts.initial_weights, 0.0, None)
+            weights = np.asarray(opts.initial_weights, dtype=float)
     else:
         vecs = list(np.eye(ch.dim_in)) + [random_pure(rng, ch.dim_in).vec for _ in range(opts.starts)]
         weights = np.ones(len(vecs))
@@ -500,6 +510,7 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
     return C1InfResult(
         value=chi,
         ensemble=Ensemble([(float(q), PureState(v)) for q, v in zip(p, master.columns) if q > 0.0]),
+        signal_weights=p if restricted else None,
         rho=DensityMatrix(renormalize_density(_average_input(master, p))),
         tau=HermitianMatrix(tau),
         dual_gap=gap,

@@ -28,7 +28,7 @@ from .core import (
     matrix_entropy,
     von_neumann_entropy,
 )
-from .c1inf import C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
+from .c1inf import LINE_ROUNDS, C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
 from .info import limited_ea_objective, quantum_mutual_information
 from .optim import (
     EntropySum,
@@ -81,7 +81,7 @@ def _fw_step(obj: EntropySum, mat):
     gap = float(eigs[-1] - np.trace(g @ mat).real)
     vertex = np.outer(vecs[:, -1], vecs[:, -1].conj())
     direction = vertex - mat
-    t = line_max_concave(obj.line_deriv(mat, direction), 1.0, rounds=40)
+    t = line_max_concave(obj.line_deriv(mat, direction), 1.0, rounds=LINE_ROUNDS)
     return gap, mat + t * direction
 
 

@@ -280,7 +280,7 @@ def psd_boundary_step(rho: np.ndarray, direction: np.ndarray) -> float:
     return min(1.0 / (-mu), STEP_CAP)
 
 
-def line_max_concave(deriv, t_max: float, rounds: int = 12) -> float:
+def line_max_concave(deriv, t_max: float, rounds: int) -> float:
     """Maximize a concave function on [0, t_max] given its derivative.
 
     deriv maps a 1-D array of points to the derivatives there.  The result is

@@ -476,6 +476,79 @@ def test_c11_trace_is_ordered_by_restart_then_alternation(trine_run):
         assert alternations == list(range(len(alternations))) and alternations
 
 
+def _overlap_matched_weights(ens, signals):
+    """The rule that once recovered the restricted-signal weights from an
+    ensemble: each member's weight goes to the first signal it equals up to
+    phase (|<s|sigma>| within 1e-9 of 1), uniform if none matches."""
+    weights = np.zeros(len(signals))
+    for p, s in ens.items():
+        for i, sig in enumerate(signals):
+            if abs(abs(np.vdot(s.vec, sig.vec)) - 1.0) < 1e-9:
+                weights[i] += p
+                break
+    if weights.sum() <= 0.0:
+        weights[:] = 1.0
+    return tuple(weights / weights.sum())
+
+
+def test_c11_ensemble_steps_start_from_the_previous_steps_weights(monkeypatch):
+    # each ensemble step starts from the weights the overlap matching would
+    # recover from the ensemble before it, bit for bit
+    real_task, real_initial, real_c1inf = (
+        c11_module._restart_task, c11_module._initial_ensemble, c11_module.c1inf)
+    current = [None]  # the restart lockstep is advancing
+    initial, steps = {}, []
+
+    def task(ch, signals, r, rng, opts):
+        inner = real_task(ch, signals, r, rng, opts)
+        answer = None
+        while True:
+            current[0] = r
+            try:
+                request = inner.send(answer)
+            except StopIteration as stop:
+                return stop.value
+            answer = yield request
+
+    def initial_ensemble(ch, signals, r, rng):
+        initial[r] = real_initial(ch, signals, r, rng)
+        return initial[r]
+
+    def c1inf(problem):
+        res = real_c1inf(problem)
+        steps.append((current[0], problem.options.initial_weights, res))
+        return res
+
+    monkeypatch.setattr(c11_module, "_restart_task", task)
+    monkeypatch.setattr(c11_module, "_initial_ensemble", initial_ensemble)
+    monkeypatch.setattr(c11_module, "c1inf", c1inf)
+    signals = trine_signals()
+    c11(identity_channel(2), restricted_signals=signals, restarts=8, seed=7)
+    assert len(steps) == 44 and sorted(initial) == list(range(8))
+    previous = dict(initial)
+    dropped = 0
+    for r, weights, res in steps:
+        want = _overlap_matched_weights(previous[r], signals)
+        assert np.array(weights).tobytes() == np.array(want).tobytes()
+        # signal_weights lines up with the signals: the ensemble holds the
+        # signals of nonzero weight, with those weights
+        assert len(res.signal_weights) == len(signals)
+        support = np.flatnonzero(res.signal_weights > 0.0)
+        assert res.ensemble.probs.tobytes() == res.signal_weights[support].tobytes()
+        assert all(np.array_equal(s.vec, signals[i].vec) for s, i in zip(res.ensemble.states, support))
+        dropped += len(signals) - len(support)
+        previous[r] = res.ensemble
+    assert dropped  # some step drops a signal, so the zeros are exercised
+
+
+def test_c11_measurement_rows_reuse_the_previous_ensembles_chi(trine_run):
+    rows = trine_run.trace
+    for before, row in zip(rows, rows[1:]):
+        if row["step"] == "measurement" and row["alternation"] > 0:
+            assert before["step"] == "ensemble" and before["restart"] == row["restart"]
+            assert np.float64(row["chi"]).tobytes() == np.float64(before["chi"]).tobytes()
+
+
 class CountingSearches:
     """Counts pricing searches per random stream (one stream per c11 restart
     or sweep row), the batched calls that answer them (the

@@ -364,6 +364,29 @@ def test_c1inf_trine_restricted():
     assert np.abs(avg.mat - res.rho.mat).max() < 1e-7
 
 
+def test_c1inf_signal_weights_line_up_with_the_signals():
+    signals = [PureState(v) for v in TRINE]
+    res = c1inf(C1InfProblem(identity_channel(2), restricted_signals=signals))
+    assert res.signal_weights.shape == (3,)
+    assert res.ensemble.probs.tobytes() == res.signal_weights[res.signal_weights > 0.0].tobytes()
+    assert c1inf(C1InfProblem(identity_channel(2))).signal_weights is None
+
+
+@pytest.mark.parametrize("weights, restricted", [
+    ((0.0, 0.0, 0.0), True),
+    ((np.nan, 1.0, 1.0), True),
+    ((np.inf, 1.0, 1.0), True),
+    ((-0.5, 1.0, 1.0), True),
+    ((0.5, 0.5), True),
+    ((1.0, 1.0, 1.0), False),
+])
+def test_c1inf_rejects_initial_weights_that_do_not_fit_the_signals(weights, restricted):
+    signals = [PureState(v) for v in TRINE] if restricted else None
+    with pytest.raises(ValueError, match="initial_weights"):
+        C1InfProblem(identity_channel(2), restricted_signals=signals,
+                     options=C1InfOptions(initial_weights=weights))
+
+
 def test_c1inf_identity_qubit():
     res = c1inf(C1InfProblem(identity_channel(2)))
     assert res.value == pytest.approx(1.0, abs=1e-6)
