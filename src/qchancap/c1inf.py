@@ -24,6 +24,7 @@ from .core import (
     PureState,
     QuantumChannel,
     adjoint_apply,
+    channel_output_pure,
     check_tolerance,
     entropy_of_spectrum,
     fix_phase,
@@ -32,7 +33,7 @@ from .core import (
     random_pure,
 )
 from .optim import (
-    STEP_CAP,
+    LINE_ROUNDS,
     _trace_log2_along,
     line_max_concave,
     minimize_on_sphere,
@@ -42,7 +43,7 @@ from .optim import (
 MASTER_GAP = 1e-10  # the master stops at this Frank-Wolfe gap
 MASTER_ITERS = 1000  # maximize_chi's iteration cap
 NEWTON_SHARE = 0.1  # Newton on the face while its gap exceeds this share of the FW gap
-LINE_ROUNDS = 40  # bisection rounds of the chi master's and c_ea's line searches
+STEP_CAP = 1e6  # longest step the ratio test returns along a direction no weight blocks
 NULL_TOL = 1e-10  # relative singular value below which the support's outputs are dependent
 BUDGET_TOL = 1e-12  # bits of slack within which the budget row counts as active
 DEDUP_TOL = 1e-7  # projectors closer than this (max-norm) are the same column
@@ -175,8 +176,7 @@ class ChiMaster:
     def pure(cls, ch: QuantumChannel, vecs):
         """Columns v_i with sigma_i = N(v_i v_i^dag) and h_i = S(sigma_i)."""
         vecs = np.asarray(vecs, dtype=complex)
-        imgs = np.einsum("kij,mj->mki", np.stack(ch.kraus), vecs)
-        outs = np.einsum("mki,mkj->mij", imgs, imgs.conj())
+        outs = channel_output_pure(ch, vecs)
         spectra = np.einsum("mii->mi", outs).real if ch.diagonal_output else np.linalg.eigvalsh(outs)
         return cls(outs, entropy_of_spectrum(spectra), vecs)
 

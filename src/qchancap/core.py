@@ -183,13 +183,12 @@ def channel_apply_mat(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def channel_output_pure(ch: QuantumChannel, vec: np.ndarray) -> np.ndarray:
-    """Output matrix N(v v^dag) assembled from the image vectors A_i v."""
-    imgs = [a @ vec for a in ch.kraus]
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for w in imgs:
-        out += np.outer(w, w.conj())
-    return out
+def channel_output_pure(ch: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
+    """N(v v^dag) from the image vectors A_k v, of one vector v or a stack (m, d)."""
+    vecs = np.asarray(vecs, dtype=complex)
+    imgs = np.einsum("kij,mj->mki", np.stack(ch.kraus), vecs.reshape(-1, ch.dim_in))
+    outs = np.einsum("mki,mkj->mij", imgs, imgs.conj())
+    return outs if vecs.ndim == 2 else outs[0]
 
 
 def adjoint_apply(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:

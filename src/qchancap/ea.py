@@ -28,11 +28,11 @@ from .core import (
     matrix_entropy,
     von_neumann_entropy,
 )
-from .c1inf import LINE_ROUNDS, C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
+from .c1inf import C1InfProblem, ChiMaster, c1inf, divergence_tau, maximize_chi
 from .info import limited_ea_objective, quantum_mutual_information
 from .optim import (
     EntropySum,
-    line_max_concave,
+    ascend_density_step,
     minimize_on_sphere,
     minimize_on_spheres,
     renormalize_density,
@@ -72,19 +72,6 @@ def coherent_objective(ch: QuantumChannel) -> EntropySum:
     return EntropySum([(1.0, ch), (-1.0, complementary_channel(ch))])
 
 
-def _fw_step(obj: EntropySum, mat):
-    """One Frank-Wolfe step from `mat`: the gap, and the line-searched move
-    toward the maximizing vertex (a pure state of the gradient's top
-    eigenvector)."""
-    g = obj.grad(mat)
-    eigs, vecs = np.linalg.eigh(g)
-    gap = float(eigs[-1] - np.trace(g @ mat).real)
-    vertex = np.outer(vecs[:, -1], vecs[:, -1].conj())
-    direction = vertex - mat
-    t = line_max_concave(obj.line_deriv(mat, direction), 1.0, rounds=LINE_ROUNDS)
-    return gap, mat + t * direction
-
-
 def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
     """Entanglement-assisted capacity by certified concave maximization.
 
@@ -103,7 +90,7 @@ def c_ea(ch: QuantumChannel, tol: float = 1e-7) -> CEResult:
     for rounds in range(1, CEA_ROUNDS + 1):
         [(_, end)] = minimize_on_sphere(fun_grad, d * d, [start])
         mat = _densities([end], d)[0]
-        gap, nxt = _fw_step(obj, mat)
+        nxt, _, gap = ascend_density_step(obj.grad, mat, line_deriv=obj.line_deriv)
         if gap < tol:
             break
         start = _factor(nxt)

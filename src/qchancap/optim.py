@@ -4,9 +4,8 @@ Multistart local minimization over unit state vectors, for one problem or
 for several at once, and the lockstep driver that runs independent
 resumable tasks so that their searches share one batch; the entropy-sum
 objectives of the density searches, and line maximization of concave
-objectives along density-matrix segments (C_E's Frank-Wolfe step).  The
-projected-gradient ascent step and its PSD step-to-boundary are reached
-only by the tests and perfbench's tracer, which wraps the step by name.
+objectives along density-matrix segments, with C_E's Frank-Wolfe step
+(ascend_density_step) and the chi master's line step on it.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ from .core import (
     snap_vector,
 )
 
-STEP_CAP = 1e6
 LBFGS_MEMORY = 10  # correction pairs kept per start, at most one per real variable
 LBFGS_FTOL = 1e-15  # relative decrease below which a start stops
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
@@ -31,8 +29,7 @@ MAX_EXPANSION = 64.0  # longest step the line search extends to; the first trial
 MAX_TRIALS = 60  # line-search evaluations per iteration
 LINE_LEVEL = 5  # bisection rounds per derivative call: 2**5 - 1 points at once
 DISTINCT_TOL = 1e-6  # minima closer than this (max-norm) are one
-MIN_DIRECTION_NORM = 1e-9  # an ascent step with a shorter projected gradient does not move
-BISECT_ROUNDS = 30  # bisection rounds of an ascent step's line search
+LINE_ROUNDS = 40  # bisection rounds of the chi master's and the Frank-Wolfe step's line searches
 
 
 def _rowdot(a, b):
@@ -264,22 +261,6 @@ def _sphere_sort_key(item):
     return (f, tuple(np.round(v.real, 9)), tuple(np.round(v.imag, 9)))
 
 
-def psd_boundary_step(rho: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with rho + t*direction still positive semidefinite.
-
-    Eigenvalues of rho below 1e-14 are floored, which maps a blocked
-    boundary move to a vanishingly small step instead of an error.
-    """
-    eigs, vecs = np.linalg.eigh(rho)
-    eigs = np.clip(eigs, 1e-14, None)
-    inv_sqrt = 1.0 / np.sqrt(eigs)
-    m = (vecs.conj().T @ direction @ vecs) * np.outer(inv_sqrt, inv_sqrt)
-    mu = float(np.linalg.eigvalsh(m)[0])
-    if mu > -1e-12:
-        return STEP_CAP
-    return min(1.0 / (-mu), STEP_CAP)
-
-
 def line_max_concave(deriv, t_max: float, rounds: int) -> float:
     """Maximize a concave function on [0, t_max] given its derivative.
 
@@ -323,37 +304,23 @@ def line_max_concave(deriv, t_max: float, rounds: int) -> float:
             return lo
 
 
-def traceless_part(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    return mat - (np.trace(mat) / d) * np.eye(d)
-
-
-# No engine calls this; it stays while perfbench's tracer wraps it by name.
 def ascend_density_step(grad_fn, rho: np.ndarray, *, line_deriv):
-    """One projected-gradient ascent step over the density-matrix set.
+    """One Frank-Wolfe step from the density rho for a concave objective f.
 
-    grad_fn(rho) -> Hermitian gradient ndarray, called once per step.  The
-    move direction is the traceless projection of the gradient, normalized
-    and clipped at the PSD boundary; a projection shorter than
-    MIN_DIRECTION_NORM gives no move.  line_deriv(rho, direction) returns the
-    derivative of t -> f(rho + t*direction) as a function of an array of t
-    (EntropySum.line_deriv); line_max_concave fixes the step length from it
-    in BISECT_ROUNDS bisection rounds (concave objectives).
-    Returns (new_rho, moved: bool).
+    grad_fn(rho) gives the Hermitian gradient G; the gap lambda_max(G) -
+    Tr(G rho) bounds how far f(rho) is below the maximum.  The step moves
+    toward the pure state of G's top eigenvector, its length fixed in
+    LINE_ROUNDS rounds of line_max_concave on line_deriv(rho, direction),
+    the derivative of t -> f(rho + t*direction) (EntropySum.line_deriv).
+    Returns (new_rho, moved: bool, gap).
     """
-    grad = grad_fn(rho)
-    direction = traceless_part(grad)
-    dnorm = np.linalg.norm(direction)
-    if dnorm < MIN_DIRECTION_NORM:
-        return rho, False
-    direction = direction / dnorm  # unit scale keeps the bisection resolution stable
-    t_hi = psd_boundary_step(rho, direction)
-    if t_hi <= 0.0:
-        return rho, False
-    t = line_max_concave(line_deriv(rho, direction), t_hi, rounds=BISECT_ROUNDS)
-    if t <= 0.0:
-        return rho, False
-    return rho + t * direction, True
+    g = grad_fn(rho)
+    eigs, vecs = np.linalg.eigh(g)
+    gap = float(eigs[-1] - np.trace(g @ rho).real)
+    vertex = np.outer(vecs[:, -1], vecs[:, -1].conj())
+    direction = vertex - rho
+    t = line_max_concave(line_deriv(rho, direction), 1.0, rounds=LINE_ROUNDS)
+    return rho + t * direction, t > 0.0, gap
 
 
 class EntropySum:
@@ -476,7 +443,5 @@ __all__ = [
     "lockstep",
     "minimize_on_sphere",
     "minimize_on_spheres",
-    "psd_boundary_step",
     "renormalize_density",
-    "traceless_part",
 ]

@@ -1,4 +1,5 @@
-"""Forms only the test suite needs: a purification, a random POVM, a
+"""Forms only the test suite needs: a purification, a random POVM, the
+erasure and Weyl-depolarizing channels of the closed-form checks, a
 channel-file writer and readers for the CLI's ensemble and POVM dumps.
 
 The package never calls these, so they live beside the tests that use them.
@@ -15,6 +16,7 @@ from qchancap.core import (
     Ensemble,
     Povm,
     PureState,
+    QuantumChannel,
     fix_phase,
     normalized_state,
 )
@@ -58,6 +60,25 @@ def random_rank_one_povm(rng: np.random.Generator, dim: int, outcomes: int) -> P
         w = float(np.vdot(v, v).real)
         items.append((w, normalized_state(fix_phase(v))))
     return Povm(items)
+
+
+def erasure(eps, d):
+    """The erasure channel on C^d: the input, or with probability eps the flag |d>."""
+    keep = np.sqrt(1 - eps) * np.eye(d + 1, d)
+    flag = np.eye(d + 1)[d]
+    return QuantumChannel([keep, *[np.sqrt(eps) * np.outer(flag, e) for e in np.eye(d)]])
+
+
+def weyl_depolarizing(p, d):
+    """The depolarizing channel on C^d from the d^2 Weyl operators X^a Z^b, and
+    its error probabilities: 1 - p + p/d^2 for the identity, p/d^2 for each other."""
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+           for a in range(d) for b in range(d)]
+    probs = np.full(d * d, p / d**2)
+    probs[0] += 1 - p
+    return QuantumChannel([np.sqrt(q) * op for q, op in zip(probs, ops)]), probs
 
 
 def write_channel_file(path, name, kraus=None, signals=None, transition=None, metadata=None):

@@ -38,9 +38,9 @@ from qchancap.c11 import (
     _seed_directions,
 )
 from qchancap.info import accessible_information_given, holevo_chi, mutual_information, JointDistribution
-from qchancap.lp import column_generation, solve_lp
+from qchancap.lp import LpError, column_generation, solve_lp
 
-from helpers import random_rank_one_povm
+from helpers import erasure, random_rank_one_povm
 
 c11_module = importlib.import_module("qchancap.c11")  # the package exports c11() by that name
 
@@ -688,3 +688,16 @@ def test_c11_status_is_that_of_the_returned_restart(monkeypatch):
     gains = np.diff(np.maximum.accumulate([running[best][a] for a in range(alternations)]))
     assert len(running[best]) == alternations and gains[-1] >= ALT_TOL
     assert res.status == "round-limit"
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(2, marks=pytest.mark.xfail(
+        strict=True, raises=LpError,
+        reason="master objective decreased: the per-solve row presolve (ROADMAP item 3)")),
+    3,
+])
+def test_c11_meets_the_erasure_closed_form(d):
+    # (1 - eps) log2 d (Bennett, DiVincenzo and Smolin, 1997)
+    res = c11(erasure(0.3, d), restarts=2, seed=0)
+    assert res.status == "converged"
+    assert res.value == pytest.approx(0.7 * np.log2(d), abs=1e-12)

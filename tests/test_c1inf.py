@@ -20,6 +20,7 @@ from qchancap.core import (
     random_channel,
     random_density,
     random_pure,
+    shannon_entropy,
 )
 from qchancap.c11 import induced_classical_channel
 from qchancap.c1inf import (
@@ -40,7 +41,7 @@ from qchancap.info import arimoto_blahut, ClassicalChannel, holevo_chi
 from qchancap.optim import EntropySum
 from qchancap.oracles import simplex_enumerate_chi
 
-from helpers import random_rank_one_povm
+from helpers import erasure, random_rank_one_povm, weyl_depolarizing
 
 c1inf_module = importlib.import_module("qchancap.c1inf")  # the package exports c1inf() by that name
 
@@ -658,3 +659,28 @@ def test_c1inf_output_is_bit_identical_to_the_captured_run(case):
     assert float(res.dual_gap).hex() == gap_hex
     assert res.rounds == rounds
     assert ens.hexdigest()[:32] == digest
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_c1inf_meets_the_closed_forms(d):
+    # (1 - eps) log2 d for erasure (Bennett, DiVincenzo and Smolin, 1997);
+    # log2 d - H(1 - p + p/d, p/d, ...) for depolarizing (King, 2003)
+    res = c1inf(C1InfProblem(erasure(0.3, d)))
+    assert res.status == "converged"
+    assert res.value == pytest.approx(0.7 * np.log2(d), abs=1e-12)
+    res = c1inf(C1InfProblem(weyl_depolarizing(0.3, d)[0]))
+    assert res.status == "converged"
+    spectrum = np.full(d, 0.3 / d)
+    spectrum[0] += 0.7
+    assert res.value == pytest.approx(np.log2(d) - shannon_entropy(spectrum), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pure_outputs_of_a_stack_are_those_of_each_vector(d):
+    rng = np.random.default_rng([16, d])
+    for k in (1, 2, 3):
+        ch = random_channel(rng, d, d, k)
+        vecs = np.stack([random_pure(rng, d).vec for _ in range(5)])
+        stacked = channel_output_pure(ch, vecs)
+        assert stacked.tobytes() == np.stack([channel_output_pure(ch, v) for v in vecs]).tobytes()
+        assert stacked.tobytes() == ChiMaster.pure(ch, vecs).outputs.tobytes()

@@ -31,6 +31,8 @@ from qchancap.ea import (
 )
 from qchancap.info import coherent_information, limited_ea_objective, quantum_mutual_information
 
+from helpers import erasure, weyl_depolarizing
+
 c1inf_module = importlib.import_module("qchancap.c1inf")  # the package exports c1inf() by that name
 ea_module = importlib.import_module("qchancap.ea")
 
@@ -106,25 +108,6 @@ def test_cea_converges_on_ququarts(seed, kraus_count, value):
     assert res.value >= value - 1e-9
 
 
-def erasure(eps, d):
-    """The erasure channel on C^d: the input, or with probability eps the flag |d>."""
-    keep = np.sqrt(1 - eps) * np.eye(d + 1, d)
-    flag = np.eye(d + 1)[d]
-    return QuantumChannel([keep, *[np.sqrt(eps) * np.outer(flag, e) for e in np.eye(d)]])
-
-
-def weyl_depolarizing(p, d):
-    """The depolarizing channel on C^d from the d^2 Weyl operators X^a Z^b, and
-    its error probabilities: 1 - p + p/d^2 for the identity, p/d^2 for each other."""
-    x = np.roll(np.eye(d), 1, axis=0)
-    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    ops = [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-           for a in range(d) for b in range(d)]
-    probs = np.full(d * d, p / d**2)
-    probs[0] += 1 - p
-    return QuantumChannel([np.sqrt(q) * op for q, op in zip(probs, ops)]), probs
-
-
 @pytest.mark.parametrize("d", [3, 4])
 def test_cea_meets_the_closed_forms(d):
     # Bennett, DiVincenzo and Smolin (1997) for erasure; Bennett, Shor, Smolin
@@ -136,6 +119,30 @@ def test_cea_meets_the_closed_forms(d):
     res = c_ea(ch)
     assert res.status == "converged"
     assert res.value == pytest.approx(2 * np.log2(d) - shannon_entropy(probs), abs=1e-12)
+
+
+@pytest.mark.parametrize("ch", [amplitude_damping(0.3),
+                                random_channel(np.random.default_rng(48), 4, 2, 4)],
+                         ids=["amplitude damping", "two-round ququart"])
+def test_cea_takes_one_frank_wolfe_step_per_round(ch, monkeypatch):
+    real, steps = ea_module.ascend_density_step, []
+
+    def spy(*args, **kwargs):
+        steps.append(real(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(ea_module, "ascend_density_step", spy)
+    res = c_ea(ch)
+    assert len(steps) == res.iterations
+    assert np.float64(steps[-1][2]).tobytes() == np.float64(res.gradient_residual).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_coherent_info_meets_the_erasure_closed_form(d):
+    # max(0, 1 - 2 eps) log2 d (Bennett, DiVincenzo and Smolin, 1997)
+    res = coherent_info_max(erasure(0.3, d))
+    assert res.status == "converged"
+    assert res.value == pytest.approx(0.4 * np.log2(d), abs=1e-12)
 
 
 def test_qmi_gradient_matches_finite_differences():

@@ -17,6 +17,7 @@ from qchancap.core import (
     log2_safe,
     random_channel,
     random_density,
+    random_pure,
 )
 from qchancap.ea import coherent_objective, qmi_objective
 from qchancap.optim import (
@@ -28,8 +29,6 @@ from qchancap.optim import (
     lockstep,
     minimize_on_sphere,
     minimize_on_spheres,
-    psd_boundary_step,
-    traceless_part,
 )
 
 from helpers import random_rank_one_povm
@@ -253,14 +252,13 @@ def _g_objective(ch, tau):
 
 
 def _entropy_line(seed):
-    """A real line derivative: g along a traceless direction from a random state."""
+    """A real line derivative: g along sigma - rho from a random state rho
+    toward a pure sigma, a traceless direction that stays PSD on [0, 1]."""
     rng = np.random.default_rng(seed)
     ch = random_channel(rng, 2, 2, 2)
     g = _g_objective(ch, random_density(rng, 2).mat * rng.normal())
     rho = random_density(rng, 2).mat
-    direction = traceless_part(g.grad(rho))
-    direction /= np.linalg.norm(direction)
-    return g.line_deriv(rho, direction), psd_boundary_step(rho, direction)
+    return g.line_deriv(rho, random_pure(rng, 2).projector() - rho), 1.0
 
 
 _ENTROPY_DERIV, _ENTROPY_T_MAX = _entropy_line(5)
@@ -378,14 +376,14 @@ def test_output_side_derivative_matches_input_side_gradient(index, boundary):
     tau = random_density(rng, d).mat * rng.normal()
     # a rank-deficient state sits on the PSD boundary
     rho = random_density(rng, d, rank=d - 1 if boundary else d).mat
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    direction = traceless_part((g + g.conj().T) / 2)
-    direction /= np.linalg.norm(direction)
+    # sigma - rho toward a pure sigma is traceless and stays PSD on [0, 1]
+    sigma = random_pure(rng, d).projector()
     if boundary:
         # move off the boundary, into the interior
         _, vecs = np.linalg.eigh(rho)
-        direction = traceless_part(np.outer(vecs[:, 0], vecs[:, 0].conj()))
-    ts = np.linspace(0.0, 0.9 * min(psd_boundary_step(rho, direction), 1.0), 9)
+        sigma = np.outer(vecs[:, 0], vecs[:, 0].conj())
+    direction = sigma - rho
+    ts = np.linspace(0.0, 0.9, 9)
     refs = _reference_gradients(ch, tau)
     for name, obj in _objectives(ch, tau).items():
         got = obj.line_deriv(rho, direction)(ts)
@@ -422,8 +420,23 @@ def test_ascent_step_moves_to_the_line_maximum():
     rng = np.random.default_rng(13)
     g = _g_objective(ch, random_density(rng, 3).mat * 0.3)
     rho = random_density(rng, 3).mat
-    new, moved = ascend_density_step(g.grad, rho, line_deriv=g.line_deriv)
-    assert moved and g.value(new) > g.value(rho)
+    new, moved, gap = ascend_density_step(g.grad, rho, line_deriv=g.line_deriv)
+    assert moved and gap > 0 and g.value(new) > g.value(rho)
     direction = (new - rho) / np.linalg.norm(new - rho)
     # stationary along the step: the derivative changes sign at the new point
     assert abs(g.line_deriv(new, direction)(np.array([0.0]))[0]) < 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ascent_step_reports_its_frank_wolfe_gap(d):
+    rng = np.random.default_rng([15, d])
+    ch = random_channel(rng, d, d, 2)
+    for obj in (qmi_objective(ch), _g_objective(ch, random_density(rng, d).mat * rng.normal())):
+        for _ in range(4):
+            rho = random_density(rng, d).mat
+            new, moved, gap = ascend_density_step(obj.grad, rho, line_deriv=obj.line_deriv)
+            assert type(moved) is bool
+            grad = obj.grad(rho)
+            want = np.linalg.eigvalsh(grad)[-1] - np.trace(grad @ rho).real
+            assert gap == pytest.approx(want, rel=0, abs=1e-12)
+            assert obj.value(new) >= obj.value(rho)
