@@ -270,16 +270,13 @@ def fig1_rows(steps: int, seed: int = 0, tol: float = 1e-7):
     with `seed`; the rows run in lockstep (optim.lockstep), so each round
     of their pricing searches is one batched sphere search.
     """
-    from .core import identity_channel
-
     if steps < 2:
         raise ValueError(f"the sweep needs at least 2 steps, got {steps}")
-    ch = identity_channel(2)
     thetas = [(np.pi / 2) * j / (steps - 1) for j in range(steps)]
     ensembles = [Ensemble([(0.5, s) for s in two_state_signals(theta)]) for theta in thetas]
     opts = C11Options(pricing_tol=tol)
     measured = lockstep([
-        optimize_measurement_task(channel_ensemble(ch, ens), opts, np.random.default_rng(seed))
+        optimize_measurement_task(ens, opts, np.random.default_rng(seed))
         for ens in ensembles
     ])
     return [(theta, i_acc, von_neumann_entropy(ens.average_density()))

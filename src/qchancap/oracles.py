@@ -12,16 +12,17 @@ inputs/outputs; grids blow up beyond d = 2.
 The ball is swept one z slice at a time for "coherent".  "qmi" is concave
 in the Bloch vector (mutual information is concave in the input state), so
 the tangent plane at any evaluated point a, f(a) + grad f(a).(n - a), bounds
-f on the whole ball.  An octree over the lattice indices evaluates each cell's
-centre and drops a cell once every plane it is given puts the cell's box more
-than _PRUNE_MARGIN below the best value found; the surviving cells are split
-down to single lattice points.  A plane is kept only where every spectrum in
-the objective is above _PLANE_FLOOR, where its gradient is finite and its
-roundoff far below the margin.  A dropped cell holds no point within the
-margin of the maximum, so every maximal point is evaluated, and ties go, as
-in the sweep, to the first in (z, x, y) index order.  A point's value does
-not depend on the batch it is evaluated in (one batch per slice in the sweep,
-one per refinement step here), so the result is the sweep's bit for bit.
+f on the whole ball.  An octree over the lattice indices, started from the
+whole lattice as one cell, evaluates each cell's centre and drops a cell once
+one of its ancestors' planes puts the cell's box more than _PRUNE_MARGIN
+below the best value found; the surviving cells are split down to single
+lattice points.  A plane is kept only where every spectrum in the objective
+is above _PLANE_FLOOR, where its gradient is finite and its roundoff far
+below the margin.  A dropped cell holds no point within the margin of the
+maximum, so every maximal point is evaluated, and ties go, as in the sweep,
+to the first in (z, x, y) index order.  A point's value does not depend on
+the batch it is evaluated in (one batch per slice in the sweep, one per
+refinement step here), so the result is the sweep's bit for bit.
 
 All entropies go through the three module-level kernels `_h2`, `_xlog2x`
 and `_entropy_batch` (perfbench's tracer wraps them by name to count
@@ -49,18 +50,16 @@ from .core import (
 
 PAULIS = (SX, SY, SZ)
 
-# grid points (times signals) evaluated per array block in the angle sweeps,
-# and cells (times planes) per block of the ball search's bounds
+# grid points (times signals) evaluated per array block in the angle sweeps
 _BLOCK_ELEMS = 1 << 16
 # the ball test of the Bloch lattice: |n|^2 <= 1 + _BALL_TOL
 _BALL_TOL = 1e-12
-# the ball search starts from about _START_CELLS^3 cells and keeps at most
-# _LIVE_CELLS of them per batch.  It makes a tangent plane only where every
-# eigenvalue in the objective exceeds _PLANE_FLOOR: an eigenvalue's roundoff
-# (about 1e-15) then moves log2 of it by at most about 1e-11, so a plane's
-# error across the ball stays well under _PRUNE_MARGIN, the amount by which a
-# cell's bound must fall below the incumbent before the cell is dropped
-_START_CELLS = 8
+# the ball search keeps at most _LIVE_CELLS cells per batch.  It makes a
+# tangent plane only where every eigenvalue in the objective exceeds
+# _PLANE_FLOOR: an eigenvalue's roundoff (about 1e-15) then moves log2 of it
+# by at most about 1e-11, so a plane's error across the ball stays well under
+# _PRUNE_MARGIN, the amount by which a cell's least plane bound must fall
+# below the incumbent before the cell is dropped
 _LIVE_CELLS = 4096
 _PLANE_FLOOR = 1e-4
 _PRUNE_MARGIN = 1e-9
@@ -305,27 +304,21 @@ class _LatticeSearch:
     Cells are index boxes (lo, hi inclusive; x, y, z).  Each evaluated cell
     centre whose spectra clear _PLANE_FLOOR adds a tangent plane, stored as
     f(a) - g.a and g; it bounds a box of centre c and half-widths h by
-    f(a) - g.a + g.c + |g|.h.  A cell is bounded by the planes of the
-    starting cells' centres and of its own ancestors' centres, and dropped
-    when that bound is below the incumbent minus _PRUNE_MARGIN.
+    f(a) - g.a + g.c + |g|.h.  The search starts from the whole lattice as
+    one cell.  A cell is bounded by the least of its ancestors' planes (one
+    per ancestor at most), and dropped when that bound is below the
+    incumbent minus _PRUNE_MARGIN.
     """
 
     def __init__(self, f: _BallObjective, axis: np.ndarray):
         self.f, self.axis, self.sq = f, axis, axis**2
         self.best, self.key = -np.inf, -1
         self.offset, self.grad = np.empty(0), np.empty((0, 3))
-        self.shared = 0  # planes [0, shared) bound every cell
 
     def run(self):
         size = self.axis.size
-        side = -(-size // _START_CELLS)
-        starts = np.arange(0, size, side)
-        lo = np.stack(np.meshgrid(starts, starts, starts, indexing="ij"), axis=-1).reshape(-1, 3)
-        hi = np.minimum(lo + side - 1, size - 1)
-        lo, hi = self._meets_ball(lo, hi)
-        lo, hi, ids = self._refine(lo, hi, np.empty((lo.shape[0], 0), dtype=np.int64))
-        self.shared = self.offset.size
-        self._descend(lo, hi, ids[:, 1:])
+        lo, hi = np.zeros((1, 3), dtype=np.int64), np.full((1, 3), size - 1)
+        self._descend(lo, hi, np.empty((1, 0), dtype=np.int64))
         iz, rest = divmod(self.key, size * size)
         return self.best, self.axis[[rest // size, rest % size, iz]]
 
@@ -378,13 +371,7 @@ class _LatticeSearch:
         h = 0.5 * (self.axis[hi] - self.axis[lo])
         g = self.grad[ids]  # (cells, ancestors, 3)
         own = self.offset[ids] + np.einsum("cda,ca->cd", g, c) + np.einsum("cda,ca->cd", np.abs(g), h)
-        out = np.where(ids >= 0, own, np.inf).min(axis=1, initial=np.inf)
-        if self.shared:
-            g, off = self.grad[:self.shared], self.offset[:self.shared]
-            for rows in _blocks(np.arange(lo.shape[0]), self.shared):
-                shared = (off + c[rows] @ g.T + h[rows] @ np.abs(g).T).min(axis=1)
-                out[rows] = np.minimum(out[rows], shared)
-        return out
+        return np.where(ids >= 0, own, np.inf).min(axis=1, initial=np.inf)
 
     def _evaluate(self, idx):
         """Evaluate the lattice points idx (P, 3) that pass the sweep's ball

@@ -368,6 +368,18 @@ def test_coherent_sweeps_every_lattice_point(monkeypatch):
     assert 0 < sum(evaluated) < ball / 4
 
 
+def test_ball_search_work_on_criterion_6(monkeypatch):
+    # criterion 6's oracle evaluates 270 of the ball's 33.5M lattice points;
+    # like the measurement-kernel bounds, this bound may only go down
+    evaluated = []
+    values = oracles._BallObjective.values
+    monkeypatch.setattr(oracles._BallObjective, "values",
+                        lambda self, n: evaluated.append(n.shape[0]) or values(self, n))
+    value, _ = grid_density_objective(depolarizing(0.3), "qmi", 0.005)
+    assert value.hex() == "0x1.49542d837e452p-1"
+    assert sum(evaluated) <= 300
+
+
 def test_simplex_chi_trine():
     value, p = simplex_enumerate_chi(identity_channel(2), [PureState(v) for v in TRINE], 1e-3)
     assert value == pytest.approx(1.0, abs=1e-5)
