@@ -6,8 +6,8 @@ at the optimum (Schumacher and Westmoreland, PRA 63, 022308, 2001).  The
 pricing search that finds violators is multistart local, so "converged" is
 a claim about the states it visited, not a global certificate.
 
-The master (ChiMaster, maximize_chi) takes general columns and an optional
-linear budget row; ea.limited_ea runs it over density columns.
+The master (ChiMaster, maximize_chi) maximizes chi over the simplex of
+general columns; ea.limited_ea runs it over mixes of density columns.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +45,6 @@ MASTER_ITERS = 1000  # maximize_chi's iteration cap
 NEWTON_SHARE = 0.1  # Newton on the face while its gap exceeds this share of the FW gap
 STEP_CAP = 1e6  # longest step the ratio test returns along a direction no weight blocks
 NULL_TOL = 1e-10  # relative singular value below which the support's outputs are dependent
-BUDGET_TOL = 1e-12  # bits of slack within which the budget row counts as active
 DEDUP_TOL = 1e-7  # projectors closer than this (max-norm) are the same column
 PRICING_TOL = 1e-7  # a priced state joins the master if its violation exceeds PRICING_TOL
 
@@ -217,19 +216,17 @@ class ChiMaster:
         return lambda ts: -along(ts) - linear
 
 
-def caratheodory(master: ChiMaster, p: np.ndarray, budget=None) -> np.ndarray:
-    """Shrink the support while its outputs (and, with a budget (s, B), the
-    entries of s) are affinely dependent.
+def caratheodory(master: ChiMaster, p: np.ndarray) -> np.ndarray:
+    """Shrink the support while its outputs are affinely dependent.
 
     Moves p along a null direction n (sum_i n_i sigma_i = 0, which keeps the
-    average and gives sum_i n_i = 0; sum_i n_i s_i = 0 with a budget) of the
-    sign with -n.h >= 0, until a weight hits zero; chi never decreases.
+    average and gives sum_i n_i = 0) of the sign with -n.h >= 0, until a
+    weight hits zero; chi never decreases.
     """
     while True:
         support = np.flatnonzero(p > 0.0)
         outs = master.outputs[support].reshape(support.size, -1)
-        parts = [outs.real, outs.imag] + ([] if budget is None else [budget[0][support, None]])
-        coords = np.concatenate(parts, axis=1)
+        coords = np.concatenate([outs.real, outs.imag], axis=1)
         _, sing, vt = np.linalg.svd(coords.T)
         if support.size <= sing.size and sing[-1] > NULL_TOL * sing[0]:
             return p
@@ -240,22 +237,15 @@ def caratheodory(master: ChiMaster, p: np.ndarray, budget=None) -> np.ndarray:
         p = _step_to(p, null, *_ratio_test(p, null))
 
 
-def _ratio_test(p, direction, budget=None):
-    """Largest t <= STEP_CAP with p + t*direction >= 0 and, with a budget
-    (s, B), s.(p + t*direction) <= B; and the index of the weight that
-    reaches zero there (-1 if none does)."""
+def _ratio_test(p, direction):
+    """Largest t <= STEP_CAP with p + t*direction >= 0, and the index of the
+    weight that reaches zero there (-1 if none does)."""
     neg = np.flatnonzero(direction < 0.0)
     ratios = p[neg] / -direction[neg]
-    t, blocker = STEP_CAP, -1
     if neg.size and ratios.min() <= STEP_CAP:
         k = int(np.argmin(ratios))
-        t, blocker = float(ratios[k]), int(neg[k])
-    if budget is not None:
-        s, bound = budget
-        rise = float(direction @ s)
-        if rise > 0.0 and (bound - p @ s) / rise < t:
-            return max(0.0, (bound - p @ s) / rise), -1
-    return t, blocker
+        return float(ratios[k]), int(neg[k])
+    return STEP_CAP, -1
 
 
 def _step_to(p, direction, t, blocker):
@@ -266,46 +256,15 @@ def _step_to(p, direction, t, blocker):
     return new / new.sum()
 
 
-def _fw_vertex(div, p, budget):
-    """The best point q of the simplex (with a budget (s, B), of its part
-    s.q <= B) for the linear objective div.q, and mu, the budget row's
-    smallest optimal multiplier in that linear program.  With a budget the
-    candidates are p, each column with s_i <= B and each mix of two columns
-    on the line s.q = B."""
-    if budget is None:
-        return np.eye(div.size)[np.argmax(div)], 0.0
-    s, bound = budget
-    q, best = p, float(p @ div)
-    lo, hi = np.flatnonzero(s < bound), np.flatnonzero(s > bound)
-    feasible = np.flatnonzero(s <= bound)
-    if feasible.size and div[feasible].max() > best:
-        k = feasible[np.argmax(div[feasible])]
-        q, best = np.eye(div.size)[k], float(div[k])
-    if lo.size and hi.size:
-        w = (bound - s[lo])[:, None] / (s[hi] - s[lo][:, None])  # weight of the hi column
-        mixes = div[lo][:, None] + w * (div[hi] - div[lo][:, None])
-        a, b = np.unravel_index(np.argmax(mixes), mixes.shape)
-        if mixes[a, b] > best:
-            q, best = np.zeros_like(div), float(mixes[a, b])
-            q[lo[a]], q[hi[b]] = 1.0 - w[a, b], w[a, b]
-    # the dual of max div.q: mu >= (div_i - best) / (s_i - bound) for s_i > bound
-    mu = max(0.0, float(((div[hi] - best) / (s[hi] - bound)).max())) if hi.size else 0.0
-    return q, mu
-
-
-def _newton_direction(master, p, support, div, eigs, rot, row=None):
-    """Maximizer of chi's quadratic model on the support's face (and on the
-    budget row's level set when row is given), or None if the KKT system is
-    singular or its solution does not ascend."""
+def _newton_direction(master, p, support, div, eigs, rot):
+    """Maximizer of chi's quadratic model on the support's face, or None if
+    the KKT system is singular or its solution does not ascend."""
     f = support.size
-    rows = [np.ones(f)] + ([] if row is None else [row[support]])
-    c = len(rows)
-    kkt = np.zeros((f + c, f + c))
+    kkt = np.zeros((f + 1, f + 1))
     kkt[:f, :f] = master.hessian(support, eigs, rot)
-    for j, r in enumerate(rows):
-        kkt[:f, f + j] = kkt[f + j, :f] = r
+    kkt[:f, f] = kkt[f, :f] = 1.0
     try:
-        sol = np.linalg.solve(kkt, np.concatenate([-div[support], np.zeros(c)]))
+        sol = np.linalg.solve(kkt, np.concatenate([-div[support], [0.0]]))
     except np.linalg.LinAlgError:
         return None
     step = np.zeros_like(p)
@@ -313,11 +272,10 @@ def _newton_direction(master, p, support, div, eigs, rot, row=None):
     return step if np.isfinite(step).all() and step @ div > 0.0 else None
 
 
-def _line_step(master, p, omega, direction, budget=None):
-    """Exact line search along direction, clipped by the ratio test (with
-    the budget row, if given); returns the new weights, or None when no
-    step ascends."""
-    t_hi, blocker = _ratio_test(p, direction, budget)
+def _line_step(master, p, omega, direction):
+    """Exact line search along direction, clipped by the ratio test; returns
+    the new weights, or None when no step ascends."""
+    t_hi, blocker = _ratio_test(p, direction)
     t = line_max_concave(master.line_deriv(omega, direction), t_hi, rounds=LINE_ROUNDS)
     if t <= 0.0:
         return None
@@ -326,49 +284,37 @@ def _line_step(master, p, omega, direction, budget=None):
     return _step_to(p, direction, t, -1)
 
 
-def maximize_chi(master: ChiMaster, p: np.ndarray, budget=None):
-    """Maximize chi over the simplex from the weights p (warm start), and,
-    with budget = (s, B), over its part with s.p <= B (p must lie in it).
+def maximize_chi(master: ChiMaster, p: np.ndarray):
+    """Maximize chi over the simplex from the weights p (warm start).
 
     Each iteration applies the Caratheodory step, then a Newton step on the
-    support's face while the face gap (spread of D on the support, less its
-    best fit lambda + mu' s on an active budget row)
-    exceeds NEWTON_SHARE times the Frank-Wolfe gap, else (or when Newton
-    fails) a Frank-Wolfe step toward the best vertex (_fw_vertex).  The budget row
-    joins Newton's KKT system while it is active (within BUDGET_TOL) and
-    clips Newton's step while it is slack.  chi never decreases.  Stops at
-    a Frank-Wolfe gap of MASTER_GAP, after MASTER_ITERS iterations, or when no
-    step ascends.  Returns p, chi, the divergences D and the budget row's
-    multiplier mu (0 without a budget or while the row is slack).
+    support's face while the face gap (spread of D on the support) exceeds
+    NEWTON_SHARE times the Frank-Wolfe gap, else (or when Newton fails) a
+    Frank-Wolfe step toward the column of largest D.  chi never decreases.
+    Stops at a Frank-Wolfe gap of MASTER_GAP, after MASTER_ITERS iterations,
+    or when no step ascends.  Returns p, chi and the divergences D.
     """
     p = np.asarray(p, dtype=float)
     for it in range(MASTER_ITERS + 1):
-        p = caratheodory(master, p, budget)
+        p = caratheodory(master, p)
         omega = master.average(p)
         div, eigs, rot = master.divergences(omega)
-        vertex, mu = _fw_vertex(div, p, budget)
-        row = None if budget is None or budget[1] - budget[0] @ p > BUDGET_TOL else budget[0]
-        mu = 0.0 if row is None else mu
+        vertex = np.eye(div.size)[np.argmax(div)]
         fw_gap = vertex @ div - p @ div
         if fw_gap <= MASTER_GAP or it == MASTER_ITERS:
             break
         support = np.flatnonzero(p > 0.0)
-        face = div[support]
-        if row is not None:  # the residual of D = lambda + mu' s, fitted on the support
-            a = np.stack([np.ones(support.size), row[support]], axis=1)
-            face = face - a @ np.linalg.lstsq(a, face, rcond=None)[0]
         new = None
-        if np.ptp(face) > NEWTON_SHARE * fw_gap:
-            step = _newton_direction(master, p, support, div, eigs, rot, row)
+        if np.ptp(div[support]) > NEWTON_SHARE * fw_gap:
+            step = _newton_direction(master, p, support, div, eigs, rot)
             if step is not None:
-                # on the active row the step keeps s.p; off it the row clips the step
-                new = _line_step(master, p, omega, step, budget if row is None else None)
-        if new is None:  # the vertex is feasible, and so is every point before it
+                new = _line_step(master, p, omega, step)
+        if new is None:
             new = _line_step(master, p, omega, vertex - p)
         if new is None:
             break
         p = new
-    return p, float(p @ div), div, mu
+    return p, float(p @ div), div
 
 
 # --- polish: the support as one point of a sphere -----------------------------
@@ -475,7 +421,7 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
         vecs = list(np.eye(ch.dim_in)) + [random_pure(rng, ch.dim_in).vec for _ in range(opts.starts)]
         weights = np.ones(len(vecs))
     master = ChiMaster.pure(ch, vecs)
-    p, chi, div, _ = maximize_chi(master, weights / np.sum(weights))
+    p, chi, div = maximize_chi(master, weights / np.sum(weights))
     tau = divergence_tau(ch, master.average(p), chi)
     gap = max(0.0, float(div.max()) - chi) if restricted else np.inf
     trace_rows = [_trace_row(0, master, p, tau, chi)] if restricted else []
@@ -483,11 +429,11 @@ def c1inf(problem: C1InfProblem) -> C1InfResult:
     for rnd in range(0 if restricted else opts.max_rounds):
         chi_start = chi
         if rnd:
-            p, chi, _, _ = maximize_chi(master, p)
+            p, chi, _ = maximize_chi(master, p)
         master, p = _prune(master, p)
         vecs, weights = _polish(ch, master.columns, p)
         polished = ChiMaster.pure(ch, vecs)
-        weights, chi_polished, _, _ = maximize_chi(polished, weights)
+        weights, chi_polished, _ = maximize_chi(polished, weights)
         if chi_polished > chi:
             (master, p), chi = _prune(polished, weights), chi_polished
         tau = divergence_tau(ch, master.average(p), chi)

@@ -251,12 +251,10 @@ def _cmd_oracle(args) -> RunReport:
         value = grid_accessible_info_2d(out_ens, args.step)
     elif args.name in ("qmi", "coherent"):
         value, _ = grid_density_objective(cf.channel, args.name, args.step)
-    elif args.name == "simplex-chi":
+    else:  # simplex-chi; --name's choices admit no other
         if not cf.signals:
             raise ChannelFileError("simplex-chi needs a channel file with signals")
         value, _ = simplex_enumerate_chi(cf.channel, cf.signals, args.step)
-    else:
-        raise ValueError(f"unknown oracle {args.name!r}")
     return RunReport(
         capacity=f"oracle-{args.name}", value_bits=value, status="converged",
         extras={"step": args.step},

@@ -6,9 +6,9 @@ maximization over input states: its searches end in rounds, and the
 Frank-Wolfe gap at a round's end point is a true upper bound on that
 point's suboptimality.  The single-letter coherent information and
 limited-EA's density pricing are multistart searches with no global
-claim.  The limited-entanglement formula runs on c1inf's chi master over
-density columns, with the entanglement budget as one linear row, and
-density pricing; it is flagged experimental.
+claim.  The limited-entanglement formula runs c1inf's chi master over
+the vertices of its budget polytope (mixes of density columns within the
+entanglement budget), and density pricing; it is flagged experimental.
 """
 
 from dataclasses import dataclass
@@ -179,6 +179,7 @@ def coherent_info_max(ch: QuantumChannel, starts: int = 4, seed: int = 0) -> QRe
 # ---------------------------------------------------------------------------
 
 ROUNDOFF_WEIGHT = 1e-12  # limited-EA drops ensemble members at or below this weight
+BUDGET_TOL = 1e-12  # bits of slack within which the budget counts as spent
 OUTER_ROUNDS = 30  # limited-EA's master-and-pricing rounds
 PRICING_STARTS = 6  # random starts of each density pricing search
 
@@ -195,13 +196,39 @@ class LimitedEaOptions:
 def _density_master(ch: QuantumChannel, mats):
     """The chi master over density columns rho_i: outputs N(rho_i) and costs
     h_i = S(N^c(rho_i)) - S(rho_i), so that chi is the limited-entanglement
-    formula; and the budget row s_i = S(rho_i), with entropies below
-    ENTROPY_CLIP (a pure state's roundoff) set to 0."""
+    formula; and the entropies s_i = S(rho_i) the budget bounds, with those
+    below ENTROPY_CLIP (a pure state's roundoff) set to 0."""
     mats = np.asarray(mats, dtype=complex)
     s = matrix_entropy(mats)
     s = np.where(s < ENTROPY_CLIP, 0.0, s)
     env = matrix_entropy(environment_output(ch, mats))
     return ChiMaster(channel_apply_mat(ch, mats), env - s, mats), s
+
+
+def _budget_master(master: ChiMaster, s: np.ndarray, budget: float, p: np.ndarray):
+    """Maximize chi over the weights p of master's columns with s.p <= budget
+    (p must satisfy it); returns p, chi, the divergences D and the budget's
+    smallest multiplier mu (0 while the budget is slack).
+
+    The feasible weights are the mixes of the vertices in the rows of `mix`:
+    the starting p, each column with s_i <= budget, and each pair of columns
+    with s_i < budget < s_j mixed so that s.q = budget.  maximize_chi runs
+    over those rows from p, so every iterate stays within the budget.
+    """
+    lo, hi = np.flatnonzero(s < budget), np.flatnonzero(s > budget)
+    eye = np.eye(s.size)
+    w = (budget - s[lo])[:, None] / (s[hi] - s[lo][:, None])  # weight of the hi column
+    pairs = (1.0 - w)[..., None] * eye[lo][:, None] + w[..., None] * eye[hi][None]
+    mix = np.concatenate([p[None], eye[s <= budget], pairs.reshape(-1, s.size)])
+    vertices = ChiMaster(np.tensordot(mix, master.outputs, axes=1), mix @ master.costs, mix)
+    weights, chi, vertex_div = maximize_chi(vertices, np.eye(1, len(mix))[0])
+    p = weights @ mix
+    div = master.divergences(master.average(p))[0]
+    mu = 0.0
+    if hi.size and budget - s @ p <= BUDGET_TOL:
+        # the dual of max D.q over the vertices: mu >= (D_j - best) / (s_j - budget)
+        mu = max(0.0, float(((div[hi] - vertex_div.max()) / (s[hi] - budget)).max()))
+    return p, chi, div, mu
 
 
 def _limited_pricing(ch, tau, mu, columns, rho_bar, starts, rng, tol):
@@ -231,12 +258,12 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
     (Shor, quant-ph/0402129): max S(N(rho)) - sum_i p_i [S(N^c(rho_i)) -
     S(rho_i)] over ensembles of densities with sum_i p_i S(rho_i) <= budget.
 
-    The formula is c1inf's chi master over density columns with the budget
-    as one linear row.  The columns start as c1inf's ensemble, c_ea's rho*
-    and I/d, weighted on the time-sharing line: lambda = min(1, budget /
+    The formula is c1inf's chi master over density columns, run within the
+    budget by _budget_master.  The columns start as c1inf's ensemble, c_ea's
+    rho* and I/d, weighted on the time-sharing line: lambda = min(1, budget /
     S(rho*)) on rho*, the rest on c1inf's ensemble.  Each round runs the
     master (which never descends), drops zero-weight columns and prices
-    densities at the gradient dual of the average output and the row's
+    densities at the gradient dual of the average output and the budget's
     multiplier.  Members of weight at most ROUNDOFF_WEIGHT are dropped from
     the result and the rest renormalized.  Returns (value, Ensemble, status):
     "converged" once pricing finds no violator, "stalled" when a round
@@ -262,7 +289,7 @@ def limited_ea(ch: QuantumChannel, budget: float, opts: LimitedEaOptions = None)
     p = np.concatenate([(1.0 - share) * base.ensemble.probs, [share, 0.0]])
     status, last = "round-limit", -np.inf
     for _ in range(OUTER_ROUNDS):
-        p, value, _, mu = maximize_chi(master, p, budget=(s, budget))
+        p, value, _, mu = _budget_master(master, s, budget, p)
         keep = p > 0.0
         master, s, p = master.take(keep), s[keep], p[keep]
         # tau = N^dag(log2 omega) + lambda I with lambda = chi - mu s.p makes the

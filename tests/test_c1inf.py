@@ -100,14 +100,14 @@ def test_master_identity_channel_eigenvectors():
     rho = random_density(rng, 2)
     _, vecs = np.linalg.eigh(rho.mat)
     master = _master(identity_channel(2), [PureState(vecs[:, k]) for k in range(2)])
-    p, _, div, _ = maximize_chi(master, np.array([0.9, 0.1]))
+    p, _, div = maximize_chi(master, np.array([0.9, 0.1]))
     assert float(p @ div) == pytest.approx(1.0, abs=1e-9)
     assert np.abs(p - 0.5).max() < 1e-6
 
 
 def test_master_trine_identity():
     master = _master(identity_channel(2), [PureState(v) for v in TRINE])
-    p, _, div, _ = maximize_chi(master, np.array([0.6, 0.3, 0.1]))
+    p, _, div = maximize_chi(master, np.array([0.6, 0.3, 0.1]))
     assert float(p @ div) == pytest.approx(1.0, abs=1e-9)
     avg = np.einsum("m,mij->ij", p, master.outputs)
     assert np.abs(avg - np.eye(2) / 2).max() < 1e-6
@@ -118,7 +118,7 @@ def test_master_dephasing_matches_simplex_grid():
     diagonal = PureState([np.sqrt(0.5), -np.sqrt(0.5)])
     for signals, step in ((DEPHASING_SIGNALS, 1e-3), (DEPHASING_SIGNALS + [diagonal], 2e-3)):
         master = _master(ch, signals)
-        p, _, div, _ = maximize_chi(master, np.full(len(signals), 1.0 / len(signals)))
+        p, _, div = maximize_chi(master, np.full(len(signals), 1.0 / len(signals)))
         oracle, _ = simplex_enumerate_chi(ch, signals, step=step)
         chi = float(p @ div)
         assert chi == pytest.approx(oracle, abs=2e-3)
@@ -138,7 +138,7 @@ def test_master_never_decreases_and_stays_affinely_independent(monkeypatch):
         chi0 = float(p @ master.divergences(master.average(p))[0])
         for iters in (1, 2, 4, 8, 1000):
             monkeypatch.setattr(c1inf_module, "MASTER_ITERS", iters)
-            q, _, div, _ = maximize_chi(master, p)
+            q, _, div = maximize_chi(master, p)
             assert float(q @ div) >= chi0 - 1e-12
         # a qubit output lives in a 3-dimensional affine space: at most 4 columns
         assert np.count_nonzero(q) <= 4
@@ -230,7 +230,7 @@ def test_dual_tau_strong_duality_and_feasibility():
     # and support columns hold it with equality
     ch = dephasing(0.25)
     master = _master(ch, DEPHASING_SIGNALS)
-    p, _, div, _ = maximize_chi(master, np.full(3, 1.0 / 3))
+    p, _, div = maximize_chi(master, np.full(3, 1.0 / 3))
     chi = float(p @ div)
     tau = divergence_tau(ch, master.average(p), chi)
     rho = sum(q * v.projector() for q, v in zip(p, DEPHASING_SIGNALS))
@@ -246,7 +246,7 @@ def test_dual_tau_strong_duality_and_feasibility():
 def test_dual_tau_identity_basis():
     states = [PureState([1.0, 0.0]), PureState([0.0, 1.0])]
     master = _master(identity_channel(2), states)
-    p, _, div, _ = maximize_chi(master, np.array([0.5, 0.5]))
+    p, _, div = maximize_chi(master, np.array([0.5, 0.5]))
     tau = divergence_tau(identity_channel(2), master.average(p), float(p @ div))
     assert float(np.trace(tau @ np.eye(2) / 2).real) == pytest.approx(0.0, abs=1e-9)
     for v in states:

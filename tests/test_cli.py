@@ -549,7 +549,7 @@ def test_each_option_is_one_a_caller_sets():
     assert _fields(LimitedEaOptions) == ["seed", "tol"]
     assert _fields(LinearProgram) == ["c", "A", "b", "tags"]
     assert _parameters(solve_lp) == ["lp", "warm_basis"]
-    assert _parameters(maximize_chi) == ["master", "p", "budget"]
+    assert _parameters(maximize_chi) == ["master", "p"]
     assert _parameters(QuantumChannel) == ["kraus"]
     assert _parameters(grid_density_objective) == ["ch", "objective", "step"]
     assert _parameters(pricing_search) == ["ch", "tau", "starts", "rng", "support"]

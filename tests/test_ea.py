@@ -23,6 +23,7 @@ from qchancap.c1inf import (
     maximize_chi,
 )
 from qchancap.ea import (
+    _budget_master,
     _density_master,
     c_ea,
     coherent_info_max,
@@ -402,7 +403,7 @@ def _budget_cases():
         mats = [random_pure(rng, d).projector() for _ in range(3)]
         mats += [random_density(rng, d).mat for _ in range(4)]
         master, s = _density_master(ch, mats)
-        free, _, _, _ = maximize_chi(master, np.full(len(mats), 1.0 / len(mats)))
+        free, _, _ = maximize_chi(master, np.full(len(mats), 1.0 / len(mats)))
         p0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]) / 3.0
         yield ch, master, s, 0.5 * float(free @ s), p0
 
@@ -414,11 +415,11 @@ def test_budget_master_keeps_the_row_and_complementary_slackness(monkeypatch):
         with monkeypatch.context() as patch:
             for iters in range(40):  # every iterate: the master is deterministic
                 patch.setattr(c1inf_module, "MASTER_ITERS", iters)
-                p, chi, _, _ = maximize_chi(master, p0, budget=(s, bound))
+                p, chi, _, _ = _budget_master(master, s, bound, p0)
                 assert p @ s <= bound + 1e-12
                 assert chi >= last - 1e-12
                 last = chi
-        p, chi, div, mu = maximize_chi(master, p0, budget=(s, bound))
+        p, chi, div, mu = _budget_master(master, s, bound, p0)
         assert p @ s <= bound + 1e-12 and mu >= 0.0
         if bound - p @ s > 1e-12:
             assert mu == 0.0
@@ -431,9 +432,33 @@ def test_budget_master_keeps_the_row_and_complementary_slackness(monkeypatch):
     assert active >= 6  # most cases end on the budget row with a positive multiplier
 
 
+def test_budget_master_on_an_unbinding_budget_is_the_free_master():
+    for _, master, s, _, _ in _budget_cases():
+        p0 = np.full(len(s), 1.0 / len(s))
+        _, free, _ = maximize_chi(master, p0)
+        for bound in (np.inf, float(s.max())):
+            _, chi, _, mu = _budget_master(master, s, bound, p0)
+            assert abs(chi - free) <= 1e-12
+            assert mu == 0.0
+
+
+def test_budget_master_on_a_budget_at_one_columns_entropy():
+    # the budget equals a mixed column's entropy: that column is a vertex on
+    # its own, not the end of a pair
+    for _, master, s, _, p0 in _budget_cases():
+        bound = float(s[3])
+        p, chi, div, mu = _budget_master(master, s, bound, p0)
+        assert p @ s <= bound + 1e-12 and mu >= 0.0
+        if bound - p @ s > 1e-12:
+            assert mu == 0.0
+        reduced = div - mu * s - (chi - mu * (p @ s))
+        assert np.abs(reduced[p > 0.0]).max() <= 1e-9
+        assert reduced.max() <= 1e-9
+
+
 def test_budget_master_kkt_hessian_and_newton_step():
     checked = 0
-    for ch, master, s, bound, _ in _budget_cases():
+    for _, master, s, _, _ in _budget_cases():
         m = len(s)
         p = np.random.default_rng(m).dirichlet(np.ones(m))
         div, eigs, rot = master.divergences(master.average(p))
@@ -445,18 +470,16 @@ def test_budget_master_kkt_hessian_and_newton_step():
             fd = (master.divergences(master.average(p + e))[0]
                   - master.divergences(master.average(p - e))[0]) / (2 * h)
             assert np.abs(fd - hess[:, j]).max() / max(1.0, np.abs(fd).max()) < 1e-5
-        # on an affinely independent support the Newton step keeps both rows
-        # and zeroes the model's gradient along them
-        p = caratheodory(master, p, (s, bound))
+        # on an affinely independent support the Newton step stays on the
+        # face and makes the model's gradient constant on the support
+        p = caratheodory(master, p)
         support = np.flatnonzero(p > 0.0)
         div, eigs, rot = master.divergences(master.average(p))
-        step = _newton_direction(master, p, support, div, eigs, rot, row=s)
+        step = _newton_direction(master, p, support, div, eigs, rot)
         if step is None:
             continue
-        assert abs(step.sum()) <= 1e-9 and abs(step @ s) <= 1e-9
+        assert abs(step.sum()) <= 1e-9
         model_grad = (div + master.hessian(np.arange(m), eigs, rot) @ step)[support]
-        rows = np.stack([np.ones(support.size), s[support]], axis=1)
-        fit = rows @ np.linalg.lstsq(rows, model_grad, rcond=None)[0]
-        assert np.abs(model_grad - fit).max() <= 1e-8 * max(1.0, np.abs(model_grad).max())
+        assert np.ptp(model_grad) <= 1e-8 * max(1.0, np.abs(model_grad).max())
         checked += 1
     assert checked >= 6

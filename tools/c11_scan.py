@@ -5,7 +5,7 @@ files with Kraus operators at seeds 0-2, one process per run with BLAS
 pinned to one thread, and prints one line per run (file, seed, exit code,
 status, value_bits, seconds, last stderr line), then the number of runs per
 exit code.  Last-bit changes to the measurement master's inputs change which
-of these runs exit 1 (ROADMAP item 10), so every change to C_{1,1}'s
+of these runs exit 1 (ROADMAP item 3), so every change to C_{1,1}'s
 arithmetic should compare this listing before and after.
 
     python tools/c11_scan.py [--src PATH]
