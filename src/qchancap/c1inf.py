@@ -28,6 +28,7 @@ from .core import (
     check_tolerance,
     entropy_of_spectrum,
     fix_phase,
+    log2_clamped,
     log2_clipped,
     log2_safe,
     random_pure,
@@ -107,6 +108,12 @@ def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
     shape (S,) and gradients of shape (S, d).  tau_mat is one (d, d) matrix or
     a stack (S, d, d) with one matrix per row of the batch.  H is the entropy
     of the spectrum as it is, so an unnormalized v is priced as well.
+
+    H is clamped, not clipped: each eigenvalue (or probability) lambda,
+    clipped to [0, 1], adds -lambda log2 max(lambda, ENTROPY_CLIP), and the
+    gradient's matrix log floors eigenvalues the same way, so both are
+    continuous where an eigenvalue crosses the clip (dropping it there jumps
+    f by up to 4e-11, and line searches near pure outputs halve against that).
     """
     kraus = np.stack(ch.kraus)
     kraus_h = kraus.conj()
@@ -114,14 +121,16 @@ def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
     def fun_grad(v):
         imgs = np.einsum("kij,sj->ski", kraus, v)  # A_k v
         if ch.diagonal_output:
-            probs = (imgs.real**2 + imgs.imag**2).sum(axis=1)
-            logp = log2_clipped(probs)
-            f_ent = -(probs * logp).sum(axis=1)
-            log_imgs = logp[:, None, :] * imgs
+            spectra = (imgs.real**2 + imgs.imag**2).sum(axis=1)
+            log_imgs = log2_clamped(spectra)[:, None, :] * imgs
         else:
             out = np.einsum("ski,skj->sij", imgs, imgs.conj())
-            f_ent = entropy_of_spectrum(np.linalg.eigvalsh(out))
-            log_imgs = np.einsum("sij,skj->ski", log2_safe(out), imgs)
+            spectra = np.linalg.eigvalsh(out)
+            eigs, vecs = np.linalg.eigh(out)
+            log_out = (vecs * log2_clamped(eigs)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+            log_imgs = np.einsum("sij,skj->ski", log_out, imgs)
+        spectra = np.clip(spectra, 0.0, 1.0)
+        f_ent = -(spectra * log2_clamped(spectra)).sum(axis=1)
         tau_v = v @ tau_mat.T if tau_mat.ndim == 2 else np.einsum("sij,sj->si", tau_mat, v)
         f = f_ent - np.einsum("si,si->s", v.conj(), tau_v).real
         adjoint = np.einsum("kji,skj->si", kraus_h, log_imgs)  # N^dag(log N(v v^dag)) v

@@ -242,6 +242,12 @@ def log2_clipped(x, floor: float = ENTROPY_CLIP):
     return np.log2(np.where(x > floor, x, 1.0))
 
 
+def log2_clamped(x):
+    """log2 max(x, ENTROPY_CLIP) elementwise: x log2 max(x, ENTROPY_CLIP) is
+    continuous at the clip, where log2_clipped's x log2 x jumps by ~4e-11."""
+    return np.log2(np.maximum(x, ENTROPY_CLIP))
+
+
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)

@@ -5,9 +5,12 @@ import importlib
 import numpy as np
 import pytest
 
+from qchancap.channels import bit_flip, parse_channel
 from qchancap.core import (
+    ENTROPY_CLIP,
     LN2,
     Ensemble,
+    Povm,
     PureState,
     QuantumChannel,
     adjoint_apply,
@@ -606,6 +609,45 @@ def test_pricing_objective_batch_matches_single_rows():
             assert abs(f_row - f_ref) <= 1e-12 and np.abs(g_row - g_ref).max() <= 1e-12
 
 
+def test_pricing_objective_is_continuous_at_the_entropy_clip():
+    # rows c|+> + s|-> walked across the s where the output's small eigenvalue
+    # (0.36 s^2 c^2 under bit_flip(0.1)) or the |-> probability of measuring
+    # it in the X basis (s^2) crosses ENTROPY_CLIP: dropping the eigenvalues
+    # at or below the clip made f jump there by about 4.0e-11
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
+    measured = induced_classical_channel(bit_flip(0.1), Povm.projective([plus, minus]))
+    assert measured.diagonal_output
+    for ch, crossing in ((bit_flip(0.1), np.sqrt(ENTROPY_CLIP / 0.36)),
+                         (measured, np.sqrt(ENTROPY_CLIP))):
+        s = crossing * np.linspace(0.9, 1.1, 401)
+        rows = (np.sqrt(1.0 - s**2)[:, None] * plus + s[:, None] * minus).astype(complex)
+        values, _ = _pricing_objective(ch, np.zeros((2, 2)))(rows)
+        assert np.abs(np.diff(values)).max() < 1e-13
+
+
+def test_c1inf_certifies_bit_flip_at_one_bit():
+    res = c1inf(C1InfProblem(parse_channel("bit_flip_0.1.qch").channel))
+    assert res.status == "converged"
+    assert abs(res.value - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("name, bound", [("bit_flip_0.1.qch", 60), ("depolarizing_0.3.qch", 30)])
+def test_c1inf_search_work_on_near_pure_outputs(monkeypatch, name, bound):
+    # batched calls of the search objective (pricing and polish): 45 and 22
+    # with the clamped entropy, 381 and 156 when line searches halved against
+    # the jump at the clip; these bounds may only go down
+    calls = []
+    search = c1inf_module.minimize_on_sphere
+
+    def counted(fun_grad, *args, **kwargs):
+        return search(lambda v: calls.append(len(v)) or fun_grad(v), *args, **kwargs)
+
+    monkeypatch.setattr(c1inf_module, "minimize_on_sphere", counted)
+    res = c1inf(C1InfProblem(parse_channel(name).channel))
+    assert res.status == "converged"
+    assert len(calls) <= bound
+
+
 # --- qutrit channels ------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [1, 3])
@@ -629,7 +671,9 @@ C1INF_CAPTURED = [  # name, value.hex(), dual_gap.hex(), rounds, ensemble digest
     ("41-3", "0x1.a3bc3ea4ee843p-1", "0x1.582e800000000p-41", 1, "9b106d71f08e3eb9f0c97adab98c5cf7"),
     ("qutrit-1", "0x1.b432432d82686p-1", "0x1.26e9400000000p-35", 1, "b5dfc9f0ac18117b5a7a0714f809dec1"),
     ("qutrit-3", "0x1.d061872d8a65ep-1", "0x1.1ea4600000000p-34", 1, "f68e2b6747bc22690ab4e4518bc28f87"),
-    ("ququart", "0x1.bb95cb87c9575p+0", "0x1.1bf9bc0000000p-34", 1, "24626db1c4ddce593203650eb0d08b71"),
+    # outputs of rank 2 of 4: their roundoff eigenvalues below ENTROPY_CLIP
+    # enter the pricing objective's clamped entropy
+    ("ququart", "0x1.bb95cb87c9578p+0", "0x1.24c8e70000000p-34", 1, "470d480589b433f83edc4c7d804dd14d"),
 ]
 
 

@@ -21,6 +21,7 @@ from qchancap.core import (
     environment_output,
     fix_phase,
     identity_channel,
+    log2_clamped,
     log2_clipped,
     log2_safe,
     mat_to_coords,
@@ -176,6 +177,15 @@ def test_log2_clipped_drops_entries_at_or_below_its_floor():
     assert log2_clipped(x).tolist() == [0.0, 0.0, 0.0, np.log2(2e-12), -1.0, 0.0]
     assert log2_clipped(x, 0.0).tolist() == [0.0, np.log2(1e-300), np.log2(1e-12),
                                              np.log2(2e-12), -1.0, 0.0]
+
+
+def test_log2_clamped_floors_entries_at_the_clip():
+    x = np.array([0.0, 1e-300, 1e-12, 2e-12, 0.5, 1.0])
+    assert log2_clamped(x).tolist() == [np.log2(1e-12)] * 3 + [np.log2(2e-12), -1.0, 0.0]
+    # x log2 x is continuous across the clip, where log2_clipped's drops 4e-11
+    below, above = np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0)
+    assert abs(below * log2_clamped(below) - above * log2_clamped(above)) < 1e-25
+    assert abs(below * log2_clipped(below) - above * log2_clipped(above)) > 3.9e-11
 
 
 def test_entropy_kernels_agree_on_stacks_and_edges():

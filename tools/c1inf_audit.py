@@ -7,7 +7,10 @@ returned tau with 256 starts from another stream,
 `pricing_search(ch, res.tau, 256, default_rng([7, seed]))`.  A run is a false
 `converged` when it reports `converged` and the repricing finds a violation
 above its dual_gap + tol (ROADMAP item 2).  Prints each false run, then the
-count per d and the total `c1inf` time (repricing excluded).
+count per d, the total `c1inf` time and the work behind it: the batched calls
+of the search objective (pricing and polish) and the rows they evaluated
+(repricing excluded from all three).  The counts repeat exactly from run to
+run, where the time drifts with the host.
 
     python tools/c1inf_audit.py [--src PATH]
 
@@ -39,16 +42,27 @@ def main(argv=None) -> int:
     from qchancap.c1inf import C1InfOptions, C1InfProblem, c1inf, pricing_search
     from qchancap.core import random_channel
 
-    spent = 0.0
+    # the package exports the c1inf function under its module's name
+    engine = sys.modules["qchancap.c1inf"]
+    search = engine.minimize_on_sphere
+    calls = []  # rows of each batched search-objective call
+
+    def counted(fun_grad, *args, **kwargs):
+        return search(lambda v: calls.append(len(v)) or fun_grad(v), *args, **kwargs)
+
+    engine.minimize_on_sphere = counted
+    spent, batches, rows = 0.0, 0, 0
     for d in DIMS:
         false, runs = 0, 0
         for k in KRAUS:
             for i in range(CHANNELS):
                 ch = random_channel(np.random.default_rng([9, d, k, i]), d, d, k)
                 for seed in range(SEEDS):
+                    calls.clear()
                     started = time.perf_counter()
                     res = c1inf(C1InfProblem(ch, options=C1InfOptions(seed=seed)))
                     spent += time.perf_counter() - started
+                    batches, rows = batches + len(calls), rows + sum(calls)
                     runs += 1
                     if res.status != "converged":
                         continue
@@ -59,7 +73,7 @@ def main(argv=None) -> int:
                         print(f"[9, {d}, {k}, {i}] seed {seed}: converged at {res.value:.10f} with "
                               f"dual_gap {res.dual_gap:.1e}, repriced violation {worst:.2e}", flush=True)
         print(f"d = {d}: {false} of {runs} runs falsely converged")
-    print(f"c1inf time: {spent:.1f} s")
+    print(f"c1inf time: {spent:.1f} s, search objective: {batches} batched calls, {rows} rows")
     return 0
 
 
