@@ -40,6 +40,12 @@ def _complex_entry(entry, where):
     return complex(re, im)
 
 
+def _list(value, where):
+    if not isinstance(value, list):
+        raise ChannelFileError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
 def _complex_matrix(rows, where):
     if not isinstance(rows, list) or not rows:
         raise ChannelFileError(f"{where}: expected a nonempty matrix")
@@ -85,7 +91,8 @@ def parse_channel(path) -> ChannelFile:
     if "kraus" not in doc:
         raise ChannelFileError(f"{path}: needs either 'kraus' or 'transition'")
     kraus = [
-        _complex_matrix(mat, f"{path}: kraus[{k}]") for k, mat in enumerate(doc["kraus"])
+        _complex_matrix(mat, f"{path}: kraus[{k}]")
+        for k, mat in enumerate(_list(doc["kraus"], f"{path}: kraus"))
     ]
     try:
         channel = QuantumChannel(kraus)
@@ -97,10 +104,11 @@ def parse_channel(path) -> ChannelFile:
                 f"{path}: declared {key}={doc[key]} but Kraus operators give {getattr(channel, key)}"
             )
     signals = None
-    if doc.get("signals"):
+    if _list(doc.get("signals", []), f"{path}: signals"):
         signals = []
         for k, vec in enumerate(doc["signals"]):
-            amps = [_complex_entry(e, f"{path}: signals[{k}][{j}]") for j, e in enumerate(vec)]
+            amps = [_complex_entry(e, f"{path}: signals[{k}][{j}]")
+                    for j, e in enumerate(_list(vec, f"{path}: signals[{k}]"))]
             try:
                 signals.append(PureState(np.array(amps)))
             except InvariantError as err:

@@ -116,6 +116,26 @@ def test_parse_bad_signal(tmp_path):
     assert "unit vector" in str(err.value)
 
 
+@pytest.mark.parametrize("fields, key", [
+    ({"kraus": 5}, "kraus"),
+    ({"kraus": None}, "kraus"),
+    ({"signals": 3}, "signals"),
+    ({"signals": 0}, "signals"),
+    ({"signals": [1, 2]}, "signals[0]"),
+], ids=["kraus-int", "kraus-null", "signals-int", "signals-zero", "signal-int"])
+def test_parse_non_list_fields_is_an_error_not_a_traceback(tmp_path, capsys, fields, key):
+    from qchancap.cli import main
+
+    p = tmp_path / "bad.qch"
+    ident = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    p.write_text(json.dumps({"name": "bad", "kraus": [ident], **fields}))
+    with pytest.raises(ChannelFileError) as err:
+        parse_channel(p)
+    assert f"{p}: {key}: expected a list" in str(err.value)
+    assert main(["c1inf", "--channel", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: {key}: ")
+
+
 def test_parse_dim_mismatch(tmp_path):
     p = tmp_path / "dims.qch"
     ident = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
