@@ -1,13 +1,14 @@
 """Brute-force grid oracles for desk-scale verification.
 
-Simple and independent of the optimization engines: dense angle grids for
+Simple and independent of the optimization engines: angle grids for
 accessible information, a Bloch-ball lattice for density objectives, and a
 probability-simplex enumeration for restricted Holevo chi, all as array code:
 closed-form simplex compositions (the 4-signal simplex streamed one leading
-coordinate at a time), closed-form 2x2 spectra, and the angle sweeps in blocks
-of a fixed number of points.  Every grid point is evaluated, except on the
-ball for the concave "qmi".  Everything here is limited to qubit
-inputs/outputs; grids blow up beyond d = 2.
+coordinate at a time) and closed-form 2x2 spectra.  The simplex and, for
+"coherent", the ball are swept point by point; the angle grids and the ball
+for the concave "qmi" are searched by branch-and-bound, which returns the
+maximum over every grid point bit for bit.  Everything here is limited to
+qubit inputs/outputs; grids blow up beyond d = 2.
 
 The ball is swept one z slice at a time for "coherent".  "qmi" is concave
 in the Bloch vector (mutual information is concave in the input state), so
@@ -23,6 +24,19 @@ maximum, so every maximal point is evaluated, and ties go, as in the sweep,
 to the first in (z, x, y) index order.  A point's value does not depend on
 the batch it is evaluated in (one batch per slice in the sweep, one per
 refinement step here), so the result is the sweep's bit for bit.
+
+Accessible information is maximized over two angle grids, (polar, azimuth)
+for projective measurements and (beta, gamma) for planar trines, by one
+quadtree over both index grids that shares the best value found.  A cell's
+bound is interval arithmetic (Hansen, Global Optimization Using Interval
+Analysis): the ranges of cos and sin over the cell's angle ranges give each
+outcome probability an interval, widened by _PAD = 1e-12 on both sides for
+roundoff; the mixture's entropy is at most its concave maximum over the
+mixed interval and each conditional entropy at least its smaller endpoint
+value.  A cell is dropped when its bound is more than _PRUNE_MARGIN below
+the best value, and cells of at most _LEAF_POINTS points are evaluated
+whole.  A point's value has the same bits in any batch, so the result is
+the float that evaluating every grid point gives.
 
 All entropies go through the three module-level kernels `_h2`, `_xlog2x`
 and `_entropy_batch` (perfbench's tracer wraps them by name to count
@@ -50,21 +64,26 @@ from .core import (
 
 PAULIS = (SX, SY, SZ)
 
-# grid points (times signals) evaluated per array block in the angle sweeps
-_BLOCK_ELEMS = 1 << 16
 # the ball test of the Bloch lattice: |n|^2 <= 1 + _BALL_TOL
 _BALL_TOL = 1e-12
-# the ball search keeps at most _LIVE_CELLS cells per batch.  It makes a
-# tangent plane only where every eigenvalue in the objective exceeds
-# _PLANE_FLOOR: an eigenvalue's roundoff (about 1e-15) then moves log2 of it
-# by at most about 1e-11, so a plane's error across the ball stays well under
-# _PRUNE_MARGIN, the amount by which a cell's least plane bound must fall
+# the ball and angle searches keep at most _LIVE_CELLS cells per batch.  The
+# ball search makes a tangent plane only where every eigenvalue in the
+# objective exceeds _PLANE_FLOOR: an eigenvalue's roundoff (about 1e-15) then
+# moves log2 of it by at most about 1e-11, so a plane's error across the ball
+# stays well under _PRUNE_MARGIN, the amount by which a cell's bound must fall
 # below the incumbent before the cell is dropped
 _LIVE_CELLS = 4096
 _PLANE_FLOOR = 1e-4
 _PRUNE_MARGIN = 1e-9
 # the 8 corner offsets of a 2 x 2 x 2 box; as a mask, the upper half of each axis
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+# the same for the quadrants of a 2-D cell
+_QUADRANTS = np.array(list(itertools.product((0, 1), repeat=2)))
+# the angle-grid search evaluates every point of a cell of at most
+# _LEAF_POINTS points, and widens each outcome probability's interval by _PAD
+# on both sides to cover the roundoff of the bound and of the point values
+_LEAF_POINTS = 64
+_PAD = 1e-12
 
 
 def check_grid_step(step: float, simplex: bool = False) -> None:
@@ -111,67 +130,206 @@ def _entropy_batch(mats: np.ndarray) -> np.ndarray:
     return entropy_of_spectrum(np.stack([mid - half_gap, mid + half_gap], axis=-1))
 
 
-def _blocks(values: np.ndarray, per_value: int) -> list:
-    """Consecutive blocks of `values`, each about _BLOCK_ELEMS / per_value long."""
-    return np.array_split(values, min(values.size, max(1, values.size * per_value // _BLOCK_ELEMS)))
+class _AngleFamily:
+    """A two-angle family of measurements on its index grid (rows, columns):
+    point values, and interval bounds on cells (index rectangles).
 
-
-def _projective_sweep(probs: np.ndarray, blochs: np.ndarray, step: float) -> float:
-    """Best mutual information over projective measurements {n, -n}.
-
-    n runs over the upper-hemisphere (polar, azimuth) lattice with spacing
-    `step`, in blocks of azimuths.
+    numpy hands the k-term sums of a point (probs @ ...) to BLAS's gemv,
+    which rounds the last (points mod 4) entries of a batch by another path;
+    `values` pads its batch to a multiple of 4 points, so a point gets the
+    same bits in every batch.
     """
-    polar = np.arange(0.0, np.pi / 2 + step, step)
-    azim = np.arange(0.0, 2 * np.pi, step)
-    sa, ca = np.sin(polar)[:, None], np.cos(polar)[:, None]
-    best = -np.inf
-    for chunk in _blocks(azim, polar.size * blochs.shape[0]):
-        # bloch_i . n with n = (sin t cos f, sin t sin f, cos t): (k, polar, azimuths)
-        across = np.outer(blochs[:, 0], np.cos(chunk)) + np.outer(blochs[:, 1], np.sin(chunk))
-        dots = sa * across[:, None, :] + ca * blochs[:, 2, None, None]
-        p_up = 0.5 * (1.0 + dots.reshape(blochs.shape[0], -1))
-        info = _h2(probs @ p_up) - probs @ _h2(p_up)
-        best = max(best, float(info.max()))
-    return best
+
+    def __init__(self, probs: np.ndarray, blochs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        self.probs, self.blochs, self.axes = probs, blochs, (rows, cols)
+
+    def values(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Mutual information at the grid points (rows i, columns j)."""
+        size = i.size
+        pad = np.zeros(-size % 4, dtype=np.int64)
+        return self._values(np.concatenate([i, pad]), np.concatenate([j, pad]))[:size]
+
+    def _angles(self, lo: np.ndarray, hi: np.ndarray, axis: int):
+        """The angle ranges of the cells on one axis, each (cells,)."""
+        return self.axes[axis][lo[:, axis]], self.axes[axis][hi[:, axis]]
 
 
-def _trine_sweep(probs: np.ndarray, blochs: np.ndarray, step: float) -> float:
-    """Best mutual information over symmetric planar trine POVMs.
+class _Projective(_AngleFamily):
+    """Projective measurements {n, -n}, n = (sin t cos f, sin t sin f, cos t)
+    on the upper-hemisphere (polar t, azimuth f) lattice with spacing `step`."""
+
+    def __init__(self, probs, blochs, step):
+        super().__init__(probs, blochs, np.arange(0.0, np.pi / 2 + step, step), np.arange(0.0, 2 * np.pi, step))
+        polar, azim = self.axes
+        self.sin_t, self.cos_t, self.cos_f, self.sin_f = np.sin(polar), np.cos(polar), np.cos(azim), np.sin(azim)
+
+    def _values(self, i, j):
+        b = self.blochs
+        across = b[:, 0, None] * self.cos_f[j] + b[:, 1, None] * self.sin_f[j]  # (k, points)
+        p_up = 0.5 * (1.0 + (self.sin_t[i] * across + self.cos_t[i] * b[:, 2, None]))
+        return _h2(self.probs @ p_up) - self.probs @ _h2(p_up)
+
+    def bounds(self, lo, hi):
+        """Upper bounds of the values on the cells (lo, hi inclusive)."""
+        b = self.blochs
+        t_lo, t_hi = (t[:, None] for t in self._angles(lo, hi, 0))
+        f_lo, f_hi = self._angles(lo, hi, 1)
+        # b.n = sin t * r_xy cos(f - alpha) + b_z cos t, as intervals (2, cells, k)
+        alpha = np.arctan2(b[:, 1], b[:, 0])
+        across = np.hypot(b[:, 0], b[:, 1]) * _cos_range(f_lo[:, None] - alpha, f_hi[:, None] - alpha)
+        dot = _times(_sin_range(t_lo, t_hi), across) + _hull(b[:, 2] * _cos_range(t_lo, t_hi))
+        p_up = _probability(0.5 * (1.0 + dot))
+        mix = p_up @ self.probs
+        return _h2(np.clip(0.5, mix[0], mix[1])) - _h2(p_up).min(axis=0) @ self.probs
+
+
+class _Trine(_AngleFamily):
+    """Symmetric planar trine POVMs on the (beta, gamma) lattice.
 
     Outcome j points along cos(g_j) e1 + sin(g_j) e2(beta) with
     g_j = gamma + 2 pi j / 3, e1 = x and e2(beta) = (0, sin beta, cos beta):
     a rotation gamma within the plane through the x axis tilted by beta.
-    Evaluated as (betas, 3, gammas, signals) blocks.
     """
-    gammas = np.arange(0.0, 2 * np.pi / 3, step)
-    betas = np.arange(0.0, np.pi, max(step, np.pi / max(1, int(np.pi / step))))
-    ang = gammas[None, :] + 2 * np.pi * np.arange(3)[:, None] / 3  # (3, G)
-    along_x = np.cos(ang)[..., None] * blochs[:, 0]  # (3, G, k)
-    in_plane = np.sin(ang)[..., None]  # (3, G, 1)
+
+    SHIFTS = 2 * np.pi * np.arange(3) / 3
+
+    def __init__(self, probs, blochs, step):
+        betas = np.arange(0.0, np.pi, max(step, np.pi / max(1, int(np.pi / step))))
+        super().__init__(probs, blochs, betas, np.arange(0.0, 2 * np.pi / 3, step))
+        ang = self.axes[1][None, :] + self.SHIFTS[:, None]  # (3, gammas)
+        self.sin_b, self.cos_b, self.cos_g, self.sin_g = np.sin(betas), np.cos(betas), np.cos(ang), np.sin(ang)
+
+    def _values(self, i, j):
+        b = self.blochs
+        tilt = self.sin_b[i, None] * b[:, 1] + self.cos_b[i, None] * b[:, 2]  # (points, k)
+        pj = (1.0 + self.cos_g[:, j, None] * b[:, 0] + self.sin_g[:, j, None] * tilt) / 3.0  # (3, points, k)
+        return (_xlog2x(pj) @ self.probs).sum(axis=0) - _xlog2x(pj @ self.probs).sum(axis=0)
+
+    def bounds(self, lo, hi):
+        """Upper bounds of the values on the cells (lo, hi inclusive)."""
+        b = self.blochs
+        b_lo, b_hi = self._angles(lo, hi, 0)
+        g_lo, g_hi = ((g[:, None] + self.SHIFTS)[:, :, None] for g in self._angles(lo, hi, 1))
+        # 3 p_ij - 1 = b_x cos g_j + sin g_j * r_yz sin(beta + psi), as intervals (2, cells, 3, k)
+        psi = np.arctan2(b[:, 2], b[:, 1])
+        tilt = np.hypot(b[:, 1], b[:, 2]) * _sin_range(b_lo[:, None] + psi, b_hi[:, None] + psi)
+        x = _hull(b[:, 0] * _cos_range(g_lo, g_hi)) + _times(_sin_range(g_lo, g_hi), tilt[:, :, None])
+        pj = _probability((1.0 + x) / 3.0)
+        mix = pj @ self.probs
+        # eta(x) = -x log2 x is concave with its peak at 1/e:
+        # sum_j max eta(m_j) - sum_i p_i sum_j min eta(p_ij)
+        top = -_xlog2x(np.clip(1 / np.e, mix[0], mix[1])).sum(axis=1)
+        return top + _xlog2x(pj).max(axis=0).sum(axis=1) @ self.probs
+
+
+# intervals are arrays (2, ...) of lower and upper ends
+
+def _hull(values: np.ndarray) -> np.ndarray:
+    """The interval spanned by values stacked on the first axis."""
+    return np.stack([values.min(axis=0), values.max(axis=0)])
+
+
+def _cos_range(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The range of cos over each [a, b] (a <= b): the endpoint values, 1
+    where a multiple of 2 pi lies inside, -1 where an odd multiple of pi does."""
+    ends = _hull(np.cos(np.stack([a, b])))
+    top = np.floor(b / (2 * np.pi)) >= np.ceil(a / (2 * np.pi))
+    bottom = np.floor((b - np.pi) / (2 * np.pi)) >= np.ceil((a - np.pi) / (2 * np.pi))
+    return np.stack([np.where(bottom, -1.0, ends[0]), np.where(top, 1.0, ends[1])])
+
+
+def _sin_range(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The range of sin over each [a, b]: sin x = cos(x - pi / 2)."""
+    return _cos_range(a - np.pi / 2, b - np.pi / 2)
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The products of the intervals x and y (of equal ndim)."""
+    corners = x[:, None] * y[None]
+    return _hull(corners.reshape(4, *corners.shape[2:]))
+
+
+def _probability(x: np.ndarray) -> np.ndarray:
+    """Intervals of a probability widened by _PAD for roundoff and clipped to [0, 1]."""
+    return np.clip(np.stack([x[0] - _PAD, x[1] + _PAD]), 0.0, 1.0)
+
+
+def _angle_search(families: list) -> float:
+    """Quadtree branch-and-bound for the largest value of the families over
+    their index grids, as evaluating every point gives it.
+
+    Cells are index rectangles (lo, hi inclusive) of one family, the first
+    each family's whole grid; all families share the incumbent.  Each round
+    drops the cells whose bound is below the incumbent minus _PRUNE_MARGIN,
+    evaluates every point of the cells of at most _LEAF_POINTS points and the
+    centres of the rest, and splits the rest into quadrants.  A dropped cell
+    holds no point within the margin of the incumbent, so every point that
+    could raise it is evaluated.
+    """
     best = -np.inf
-    for chunk in _blocks(betas, along_x.size):
-        tilt = np.sin(chunk)[:, None] * blochs[:, 1] + np.cos(chunk)[:, None] * blochs[:, 2]
-        pj = (1.0 + along_x + in_plane * tilt[:, None, None, :]) / 3.0  # (B, 3, G, k)
-        info = (_xlog2x(pj) @ probs).sum(axis=1) - _xlog2x(pj @ probs).sum(axis=1)
-        best = max(best, float(info.max()))
+
+    def refine(lo, hi, fam):
+        nonlocal best
+        bound = np.empty(fam.size)
+        for f, family in enumerate(families):
+            mine = fam == f
+            bound[mine] = family.bounds(lo[mine], hi[mine])
+        keep = bound >= best - _PRUNE_MARGIN
+        lo, hi, fam = lo[keep], hi[keep], fam[keep]
+        size = hi - lo + 1
+        leaf = size.prod(axis=1) <= _LEAF_POINTS
+        mid = (lo + hi) // 2
+        for f, family in enumerate(families):
+            mine = fam == f
+            i, j = _cell_points(lo[mine & leaf], size[mine & leaf])
+            centre = mid[mine & ~leaf]
+            vals = family.values(np.concatenate([i, centre[:, 0]]), np.concatenate([j, centre[:, 1]]))
+            best = max(best, float(vals.max(initial=-np.inf)))
+        lo, hi, mid, fam = lo[~leaf], hi[~leaf], mid[~leaf], fam[~leaf]
+        kid_lo = np.where(_QUADRANTS, mid[:, None, :] + 1, lo[:, None, :])
+        kid_hi = np.where(_QUADRANTS, hi[:, None, :], mid[:, None, :])
+        real = (kid_lo <= kid_hi).all(axis=2)
+        return kid_lo[real], kid_hi[real], np.repeat(fam[:, None], 4, axis=1)[real]
+
+    last = np.array([[f.axes[0].size - 1, f.axes[1].size - 1] for f in families])
+    _descend(refine, np.zeros_like(last), last, np.arange(len(families)))
     return best
+
+
+def _cell_points(lo: np.ndarray, size: np.ndarray):
+    """Row and column indices of every point of the cells."""
+    rows, cols = np.indices(size.max(axis=0, initial=0))
+    inside = (rows < size[:, 0, None, None]) & (cols < size[:, 1, None, None])
+    return (lo[:, 0, None, None] + rows)[inside], (lo[:, 1, None, None] + cols)[inside]
+
+
+def _descend(refine, *cells):
+    """Apply refine to the cells (row-aligned arrays) and then to what it
+    returns, until no cell is left, at most _LIVE_CELLS cells at a time."""
+    while cells[0].shape[0]:
+        count = cells[0].shape[0]
+        if count > _LIVE_CELLS:
+            for part in np.array_split(np.arange(count), -(-count // _LIVE_CELLS)):
+                _descend(refine, *(c[part] for c in cells))
+            return
+        cells = refine(*cells)
 
 
 def grid_accessible_info_2d(ens: Ensemble, step: float) -> float:
     """Lower bound on I_acc of a qubit ensemble by measurement grids.
 
-    Sweeps (a) every projective measurement, directions parameterized by two
-    angles, and (b) a two-angle family of symmetric 3-outcome rank-one POVMs
-    (planar trines: in-plane rotation plus a tilt of the plane).  Returns the
-    best mutual information found (at least 0).
+    Maximizes over (a) the projective measurements, directions parameterized
+    by two angles, and (b) a two-angle family of symmetric 3-outcome rank-one
+    POVMs (planar trines: in-plane rotation plus a tilt of the plane), each on
+    a lattice of spacing `step`.  Returns the best mutual information on the
+    two lattices (at least 0).
     """
     check_grid_step(step)
     if ens.dim != 2:
         raise DimensionError("the accessible-information grid handles qubits only")
     probs = np.asarray(ens.probs)
     blochs = np.stack([bloch_vector(m) for m in ens.density_mats()])  # (k, 3)
-    return max(0.0, _projective_sweep(probs, blochs, step), _trine_sweep(probs, blochs, step))
+    return max(0.0, _angle_search([_Projective(probs, blochs, step), _Trine(probs, blochs, step)]))
 
 
 def _qubit_channel_affine(ch: QuantumChannel):
@@ -317,20 +475,10 @@ class _LatticeSearch:
 
     def run(self):
         size = self.axis.size
-        lo, hi = np.zeros((1, 3), dtype=np.int64), np.full((1, 3), size - 1)
-        self._descend(lo, hi, np.empty((1, 0), dtype=np.int64))
+        _descend(self._refine, np.zeros((1, 3), dtype=np.int64), np.full((1, 3), size - 1),
+                 np.empty((1, 0), dtype=np.int64))
         iz, rest = divmod(self.key, size * size)
         return self.best, self.axis[[rest // size, rest % size, iz]]
-
-    def _descend(self, lo, hi, ids):
-        """Refine the cells until each is evaluated or dropped, at most
-        _LIVE_CELLS of them at a time."""
-        while lo.shape[0]:
-            if lo.shape[0] > _LIVE_CELLS:
-                for part in np.array_split(np.arange(lo.shape[0]), -(-lo.shape[0] // _LIVE_CELLS)):
-                    self._descend(lo[part], hi[part], ids[part])
-                return
-            lo, hi, ids = self._refine(lo, hi, ids)
 
     def _refine(self, lo, hi, ids):
         """Drop the cells the planes certify, evaluate every point of the

@@ -271,6 +271,18 @@ def test_oracle_subcommand(capsys):
     assert float(fields["value_bits"]) == pytest.approx(1.0, abs=1e-3)
 
 
+def test_oracle_accinfo_subcommand(capsys):
+    code, fields = run_text(
+        capsys, ["oracle", "--channel", "trine.qch", "--name", "accinfo", "--step", "0.01"],
+    )
+    assert code == 0
+    assert fields["status"] == "converged"
+    # the grid is a lower bound on the trine's log2(3) - 1, within the
+    # README's slack of ~2 step L, L at most a few bits per radian
+    exact = np.log2(3) - 1
+    assert exact - 2 * 0.01 * 3 <= float(fields["value_bits"]) <= exact + 1e-9
+
+
 @pytest.mark.parametrize("name", ["accinfo", "qmi", "coherent", "simplex-chi"])
 @pytest.mark.parametrize("step", ["-0.1", "0", "nan"])
 def test_oracle_subcommand_rejects_bad_step(capsys, name, step):

@@ -8,6 +8,7 @@ import pytest
 from qchancap import oracles
 from qchancap.channels import amplitude_damping, depolarizing
 from qchancap.core import (
+    DensityMatrix,
     DimensionError,
     Ensemble,
     PureState,
@@ -21,10 +22,11 @@ from qchancap.core import (
 )
 from qchancap.oracles import (
     _compositions,
+    _angle_search,
     _entropy_batch,
-    _projective_sweep,
+    _Projective,
     _swept_density_objective,
-    _trine_sweep,
+    _Trine,
     bloch_vector,
     check_grid_step,
     grid_accessible_info_2d,
@@ -169,8 +171,117 @@ def test_accinfo_sweeps_match_point_loops():
     for ens in ensembles:
         probs = np.asarray(ens.probs)
         blochs = np.stack([bloch_vector(m) for m in ens.density_mats()])
-        assert abs(_projective_sweep(probs, blochs, 0.05) - _projective_loop(probs, blochs, 0.05)) <= 1e-12
-        assert abs(_trine_sweep(probs, blochs, 0.05) - _trine_loop(probs, blochs, 0.05)) <= 1e-12
+        assert abs(_angle_search([_Projective(probs, blochs, 0.05)]) - _projective_loop(probs, blochs, 0.05)) <= 1e-12
+        assert abs(_angle_search([_Trine(probs, blochs, 0.05)]) - _trine_loop(probs, blochs, 0.05)) <= 1e-12
+
+
+# --- the angle-grid search against every grid point -------------------------------
+
+ANGLE_FAMILIES = [_Projective, _Trine]
+
+
+def _signals(ens):
+    return np.asarray(ens.probs), np.stack([bloch_vector(m) for m in ens.density_mats()])
+
+
+def _tilted_trine(angle):
+    """The trine turned by `angle` about the x axis, off the trine grid's planes."""
+    u = np.array([[np.cos(angle / 2), -1j * np.sin(angle / 2)], [-1j * np.sin(angle / 2), np.cos(angle / 2)]])
+    return Ensemble([(1 / 3, PureState(u @ v)) for v in TRINE])
+
+
+def _angle_inputs():
+    """Random mixed ensembles (k = 1 to 4) and degenerate ones."""
+    rng = np.random.default_rng(31)
+    random = [Ensemble(list(zip(rng.dirichlet(np.ones(k)), [random_density(rng, 2) for _ in range(k)])))
+              for k in (1, 2, 3, 4, 2, 3)]
+    # Bloch vectors +-1e-8 z: every value is roundoff, which only the margin covers
+    tiny = [DensityMatrix((np.eye(2) + 1e-8 * s * oracles.PAULIS[2]) / 2) for s in (1, -1)]
+    degenerate = [
+        Ensemble([(1.0, PureState([0.6, 0.8j]))]),  # one state: I = 0 everywhere
+        Ensemble([(0.3, PureState([0.6, 0.8])), (0.7, PureState([0.6, 0.8]))]),  # identical states
+        Ensemble([(0.5, PureState([1, 0])), (0.5, PureState([0, 1]))]),  # orthogonal pair: I = 1
+        Ensemble([(0.4, DensityMatrix(np.eye(2) / 2)), (0.6, PureState([np.cos(0.4), np.sin(0.4)]))]),
+        Ensemble([(0.5, tiny[0]), (0.5, tiny[1])]),  # nearly maximally mixed
+    ]
+    return random + degenerate
+
+
+def _every_point_max(family):
+    """Reference: the family's point kernel at every grid index, one grid row per batch."""
+    rows, cols = (np.arange(axis.size) for axis in family.axes)
+    return max(float(family.values(np.full(cols.size, r), cols).max()) for r in rows)
+
+
+@pytest.mark.parametrize("step", [3.0, 1.0, 0.3, 0.05, 0.02])
+def test_angle_search_matches_every_grid_point(step):
+    # steps 3 and 1 leave grids of one or a few points, polar angles past pi / 2
+    for ens in _angle_inputs():
+        probs, blochs = _signals(ens)
+        for family in ANGLE_FAMILIES:
+            f = family(probs, blochs, step)
+            assert _angle_search([f]) == _every_point_max(f)
+
+
+def test_angle_search_matches_every_grid_point_on_tilted_trines():
+    for angle in (0.7, 2.3):
+        probs, blochs = _signals(_tilted_trine(angle))
+        for family in ANGLE_FAMILIES:
+            f = family(probs, blochs, 2e-3)
+            assert _angle_search([f]) == _every_point_max(f)
+
+
+def test_grid_accinfo_degenerate_values():
+    one, same, orthogonal, mixed_member, flat = _angle_inputs()[-5:]
+    assert grid_accessible_info_2d(orthogonal, 0.05) == 1.0  # measured along z
+    for ens in (one, same, flat):
+        assert grid_accessible_info_2d(ens, 0.05) == pytest.approx(0.0, abs=1e-12)
+    # at most the Holevo bound S(0.4 I/2 + 0.6 psi) - 0.4 S(I/2) = h2(0.8) - 0.4
+    assert 0 < grid_accessible_info_2d(mixed_member, 0.05) <= binary_entropy(0.8) - 0.4
+
+
+@pytest.mark.parametrize("family", ANGLE_FAMILIES)
+def test_angle_values_do_not_depend_on_the_batch(family):
+    # the search evaluates other batches than a sweep, down to single points,
+    # and returns the grid maximum only if every point gets the same bits in
+    # every batch
+    rng = np.random.default_rng(17)
+    for ens in _angle_inputs()[:4]:
+        f = family(*_signals(ens), 0.05)
+        i, j = np.divmod(np.arange(f.axes[0].size * f.axes[1].size), f.axes[1].size)
+        full = f.values(i, j)
+        for size in range(1, 101):
+            at = rng.choice(i.size, size, replace=False)
+            assert f.values(i[at], j[at]).tobytes() == full[at].tobytes()
+
+
+@pytest.mark.parametrize("family", ANGLE_FAMILIES)
+def test_angle_bounds_hold_on_every_cell(family):
+    # a cell's bound is at least every value in it, with no margin: the 1e-12
+    # widening covers the roundoff, and wide cells reach the extremes of cos
+    rng = np.random.default_rng(23)
+    for ens in _angle_inputs()[:4]:
+        f = family(*_signals(ens), 0.05)
+        shape = np.array([f.axes[0].size, f.axes[1].size])
+        lo = np.vstack([[0, 0], rng.integers(0, shape, size=(400, 2))])
+        hi = np.minimum(lo + rng.choice([0, 1, 3, 10, 40, 1000], size=lo.shape), shape - 1)
+        bounds = f.bounds(lo, hi)
+        for c in range(lo.shape[0]):
+            i, j = np.mgrid[lo[c, 0]:hi[c, 0] + 1, lo[c, 1]:hi[c, 1] + 1]
+            assert bounds[c] >= f.values(i.ravel(), j.ravel()).max()
+
+
+def test_angle_search_work_on_a_tilted_trine(monkeypatch):
+    # a tilted trine as in the benchmark's accinfo op: the search evaluates
+    # 2,684 of the two grids' 4.1M points (2.47M projective, 1.65M trine);
+    # like criterion 6's bound, this one may only go down
+    evaluated = []
+    values = oracles._AngleFamily.values
+    monkeypatch.setattr(oracles._AngleFamily, "values",
+                        lambda self, i, j: evaluated.append(i.size) or values(self, i, j))
+    value = grid_accessible_info_2d(_tilted_trine(0.7), 2e-3)
+    assert value.hex() == "0x1.2b7fde098a434p-1"  # as evaluating every point gives
+    assert sum(evaluated) <= 4000
 
 
 def _first_argmax_p(states, step):
