@@ -5,45 +5,44 @@ accessible information, a Bloch-ball lattice for density objectives, and a
 probability-simplex enumeration for restricted Holevo chi, all as array code:
 closed-form simplex compositions (the 4-signal simplex streamed one leading
 coordinate at a time) and closed-form 2x2 spectra.  The simplex and, for
-"coherent", the ball are swept point by point; the angle grids and the ball
-for the concave "qmi" are searched by branch-and-bound, which returns the
-maximum over every grid point bit for bit.  Everything here is limited to
-qubit inputs/outputs; grids blow up beyond d = 2.
+"coherent", the ball (one z slice at a time) are swept point by point; the
+angle grids and the ball for the concave "qmi" are searched by one
+branch-and-bound, which returns the maximum over every grid point bit for
+bit.  Everything here is limited to qubit inputs/outputs; grids blow up
+beyond d = 2.
 
-The ball is swept one z slice at a time for "coherent".  "qmi" is concave
-in the Bloch vector (mutual information is concave in the input state), so
-the tangent plane at any evaluated point a, f(a) + grad f(a).(n - a), bounds
-f on the whole ball.  An octree over the lattice indices, started from the
-whole lattice as one cell, evaluates each cell's centre and drops a cell once
-one of its ancestors' planes puts the cell's box more than _PRUNE_MARGIN
-below the best value found; the surviving cells are split down to single
-lattice points.  A plane is kept only where every spectrum in the objective
-is above _PLANE_FLOOR, where its gradient is finite and its roundoff far
-below the margin.  A dropped cell holds no point within the margin of the
-maximum, so every maximal point is evaluated, and ties go, as in the sweep,
-to the first in (z, x, y) index order.  A point's value does not depend on
-the batch it is evaluated in (one batch per slice in the sweep, one per
-refinement step here), so the result is the sweep's bit for bit.
+_branch_and_bound works on index boxes (lo, hi inclusive) of grids of one
+dimension, starting from each whole grid as one box, with one incumbent for
+all of them.  Each round drops the boxes whose bound is more than
+_PRUNE_MARGIN below the incumbent, evaluates every point of the boxes of at
+most _LEAF_POINTS points and the centres of the others, and halves the
+others along every axis.  A dropped box holds no point within the margin of
+the incumbent, so every point that could raise it is evaluated, and a
+point's value has the same bits in any batch, so the result is the float
+that evaluating every grid point gives.  Each grid bounds its own boxes:
 
-Accessible information is maximized over two angle grids, (polar, azimuth)
-for projective measurements and (beta, gamma) for planar trines, by one
-quadtree over both index grids that shares the best value found.  A cell's
-bound is interval arithmetic (Hansen, Global Optimization Using Interval
-Analysis): the ranges of cos and sin over the cell's angle ranges give each
-outcome probability an interval, widened by _PAD = 1e-12 on both sides for
-roundoff; the mixture's entropy is at most its concave maximum over the
-mixed interval and each conditional entropy at least its smaller endpoint
-value.  A cell is dropped when its bound is more than _PRUNE_MARGIN below
-the best value, and cells of at most _LEAF_POINTS points are evaluated
-whole.  A point's value has the same bits in any batch, so the result is
-the float that evaluating every grid point gives.
+- The Bloch-ball lattice (_Lattice, indices x, y, z) for "qmi", which is
+  concave in the Bloch vector (mutual information is concave in the input
+  state): the tangent plane at an evaluated centre a,
+  f(a) + grad f(a).(n - a), bounds f on the whole ball, and a box is bounded
+  by the least of the planes made at its ancestors' centres.  A plane is
+  made only where every spectrum in the objective is above _PLANE_FLOOR,
+  where its gradient is finite and its roundoff far below the margin.  A box
+  that misses the ball is bounded by -inf.  Ties go, as in the sweep, to the
+  first maximal point in (z, x, y) index order.
+- The angle grids for accessible information, (polar, azimuth) for
+  projective measurements and (beta, gamma) for planar trines: interval
+  arithmetic (Hansen, Global Optimization Using Interval Analysis).  The
+  ranges of cos and sin over a box's angle ranges give each outcome
+  probability an interval, widened by _PAD = 1e-12 on both sides for
+  roundoff; the mixture's entropy is at most its concave maximum over the
+  mixed interval and each conditional entropy at least its smaller endpoint
+  value.
 
 All entropies go through the three module-level kernels `_h2`, `_xlog2x`
 and `_entropy_batch` (perfbench's tracer wraps them by name to count
 evaluations), which rest on core's log2_clipped and matrix_entropy.
 """
-
-import itertools
 
 import numpy as np
 
@@ -66,23 +65,18 @@ PAULIS = (SX, SY, SZ)
 
 # the ball test of the Bloch lattice: |n|^2 <= 1 + _BALL_TOL
 _BALL_TOL = 1e-12
-# the ball and angle searches keep at most _LIVE_CELLS cells per batch.  The
-# ball search makes a tangent plane only where every eigenvalue in the
-# objective exceeds _PLANE_FLOOR: an eigenvalue's roundoff (about 1e-15) then
-# moves log2 of it by at most about 1e-11, so a plane's error across the ball
-# stays well under _PRUNE_MARGIN, the amount by which a cell's bound must fall
-# below the incumbent before the cell is dropped
+# _branch_and_bound keeps at most _LIVE_CELLS boxes per batch, evaluates every
+# point of a box of at most _LEAF_POINTS points, and drops a box whose bound
+# is more than _PRUNE_MARGIN below the incumbent.  The ball makes a tangent
+# plane only where every eigenvalue in the objective exceeds _PLANE_FLOOR: an
+# eigenvalue's roundoff (about 1e-15) then moves log2 of it by at most about
+# 1e-11, so a plane's error across the ball stays well under the margin.  The
+# angle grids widen each outcome probability's interval by _PAD on both sides
+# to cover the roundoff of the bound and of the point values
 _LIVE_CELLS = 4096
-_PLANE_FLOOR = 1e-4
+_LEAF_POINTS = 16
 _PRUNE_MARGIN = 1e-9
-# the 8 corner offsets of a 2 x 2 x 2 box; as a mask, the upper half of each axis
-_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
-# the same for the quadrants of a 2-D cell
-_QUADRANTS = np.array(list(itertools.product((0, 1), repeat=2)))
-# the angle-grid search evaluates every point of a cell of at most
-# _LEAF_POINTS points, and widens each outcome probability's interval by _PAD
-# on both sides to cover the roundoff of the bound and of the point values
-_LEAF_POINTS = 64
+_PLANE_FLOOR = 1e-4
 _PAD = 1e-12
 
 
@@ -131,8 +125,8 @@ def _entropy_batch(mats: np.ndarray) -> np.ndarray:
 
 
 class _AngleFamily:
-    """A two-angle family of measurements on its index grid (rows, columns):
-    point values, and interval bounds on cells (index rectangles).
+    """A two-angle family of measurements as a grid for _branch_and_bound
+    (indices: rows, columns): point values, and interval bounds on boxes.
 
     numpy hands the k-term sums of a point (probs @ ...) to BLAS's gemv,
     which rounds the last (points mod 4) entries of a batch by another path;
@@ -149,8 +143,13 @@ class _AngleFamily:
         pad = np.zeros(-size % 4, dtype=np.int64)
         return self._values(np.concatenate([i, pad]), np.concatenate([j, pad]))[:size]
 
+    def evaluate(self, points: np.ndarray, centres: np.ndarray):
+        """The best value at the points and box centres (each (P, 2)); no planes."""
+        i, j = np.concatenate([points, centres]).T
+        return float(self.values(i, j).max(initial=-np.inf)), np.full(len(centres), -1)
+
     def _angles(self, lo: np.ndarray, hi: np.ndarray, axis: int):
-        """The angle ranges of the cells on one axis, each (cells,)."""
+        """The angle ranges of the boxes on one axis, each (boxes,)."""
         return self.axes[axis][lo[:, axis]], self.axes[axis][hi[:, axis]]
 
 
@@ -169,12 +168,12 @@ class _Projective(_AngleFamily):
         p_up = 0.5 * (1.0 + (self.sin_t[i] * across + self.cos_t[i] * b[:, 2, None]))
         return _h2(self.probs @ p_up) - self.probs @ _h2(p_up)
 
-    def bounds(self, lo, hi):
-        """Upper bounds of the values on the cells (lo, hi inclusive)."""
+    def bounds(self, lo, hi, planes=None):
+        """Upper bounds of the values on the boxes (lo, hi inclusive)."""
         b = self.blochs
         t_lo, t_hi = (t[:, None] for t in self._angles(lo, hi, 0))
         f_lo, f_hi = self._angles(lo, hi, 1)
-        # b.n = sin t * r_xy cos(f - alpha) + b_z cos t, as intervals (2, cells, k)
+        # b.n = sin t * r_xy cos(f - alpha) + b_z cos t, as intervals (2, boxes, k)
         alpha = np.arctan2(b[:, 1], b[:, 0])
         across = np.hypot(b[:, 0], b[:, 1]) * _cos_range(f_lo[:, None] - alpha, f_hi[:, None] - alpha)
         dot = _times(_sin_range(t_lo, t_hi), across) + _hull(b[:, 2] * _cos_range(t_lo, t_hi))
@@ -205,12 +204,12 @@ class _Trine(_AngleFamily):
         pj = (1.0 + self.cos_g[:, j, None] * b[:, 0] + self.sin_g[:, j, None] * tilt) / 3.0  # (3, points, k)
         return (_xlog2x(pj) @ self.probs).sum(axis=0) - _xlog2x(pj @ self.probs).sum(axis=0)
 
-    def bounds(self, lo, hi):
-        """Upper bounds of the values on the cells (lo, hi inclusive)."""
+    def bounds(self, lo, hi, planes=None):
+        """Upper bounds of the values on the boxes (lo, hi inclusive)."""
         b = self.blochs
         b_lo, b_hi = self._angles(lo, hi, 0)
         g_lo, g_hi = ((g[:, None] + self.SHIFTS)[:, :, None] for g in self._angles(lo, hi, 1))
-        # 3 p_ij - 1 = b_x cos g_j + sin g_j * r_yz sin(beta + psi), as intervals (2, cells, 3, k)
+        # 3 p_ij - 1 = b_x cos g_j + sin g_j * r_yz sin(beta + psi), as intervals (2, boxes, 3, k)
         psi = np.arctan2(b[:, 2], b[:, 1])
         tilt = np.hypot(b[:, 1], b[:, 2]) * _sin_range(b_lo[:, None] + psi, b_hi[:, None] + psi)
         x = _hull(b[:, 0] * _cos_range(g_lo, g_hi)) + _times(_sin_range(g_lo, g_hi), tilt[:, :, None])
@@ -254,58 +253,60 @@ def _probability(x: np.ndarray) -> np.ndarray:
     return np.clip(np.stack([x[0] - _PAD, x[1] + _PAD]), 0.0, 1.0)
 
 
-def _angle_search(families: list) -> float:
-    """Quadtree branch-and-bound for the largest value of the families over
-    their index grids, as evaluating every point gives it.
+def _branch_and_bound(grids: list) -> float:
+    """The largest value over every point of the grids (of one dimension), as
+    evaluating every point gives it; see the module docstring.
 
-    Cells are index rectangles (lo, hi inclusive) of one family, the first
-    each family's whole grid; all families share the incumbent.  Each round
-    drops the cells whose bound is below the incumbent minus _PRUNE_MARGIN,
-    evaluates every point of the cells of at most _LEAF_POINTS points and the
-    centres of the rest, and splits the rest into quadrants.  A dropped cell
-    holds no point within the margin of the incumbent, so every point that
-    could raise it is evaluated.
+    A grid has `axes` (one array per index); `bounds(lo, hi, planes)`, upper
+    bounds of its values on boxes (lo, hi inclusive) given the ids of the
+    planes made at each box's ancestors' centres (-1: none); and
+    `evaluate(points, centres)`, which evaluates index points and box centres
+    and returns the best value it has found and the id of the plane made at
+    each centre.
     """
     best = -np.inf
 
-    def refine(lo, hi, fam):
+    def refine(lo, hi, planes, owner):
         nonlocal best
-        bound = np.empty(fam.size)
-        for f, family in enumerate(families):
-            mine = fam == f
-            bound[mine] = family.bounds(lo[mine], hi[mine])
+        bound = np.empty(owner.size)
+        for g, grid in enumerate(grids):
+            mine = owner == g
+            bound[mine] = grid.bounds(lo[mine], hi[mine], planes[mine])
         keep = bound >= best - _PRUNE_MARGIN
-        lo, hi, fam = lo[keep], hi[keep], fam[keep]
+        lo, hi, planes, owner = lo[keep], hi[keep], planes[keep], owner[keep]
         size = hi - lo + 1
         leaf = size.prod(axis=1) <= _LEAF_POINTS
         mid = (lo + hi) // 2
-        for f, family in enumerate(families):
-            mine = fam == f
-            i, j = _cell_points(lo[mine & leaf], size[mine & leaf])
-            centre = mid[mine & ~leaf]
-            vals = family.values(np.concatenate([i, centre[:, 0]]), np.concatenate([j, centre[:, 1]]))
-            best = max(best, float(vals.max(initial=-np.inf)))
-        lo, hi, mid, fam = lo[~leaf], hi[~leaf], mid[~leaf], fam[~leaf]
-        kid_lo = np.where(_QUADRANTS, mid[:, None, :] + 1, lo[:, None, :])
-        kid_hi = np.where(_QUADRANTS, hi[:, None, :], mid[:, None, :])
+        made = np.full(owner.size, -1)
+        for g, grid in enumerate(grids):
+            mine = owner == g
+            top, made[mine & ~leaf] = grid.evaluate(_cell_points(lo[mine & leaf], size[mine & leaf]),
+                                                    mid[mine & ~leaf])
+            best = max(best, top)
+        # each box's children: the lower or upper half of every axis
+        upper = np.indices((2,) * lo.shape[1]).reshape(lo.shape[1], -1).T == 1
+        lo, hi, mid = lo[~leaf, None], hi[~leaf, None], mid[~leaf, None]
+        kid_lo, kid_hi = np.where(upper, mid + 1, lo), np.where(upper, hi, mid)
         real = (kid_lo <= kid_hi).all(axis=2)
-        return kid_lo[real], kid_hi[real], np.repeat(fam[:, None], 4, axis=1)[real]
+        carried = np.column_stack([planes, made, owner])[~leaf, None]
+        kids = np.repeat(carried, upper.shape[0], axis=1)[real]
+        return kid_lo[real], kid_hi[real], kids[:, :-1], kids[:, -1]
 
-    last = np.array([[f.axes[0].size - 1, f.axes[1].size - 1] for f in families])
-    _descend(refine, np.zeros_like(last), last, np.arange(len(families)))
+    last = np.array([[axis.size - 1 for axis in grid.axes] for grid in grids])
+    _descend(refine, np.zeros_like(last), last, np.empty((len(grids), 0), dtype=np.int64), np.arange(len(grids)))
     return best
 
 
-def _cell_points(lo: np.ndarray, size: np.ndarray):
-    """Row and column indices of every point of the cells."""
-    rows, cols = np.indices(size.max(axis=0, initial=0))
-    inside = (rows < size[:, 0, None, None]) & (cols < size[:, 1, None, None])
-    return (lo[:, 0, None, None] + rows)[inside], (lo[:, 1, None, None] + cols)[inside]
+def _cell_points(lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices (points, d) of every point of the boxes with corners lo and sides size."""
+    offsets = np.indices(size.max(axis=0, initial=0)).reshape(lo.shape[1], -1).T
+    inside = (offsets < size[:, None]).all(axis=2)
+    return (lo[:, None] + offsets)[inside]
 
 
 def _descend(refine, *cells):
-    """Apply refine to the cells (row-aligned arrays) and then to what it
-    returns, until no cell is left, at most _LIVE_CELLS cells at a time."""
+    """Apply refine to the boxes (row-aligned arrays) and then to what it
+    returns, until no box is left, at most _LIVE_CELLS boxes at a time."""
     while cells[0].shape[0]:
         count = cells[0].shape[0]
         if count > _LIVE_CELLS:
@@ -329,7 +330,7 @@ def grid_accessible_info_2d(ens: Ensemble, step: float) -> float:
         raise DimensionError("the accessible-information grid handles qubits only")
     probs = np.asarray(ens.probs)
     blochs = np.stack([bloch_vector(m) for m in ens.density_mats()])  # (k, 3)
-    return max(0.0, _angle_search([_Projective(probs, blochs, step), _Trine(probs, blochs, step)]))
+    return max(0.0, _branch_and_bound([_Projective(probs, blochs, step), _Trine(probs, blochs, step)]))
 
 
 def _qubit_channel_affine(ch: QuantumChannel):
@@ -430,7 +431,8 @@ def grid_density_objective(ch: QuantumChannel, objective: str, step: float):
     f, axis = _ball_problem(ch, objective, step)
     if objective == "coherent":
         return _density_result(*_sweep(f, axis))
-    return _density_result(*_LatticeSearch(f, axis).run())
+    lattice = _Lattice(f, axis)
+    return _density_result(_branch_and_bound([lattice]), lattice.point())
 
 
 def _swept_density_objective(ch: QuantumChannel, objective: str, step: float):
@@ -455,76 +457,45 @@ def _sweep(f: _BallObjective, axis: np.ndarray):
     return best_val, best_n
 
 
-class _LatticeSearch:
-    """Octree branch-and-bound for the first maximal lattice point of a
-    concave ball objective, in the sweep's (z, x, y) index order.
+class _Lattice:
+    """The Bloch-ball lattice of a concave objective as a grid for
+    _branch_and_bound (indices x, y, z), its boxes bounded by tangent planes.
 
-    Cells are index boxes (lo, hi inclusive; x, y, z).  Each evaluated cell
-    centre whose spectra clear _PLANE_FLOOR adds a tangent plane, stored as
-    f(a) - g.a and g; it bounds a box of centre c and half-widths h by
-    f(a) - g.a + g.c + |g|.h.  The search starts from the whole lattice as
-    one cell.  A cell is bounded by the least of its ancestors' planes (one
-    per ancestor at most), and dropped when that bound is below the
-    incumbent minus _PRUNE_MARGIN.
+    Each evaluated box centre whose spectra clear _PLANE_FLOOR makes a plane,
+    stored as f(a) - g.a and g; it bounds a box of centre c and half-widths h
+    by f(a) - g.a + g.c + |g|.h.  `best` is the largest value evaluated and
+    `point()` its first point in the sweep's (z, x, y) index order.
     """
 
     def __init__(self, f: _BallObjective, axis: np.ndarray):
-        self.f, self.axis, self.sq = f, axis, axis**2
+        self.f, self.axis, self.sq, self.axes = f, axis, axis**2, (axis,) * 3
         self.best, self.key = -np.inf, -1
         self.offset, self.grad = np.empty(0), np.empty((0, 3))
 
-    def run(self):
+    def point(self) -> np.ndarray:
         size = self.axis.size
-        _descend(self._refine, np.zeros((1, 3), dtype=np.int64), np.full((1, 3), size - 1),
-                 np.empty((1, 0), dtype=np.int64))
         iz, rest = divmod(self.key, size * size)
-        return self.best, self.axis[[rest // size, rest % size, iz]]
+        return self.axis[[rest // size, rest % size, iz]]
 
-    def _refine(self, lo, hi, ids):
-        """Drop the cells the planes certify, evaluate every point of the
-        leaves (sides of 1 or 2) and the centres of the rest; returns the
-        children of the rest, each with its parent's plane ids plus the one
-        made at the parent's centre (-1: none)."""
-        keep = self._bound(lo, hi, ids) >= self.best - _PRUNE_MARGIN
-        lo, hi, ids = lo[keep], hi[keep], ids[keep]
-        leaf = (hi - lo <= 1).all(axis=1)
-        points = lo[leaf][:, None, :] + _CORNERS
-        self._evaluate(points[(points <= hi[leaf][:, None, :]).all(axis=2)])
-        lo, hi, ids = lo[~leaf], hi[~leaf], ids[~leaf]
-        mid = (lo + hi) // 2
-        inside, n, vals = self._evaluate(mid)
-        grad, ok = self.f.gradients(n)
-        own = np.full(lo.shape[0], -1)
-        own[np.flatnonzero(inside)[ok]] = self.offset.size + np.arange(np.count_nonzero(ok))
-        self.offset = np.concatenate([self.offset, vals[ok] - np.einsum("pa,pa->p", grad[ok], n[ok])])
-        self.grad = np.concatenate([self.grad, grad[ok]])
-        kid_lo = np.where(_CORNERS, mid[:, None, :] + 1, lo[:, None, :])
-        kid_hi = np.where(_CORNERS, hi[:, None, :], mid[:, None, :])
-        real = (kid_lo <= kid_hi).all(axis=2)
-        kid_ids = np.repeat(np.column_stack([ids, own])[:, None, :], 8, axis=1)
-        return self._meets_ball(kid_lo[real], kid_hi[real], kid_ids[real])
-
-    def _meets_ball(self, lo, hi, *rest):
-        """The boxes (and their rows of `rest`) that reach into the ball, with
-        room for roundoff above the ball test."""
+    def bounds(self, lo, hi, planes):
+        """Least plane bound of each box (inf without planes), -inf where the
+        box misses the ball, with room for roundoff above the ball test."""
+        bound = np.full(lo.shape[0], np.inf)
+        if self.offset.size:
+            c = 0.5 * (self.axis[lo] + self.axis[hi])
+            h = 0.5 * (self.axis[hi] - self.axis[lo])
+            g = self.grad[planes]  # (boxes, ancestors, 3)
+            own = self.offset[planes] + np.einsum("cda,ca->cd", g, c) + np.einsum("cda,ca->cd", np.abs(g), h)
+            bound = np.where(planes >= 0, own, np.inf).min(axis=1, initial=np.inf)
         near = np.maximum(0.0, np.maximum(self.axis[lo], -self.axis[hi]))
-        keep = (near**2).sum(axis=1) <= 1.0 + 1e-9
-        return (lo[keep], hi[keep]) + tuple(r[keep] for r in rest)
+        return np.where((near**2).sum(axis=1) <= 1.0 + 1e-9, bound, -np.inf)
 
-    def _bound(self, lo, hi, ids):
-        """Least plane bound of each cell (inf without planes)."""
-        if self.offset.size == 0 or lo.shape[0] == 0:
-            return np.full(lo.shape[0], np.inf)
-        c = 0.5 * (self.axis[lo] + self.axis[hi])
-        h = 0.5 * (self.axis[hi] - self.axis[lo])
-        g = self.grad[ids]  # (cells, ancestors, 3)
-        own = self.offset[ids] + np.einsum("cda,ca->cd", g, c) + np.einsum("cda,ca->cd", np.abs(g), h)
-        return np.where(ids >= 0, own, np.inf).min(axis=1, initial=np.inf)
-
-    def _evaluate(self, idx):
-        """Evaluate the lattice points idx (P, 3) that pass the sweep's ball
-        test, as the sweep computes them, and update the incumbent; returns
-        (mask of those points, their coordinates, their values)."""
+    def evaluate(self, points, centres):
+        """Evaluate the points and box centres (each (P, 3)) that pass the
+        sweep's ball test, as the sweep computes them, and update the
+        incumbent; returns it and the id of the plane made at each centre
+        (-1: none)."""
+        idx = np.concatenate([points, centres])
         inside = (self.sq[idx[:, 0]] + self.sq[idx[:, 1]]) + self.sq[idx[:, 2]] <= 1.0 + _BALL_TOL
         idx = idx[inside]
         n = self.axis[idx]
@@ -536,7 +507,15 @@ class _LatticeSearch:
             first = int(keys[vals == top].min())
             if top > self.best or (top == self.best and first < self.key):
                 self.best, self.key = float(top), first
-        return inside, n, vals
+        # the centres in the ball are the last rows of n
+        at = np.count_nonzero(inside[:len(points)])
+        n, vals = n[at:], vals[at:]
+        grad, ok = self.f.gradients(n)
+        made = np.full(len(centres), -1)
+        made[np.flatnonzero(inside[len(points):])[ok]] = self.offset.size + np.arange(np.count_nonzero(ok))
+        self.offset = np.concatenate([self.offset, vals[ok] - np.einsum("pa,pa->p", grad[ok], n[ok])])
+        self.grad = np.concatenate([self.grad, grad[ok]])
+        return self.best, made
 
 
 def simplex_enumerate_chi(ch: QuantumChannel, states: list, step: float):

@@ -26,6 +26,7 @@ from qchancap.c1inf import (
     C1InfOptions,
     C1InfProblem,
     c1inf,
+    pricing_search,
     _pricing_objective,
 )
 from qchancap.c11 import C11Options, c11, optimize_measurement, _ensemble_arrays, _measurement_objective
@@ -173,9 +174,10 @@ def test_criterion_7_certificate_suite(monkeypatch):
         for i in range(50):
             ch = random_channel(rng, 2, 2, int(rng.integers(1, 4)))
             res = c1inf(C1InfProblem(ch, options=C1InfOptions(seed=i)))
-            for row in res.trace:
-                assert row["master_objective"] >= row["tr_tau_rho"] - 1e-7
             assert res.pricing_residual < 1e-6
+            # an independent repricing of the returned dual tau from fresh starts
+            repriced = pricing_search(ch, res.tau, 64, np.random.default_rng([7, i]))
+            assert max((violation for violation, _ in repriced), default=0.0) < 1e-6
             ce = c_ea(ch)
             assert ce.value >= res.value - 1e-6
             c11_res = c11(ch, restarts=1, seed=i, opts=C11Options(starts=4))
@@ -190,7 +192,7 @@ def test_criterion_7_certificate_suite(monkeypatch):
             _check_measurement_grad(ch, rng)
         assert time.monotonic() - started <= 600.0
 
-    _report(7, "50 random channels: duality sandwich, residual < 1e-6, C_E >= c1inf, "
+    _report(7, "50 random channels: residual and repricing < 1e-6, C_E >= c1inf, "
                "Holevo bound at every c11 iterate, gradients vs FD", block)
 
 

@@ -21,8 +21,8 @@ from qchancap.core import (
     random_density,
 )
 from qchancap.oracles import (
+    _branch_and_bound,
     _compositions,
-    _angle_search,
     _entropy_batch,
     _Projective,
     _swept_density_objective,
@@ -171,8 +171,8 @@ def test_accinfo_sweeps_match_point_loops():
     for ens in ensembles:
         probs = np.asarray(ens.probs)
         blochs = np.stack([bloch_vector(m) for m in ens.density_mats()])
-        assert abs(_angle_search([_Projective(probs, blochs, 0.05)]) - _projective_loop(probs, blochs, 0.05)) <= 1e-12
-        assert abs(_angle_search([_Trine(probs, blochs, 0.05)]) - _trine_loop(probs, blochs, 0.05)) <= 1e-12
+        assert abs(_branch_and_bound([_Projective(probs, blochs, 0.05)]) - _projective_loop(probs, blochs, 0.05)) <= 1e-12
+        assert abs(_branch_and_bound([_Trine(probs, blochs, 0.05)]) - _trine_loop(probs, blochs, 0.05)) <= 1e-12
 
 
 # --- the angle-grid search against every grid point -------------------------------
@@ -220,7 +220,7 @@ def test_angle_search_matches_every_grid_point(step):
         probs, blochs = _signals(ens)
         for family in ANGLE_FAMILIES:
             f = family(probs, blochs, step)
-            assert _angle_search([f]) == _every_point_max(f)
+            assert _branch_and_bound([f]) == _every_point_max(f)
 
 
 def test_angle_search_matches_every_grid_point_on_tilted_trines():
@@ -228,7 +228,7 @@ def test_angle_search_matches_every_grid_point_on_tilted_trines():
         probs, blochs = _signals(_tilted_trine(angle))
         for family in ANGLE_FAMILIES:
             f = family(probs, blochs, 2e-3)
-            assert _angle_search([f]) == _every_point_max(f)
+            assert _branch_and_bound([f]) == _every_point_max(f)
 
 
 def test_grid_accinfo_degenerate_values():
@@ -273,7 +273,7 @@ def test_angle_bounds_hold_on_every_cell(family):
 
 def test_angle_search_work_on_a_tilted_trine(monkeypatch):
     # a tilted trine as in the benchmark's accinfo op: the search evaluates
-    # 2,684 of the two grids' 4.1M points (2.47M projective, 1.65M trine);
+    # 1,076 of the two grids' 4.1M points (2.47M projective, 1.65M trine);
     # like criterion 6's bound, this one may only go down
     evaluated = []
     values = oracles._AngleFamily.values
@@ -281,7 +281,26 @@ def test_angle_search_work_on_a_tilted_trine(monkeypatch):
                         lambda self, i, j: evaluated.append(i.size) or values(self, i, j))
     value = grid_accessible_info_2d(_tilted_trine(0.7), 2e-3)
     assert value.hex() == "0x1.2b7fde098a434p-1"  # as evaluating every point gives
-    assert sum(evaluated) <= 4000
+    assert sum(evaluated) <= 1100
+
+
+def test_search_results_do_not_depend_on_the_live_box_cap(monkeypatch):
+    # a cap of 3 live boxes makes _descend split nearly every batch and search
+    # the parts one after another, which prunes differently but must find the
+    # same maximum, and for the ball the same first maximal point
+    ch = depolarizing(0.3)
+    value, rho = grid_density_objective(ch, "qmi", 0.05)
+    accinfo = grid_accessible_info_2d(_tilted_trine(0.7), 0.01)
+    calls = []
+    descend = oracles._descend
+    monkeypatch.setattr(oracles, "_descend", lambda *args: calls.append(1) or descend(*args))
+    monkeypatch.setattr(oracles, "_LIVE_CELLS", 3)
+    capped, capped_rho = grid_density_objective(ch, "qmi", 0.05)
+    assert capped == value and np.array_equal(capped_rho.mat, rho.mat)
+    split = len(calls)
+    assert split > 1
+    assert grid_accessible_info_2d(_tilted_trine(0.7), 0.01) == accinfo
+    assert len(calls) > split + 1
 
 
 def _first_argmax_p(states, step):
@@ -426,7 +445,8 @@ def test_branch_and_bound_breaks_exact_ties_as_the_sweep(step):
     # every lattice point ties and no plane drops a cell, so only the tie-break
     # decides: the first point in (z, x, y) index order
     axis = np.arange(-1.0, 1.0 + step / 2, step)
-    value, n = oracles._LatticeSearch(_Flat(), axis).run()
+    lattice = oracles._Lattice(_Flat(), axis)
+    value, n = oracles._branch_and_bound([lattice]), lattice.point()
     swept, swept_n = oracles._sweep(_Flat(), axis)
     assert value == swept == 0.0
     assert np.array_equal(n, swept_n)
