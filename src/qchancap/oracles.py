@@ -1,15 +1,12 @@
 """Brute-force grid oracles for desk-scale verification.
 
 Simple and independent of the optimization engines: angle grids for
-accessible information, a Bloch-ball lattice for density objectives, and a
-probability-simplex enumeration for restricted Holevo chi, all as array code:
-closed-form simplex compositions (the 4-signal simplex streamed one leading
-coordinate at a time) and closed-form 2x2 spectra.  The simplex and, for
-"coherent", the ball (one z slice at a time) are swept point by point; the
-angle grids and the ball for the concave "qmi" are searched by one
-branch-and-bound, which returns the maximum over every grid point bit for
-bit.  Everything here is limited to qubit inputs/outputs; grids blow up
-beyond d = 2.
+accessible information, a Bloch-ball lattice for density objectives and a
+probability-simplex lattice for restricted Holevo chi, all as array code
+with closed-form 2x2 spectra.  The ball for "coherent" is swept one z slice
+at a time; every other grid is searched by one branch-and-bound, which
+returns the maximum over every grid point bit for bit.  Everything here is
+limited to qubit inputs/outputs; grids blow up beyond d = 2.
 
 _branch_and_bound works on index boxes (lo, hi inclusive) of grids of one
 dimension, starting from each whole grid as one box, with one incumbent for
@@ -21,15 +18,17 @@ the incumbent, so every point that could raise it is evaluated, and a
 point's value has the same bits in any batch, so the result is the float
 that evaluating every grid point gives.  Each grid bounds its own boxes:
 
-- The Bloch-ball lattice (_Lattice, indices x, y, z) for "qmi", which is
-  concave in the Bloch vector (mutual information is concave in the input
-  state): the tangent plane at an evaluated centre a,
-  f(a) + grad f(a).(n - a), bounds f on the whole ball, and a box is bounded
-  by the least of the planes made at its ancestors' centres.  A plane is
-  made only where every spectrum in the objective is above _PLANE_FLOOR,
-  where its gradient is finite and its roundoff far below the margin.  A box
-  that misses the ball is bounded by -inf.  Ties go, as in the sweep, to the
-  first maximal point in (z, x, y) index order.
+- The lattices of concave objectives (_Lattice): the Bloch ball (indices
+  x, y, z) for "qmi" (mutual information is concave in the input state)
+  and the simplex (the counts of the first k - 1 signals) for chi, which is
+  concave in the prior.  The tangent plane at an evaluated centre bounds
+  the objective on its whole domain, and a box is bounded by the least of
+  the planes made at its ancestors' centres, or by -inf where it misses the
+  domain.  A plane is made only where every spectrum in the objective is
+  above _PLANE_FLOOR, where its gradient is finite and its roundoff far
+  below the margin.  Ties go to the first maximal point in (z, x, y) index
+  order on the ball, as in the sweep, and in lexicographic order on the
+  simplex.
 - The angle grids for accessible information, (polar, azimuth) for
   projective measurements and (beta, gamma) for planar trines: interval
   arithmetic (Hansen, Global Optimization Using Interval Analysis).  The
@@ -63,14 +62,12 @@ from .core import (
 
 PAULIS = (SX, SY, SZ)
 
-# the ball test of the Bloch lattice: |n|^2 <= 1 + _BALL_TOL
-_BALL_TOL = 1e-12
 # _branch_and_bound keeps at most _LIVE_CELLS boxes per batch, evaluates every
 # point of a box of at most _LEAF_POINTS points, and drops a box whose bound
-# is more than _PRUNE_MARGIN below the incumbent.  The ball makes a tangent
+# is more than _PRUNE_MARGIN below the incumbent.  A lattice makes a tangent
 # plane only where every eigenvalue in the objective exceeds _PLANE_FLOOR: an
 # eigenvalue's roundoff (about 1e-15) then moves log2 of it by at most about
-# 1e-11, so a plane's error across the ball stays well under the margin.  The
+# 1e-11, so a plane's error across the lattice stays well under the margin.  The
 # angle grids widen each outcome probability's interval by _PAD on both sides
 # to cover the roundoff of the bound and of the point values
 _LIVE_CELLS = 4096
@@ -124,24 +121,24 @@ def _entropy_batch(mats: np.ndarray) -> np.ndarray:
     return entropy_of_spectrum(np.stack([mid - half_gap, mid + half_gap], axis=-1))
 
 
+def _padded(rows: np.ndarray) -> np.ndarray:
+    """rows padded with zero rows to a multiple of 4, so that each row of a
+    product (rows @ ...) gets the same bits in every batch: BLAS rounds the
+    last (rows mod 4) rows, and a single row, by other paths."""
+    return np.concatenate([rows, np.zeros((-len(rows) % 4, *rows.shape[1:]), rows.dtype)])
+
+
 class _AngleFamily:
     """A two-angle family of measurements as a grid for _branch_and_bound
-    (indices: rows, columns): point values, and interval bounds on boxes.
-
-    numpy hands the k-term sums of a point (probs @ ...) to BLAS's gemv,
-    which rounds the last (points mod 4) entries of a batch by another path;
-    `values` pads its batch to a multiple of 4 points, so a point gets the
-    same bits in every batch.
-    """
+    (indices: rows, columns): point values, and interval bounds on boxes."""
 
     def __init__(self, probs: np.ndarray, blochs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         self.probs, self.blochs, self.axes = probs, blochs, (rows, cols)
 
     def values(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Mutual information at the grid points (rows i, columns j)."""
-        size = i.size
-        pad = np.zeros(-size % 4, dtype=np.int64)
-        return self._values(np.concatenate([i, pad]), np.concatenate([j, pad]))[:size]
+        """Mutual information at the grid points (rows i, columns j), each
+        the same bits in any batch."""
+        return self._values(_padded(i), _padded(j))[:i.size]
 
     def evaluate(self, points: np.ndarray, centres: np.ndarray):
         """The best value at the points and box centres (each (P, 2)); no planes."""
@@ -354,24 +351,32 @@ def _environment_affine(ch: QuantumChannel):
 
 
 class _BallObjective:
-    """One of the Bloch-ball objectives as a function of the Bloch vector n."""
+    """One of the Bloch-ball objectives as a function of the Bloch vector n,
+    on the lattice with coordinates `axis` on each axis.  Ties go to the
+    first point in (z, x, y) index order, the order the sweep meets them."""
 
-    def __init__(self, ch: QuantumChannel, objective: str):
-        self.objective = objective
+    order = (2, 0, 1)
+
+    def __init__(self, ch: QuantumChannel, objective: str, axis: np.ndarray):
+        self.objective, self.axis = objective, axis
         self.m, self.t = _qubit_channel_affine(ch)
         self.w0, self.ws = _environment_affine(ch)
+
+    def inside(self, x, y, z):
+        """The ball test of the points (x, y, z): |n|^2 <= 1 + 1e-12."""
+        return (x**2 + y**2) + z**2 <= 1.0 + 1e-12
+
+    def misses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Whether each box misses the ball, with room for roundoff."""
+        near = np.maximum(0.0, np.maximum(lo, -hi))
+        return (near**2).sum(axis=1) > 1.0 + 1e-9
 
     def _env(self, n):
         return self.w0[None, :, :] + np.tensordot(n, self.ws, axes=(1, 0))
 
     def values(self, n: np.ndarray) -> np.ndarray:
-        """Values at the points n (P, 3), each the same bits in any batch.
-
-        numpy takes a one-row matrix product by a vector path, with other
-        roundoff, so a single point goes through the products as two rows.
-        """
-        size = n.shape[0]
-        rows = np.repeat(n, 2, axis=0) if size == 1 else n
+        """Values at the points n (P, 3), each the same bits in any batch."""
+        size, rows = n.shape[0], _padded(n)
         n_out = (rows @ self.m.T)[:size] + self.t
         h_out = _h2(0.5 * (1.0 + np.linalg.norm(n_out, axis=1)))
         h_env = _entropy_batch(self._env(rows)[:size])
@@ -407,11 +412,11 @@ def _ball_problem(ch: QuantumChannel, objective: str, step: float):
     check_grid_step(step)
     if objective not in ("qmi", "coherent"):
         raise ValueError(f"unknown objective {objective!r}")
-    axis = np.arange(-1.0, 1.0 + step / 2, step)
-    near = (axis**2).min()
-    if (near + near) + near > 1.0 + _BALL_TOL:  # the sweep's ball test at the point nearest the centre
+    f = _BallObjective(ch, objective, np.arange(-1.0, 1.0 + step / 2, step))
+    near = f.axis[np.abs(f.axis).argmin()]
+    if not f.inside(near, near, near):  # the lattice point nearest the centre
         raise ValueError(f"no lattice point of step {step!r} lies in the Bloch ball")
-    return _BallObjective(ch, objective), axis
+    return f
 
 
 def _density_result(value: float, n: np.ndarray):
@@ -428,25 +433,19 @@ def grid_density_objective(ch: QuantumChannel, objective: str, step: float):
     branch-and-bound with the same result.  Returns (value, maximizing
     DensityMatrix), the first maximal point in (z, x, y) index order.
     """
-    f, axis = _ball_problem(ch, objective, step)
+    f = _ball_problem(ch, objective, step)
     if objective == "coherent":
-        return _density_result(*_sweep(f, axis))
-    lattice = _Lattice(f, axis)
+        return _density_result(*_sweep(f))
+    lattice = _Lattice(f)
     return _density_result(_branch_and_bound([lattice]), lattice.point())
 
 
-def _swept_density_objective(ch: QuantumChannel, objective: str, step: float):
-    """grid_density_objective by the exhaustive sweep, for every objective."""
-    return _density_result(*_sweep(*_ball_problem(ch, objective, step)))
-
-
-def _sweep(f: _BallObjective, axis: np.ndarray):
+def _sweep(f: _BallObjective):
     """Evaluate every lattice point in the ball, one z slice at a time."""
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    r2_xy = xs**2 + ys**2
+    xs, ys = np.meshgrid(f.axis, f.axis, indexing="ij")
     best_val, best_n = -np.inf, np.zeros(3)
-    for z in axis:
-        keep = r2_xy + z**2 <= 1.0 + _BALL_TOL
+    for z in f.axis:
+        keep = f.inside(xs, ys, z)
         if not keep.any():
             continue
         n = np.stack([xs[keep], ys[keep], np.full(keep.sum(), z)], axis=1)  # (N, 3)
@@ -458,122 +457,121 @@ def _sweep(f: _BallObjective, axis: np.ndarray):
 
 
 class _Lattice:
-    """The Bloch-ball lattice of a concave objective as a grid for
-    _branch_and_bound (indices x, y, z), its boxes bounded by tangent planes.
+    """The index lattice of a concave objective f as a grid for
+    _branch_and_bound, its boxes bounded by tangent planes.
 
-    Each evaluated box centre whose spectra clear _PLANE_FLOOR makes a plane,
-    stored as f(a) - g.a and g; it bounds a box of centre c and half-widths h
-    by f(a) - g.a + g.c + |g|.h.  `best` is the largest value evaluated and
-    `point()` its first point in the sweep's (z, x, y) index order.
+    f supplies the coordinate of each index (`axis`, on every axis), the
+    index order of ties (`order`), its domain tests of points (`inside`, one
+    coordinate array per axis) and of boxes (`misses`, corner coordinates),
+    and `values` and `gradients` at coordinate rows.  A plane made at a box
+    centre a is stored as f(a) - g.a and g; it bounds a box of centre c and
+    half-widths h by f(a) - g.a + g.c + |g|.h.  `point()` gives the first
+    maximal point in f's order.
     """
 
-    def __init__(self, f: _BallObjective, axis: np.ndarray):
-        self.f, self.axis, self.sq, self.axes = f, axis, axis**2, (axis,) * 3
+    def __init__(self, f):
+        self.f, self.axis, self.order = f, f.axis, list(f.order)
+        self.axes, self.shape = (f.axis,) * len(f.order), (f.axis.size,) * len(f.order)
         self.best, self.key = -np.inf, -1
-        self.offset, self.grad = np.empty(0), np.empty((0, 3))
+        self.offset, self.grad = np.empty(0), np.empty((0, len(f.order)))
 
     def point(self) -> np.ndarray:
-        size = self.axis.size
-        iz, rest = divmod(self.key, size * size)
-        return self.axis[[rest // size, rest % size, iz]]
+        idx = np.empty(len(self.shape), dtype=np.int64)
+        idx[self.order] = np.unravel_index(self.key, self.shape)
+        return self.axis[idx]
 
     def bounds(self, lo, hi, planes):
         """Least plane bound of each box (inf without planes), -inf where the
-        box misses the ball, with room for roundoff above the ball test."""
+        box misses f's domain."""
+        low, high = self.axis[lo], self.axis[hi]
         bound = np.full(lo.shape[0], np.inf)
         if self.offset.size:
-            c = 0.5 * (self.axis[lo] + self.axis[hi])
-            h = 0.5 * (self.axis[hi] - self.axis[lo])
-            g = self.grad[planes]  # (boxes, ancestors, 3)
+            c, h = 0.5 * (low + high), 0.5 * (high - low)
+            g = self.grad[planes]  # (boxes, ancestors, d)
             own = self.offset[planes] + np.einsum("cda,ca->cd", g, c) + np.einsum("cda,ca->cd", np.abs(g), h)
             bound = np.where(planes >= 0, own, np.inf).min(axis=1, initial=np.inf)
-        near = np.maximum(0.0, np.maximum(self.axis[lo], -self.axis[hi]))
-        return np.where((near**2).sum(axis=1) <= 1.0 + 1e-9, bound, -np.inf)
+        return np.where(self.f.misses(low, high), -np.inf, bound)
 
     def evaluate(self, points, centres):
-        """Evaluate the points and box centres (each (P, 3)) that pass the
-        sweep's ball test, as the sweep computes them, and update the
-        incumbent; returns it and the id of the plane made at each centre
-        (-1: none)."""
+        """Evaluate the points and box centres (each (P, d)) inside f's
+        domain and update the incumbent; returns it and the id of the plane
+        made at each centre (-1: none)."""
         idx = np.concatenate([points, centres])
-        inside = (self.sq[idx[:, 0]] + self.sq[idx[:, 1]]) + self.sq[idx[:, 2]] <= 1.0 + _BALL_TOL
-        idx = idx[inside]
-        n = self.axis[idx]
-        vals = self.f.values(n)
+        x = self.axis[idx]
+        inside = self.f.inside(*x.T)
+        idx, x = idx[inside], x[inside]
+        vals = self.f.values(x)
         if vals.size:
-            size = self.axis.size
             top = vals.max()
-            keys = (idx[:, 2] * size + idx[:, 0]) * size + idx[:, 1]
+            keys = np.ravel_multi_index(idx[:, self.order].T, self.shape)
             first = int(keys[vals == top].min())
             if top > self.best or (top == self.best and first < self.key):
                 self.best, self.key = float(top), first
-        # the centres in the ball are the last rows of n
+        # the centres inside are the last rows of x
         at = np.count_nonzero(inside[:len(points)])
-        n, vals = n[at:], vals[at:]
-        grad, ok = self.f.gradients(n)
+        x, vals = x[at:], vals[at:]
+        grad, ok = self.f.gradients(x)
         made = np.full(len(centres), -1)
         made[np.flatnonzero(inside[len(points):])[ok]] = self.offset.size + np.arange(np.count_nonzero(ok))
-        self.offset = np.concatenate([self.offset, vals[ok] - np.einsum("pa,pa->p", grad[ok], n[ok])])
+        self.offset = np.concatenate([self.offset, vals[ok] - np.einsum("pa,pa->p", grad[ok], x[ok])])
         self.grad = np.concatenate([self.grad, grad[ok]])
         return self.best, made
 
 
-def simplex_enumerate_chi(ch: QuantumChannel, states: list, step: float):
-    """Dense probability-simplex maximization of chi of the channel outputs.
+class _ChiObjective:
+    """Holevo chi of the channel's outputs on the states at the counts c
+    (P, k - 1) of the first k - 1 states on the simplex lattice of spacing
+    1 / n, n = round(1 / step): chi = h2((1 + |p.B|) / 2) - p.h at the prior
+    p = (c, n - sum c) / n, for the output Bloch vectors B and entropies h.
+    Ties go to the first point in lexicographic order."""
 
-    Restricted to at most 4 signal states and qubit outputs (closed-form
-    two-level entropies keep the sweep vectorizable).  The lattice has
-    spacing 1/round(1/step); ties go to the lexicographically first point.
-    Returns (value, p).
+    def __init__(self, ch: QuantumChannel, states: list, step: float):
+        outs = np.stack([channel_apply_mat(ch, v.projector()) for v in states])
+        self.blochs, self.h = np.stack([bloch_vector(o) for o in outs]), _entropy_batch(outs)
+        self.n = int(round(1.0 / step))
+        self.axis, self.order = np.arange(self.n + 1.0), tuple(range(len(states) - 1))
+
+    def prior(self, c: np.ndarray) -> np.ndarray:
+        """The priors (P, k) at the counts c (P, k - 1)."""
+        return np.column_stack([c, self.n - c.sum(axis=1)]) / self.n
+
+    def inside(self, *c):
+        """Whether the counts (one array per axis) lie in the simplex."""
+        return sum(c) <= self.n
+
+    def misses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        return lo.sum(axis=1) > self.n
+
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """chi at the counts c, each the same bits in any batch."""
+        size, p = c.shape[0], _padded(self.prior(c))
+        r = np.linalg.norm((p @ self.blochs)[:size], axis=1)
+        return _h2(0.5 * (1.0 + r)) - (p @ self.h)[:size]
+
+    def gradients(self, c: np.ndarray):
+        """Gradients in c at the counts c (P, k - 1), and whether both
+        eigenvalues of the mixed output are above _PLANE_FLOOR there."""
+        g, ok = _bloch_entropy_grad(self.prior(c) @ self.blochs)
+        b, h = self.blochs, self.h
+        return (g @ (b[:-1] - b[-1]).T - (h[:-1] - h[-1])) / self.n, ok
+
+
+def simplex_enumerate_chi(ch: QuantumChannel, states: list, step: float):
+    """Maximum of chi of the channel outputs over the probability-simplex lattice.
+
+    Restricted to qubit outputs (closed-form two-level entropies) and to at
+    most 4 signal states: the lattice has spacing 1/round(1/step), and a
+    flat chi (identical signals) prunes nothing, so the search then
+    evaluates every one of its points.  Ties go to the lexicographically
+    first point.  Returns (value, p).
     """
     check_grid_step(step, simplex=True)
-    k = len(states)
-    if k > 4:
+    if len(states) > 4:
         raise DimensionError("simplex enumeration handles at most 4 states")
     if ch.dim_out != 2:
         raise DimensionError("simplex enumeration needs qubit outputs")
-    outs = np.stack([channel_apply_mat(ch, v.projector()) for v in states])
-    blochs = np.stack([bloch_vector(o) for o in outs])  # (k, 3)
-    h_i = _entropy_batch(outs)
-
-    n = int(round(1.0 / step))
-    best_val, best_p = -np.inf, None
-    for block in _simplex_blocks(n, k):
-        probs = block / n
-        for chunk in np.array_split(probs, max(1, probs.shape[0] // 200_000)):
-            chi = _h2(0.5 * (1.0 + np.linalg.norm(chunk @ blochs, axis=1))) - chunk @ h_i
-            j = int(np.argmax(chi))
-            if chi[j] > best_val:
-                best_val, best_p = float(chi[j]), chunk[j].copy()
-    return best_val, best_p
-
-
-def _simplex_blocks(n: int, k: int):
-    """The k-part compositions of n in lexicographic order, in blocks.
-
-    Up to 3 parts come as one block; 4 parts are streamed one leading
-    coordinate at a time, so memory stays flat as n grows.
-    """
-    if k <= 3:
-        yield _compositions(n, k)
-        return
-    for first in range(n + 1):
-        rest = _compositions(n - first, k - 1)
-        yield np.column_stack([np.full(rest.shape[0], first), rest])
-
-
-def _compositions(n: int, k: int) -> np.ndarray:
-    """All k-part compositions of n as an integer array (rows sum to n).
-
-    Rows are in lexicographic order.  Built one coordinate at a time: a
-    prefix with remainder r expands into r + 1 rows taking the values 0..r.
-    """
-    rows = np.zeros((1, 0), dtype=np.int64)
-    rest = np.array([n], dtype=np.int64)
-    for _ in range(k - 1):
-        counts = rest + 1
-        parent = np.repeat(np.arange(rows.shape[0]), counts)
-        value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.column_stack([rows[parent], value])
-        rest = rest[parent] - value
-    return np.column_stack([rows, rest])
+    f = _ChiObjective(ch, states, step)
+    if len(states) == 1:  # the lattice is the one point p = (1)
+        return float(f.values(np.zeros((1, 0)))[0]), np.ones(1)
+    lattice = _Lattice(f)
+    return _branch_and_bound([lattice]), f.prior(lattice.point()[None])[0]

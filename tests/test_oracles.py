@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qchancap import oracles
-from qchancap.channels import amplitude_damping, depolarizing
+from qchancap.channels import amplitude_damping, dephasing, depolarizing
 from qchancap.core import (
     DensityMatrix,
     DimensionError,
@@ -22,10 +22,8 @@ from qchancap.core import (
 )
 from qchancap.oracles import (
     _branch_and_bound,
-    _compositions,
     _entropy_batch,
     _Projective,
-    _swept_density_objective,
     _Trine,
     bloch_vector,
     check_grid_step,
@@ -87,15 +85,6 @@ def test_simplex_rejects_step_above_one():
 
 
 # --- the array kernels against plain references ---------------------------------
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_compositions_match_product_reference(k):
-    for n in range(9):
-        reference = [row for row in itertools.product(range(n + 1), repeat=k) if sum(row) == n]
-        got = _compositions(n, k)
-        assert got.dtype == np.int64 and got.shape == (len(reference), k)
-        assert [tuple(row) for row in got.tolist()] == reference
-
 
 def _hermitian_stacks(rng):
     g = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
@@ -291,6 +280,8 @@ def test_search_results_do_not_depend_on_the_live_box_cap(monkeypatch):
     ch = depolarizing(0.3)
     value, rho = grid_density_objective(ch, "qmi", 0.05)
     accinfo = grid_accessible_info_2d(_tilted_trine(0.7), 0.01)
+    ch4, states4 = _simplex_inputs(4)[0]
+    chi, p = simplex_enumerate_chi(ch4, states4, 0.02)
     calls = []
     descend = oracles._descend
     monkeypatch.setattr(oracles, "_descend", lambda *args: calls.append(1) or descend(*args))
@@ -300,6 +291,10 @@ def test_search_results_do_not_depend_on_the_live_box_cap(monkeypatch):
     split = len(calls)
     assert split > 1
     assert grid_accessible_info_2d(_tilted_trine(0.7), 0.01) == accinfo
+    assert len(calls) > split + 1
+    split = len(calls)
+    capped, capped_p = simplex_enumerate_chi(ch4, states4, 0.02)
+    assert capped == chi and np.array_equal(capped_p, p)
     assert len(calls) > split + 1
 
 
@@ -375,7 +370,7 @@ def test_grid_density_unknown_objective():
 
 def _assert_same_as_sweep(ch, objective, step):
     value, rho = grid_density_objective(ch, objective, step)
-    swept, swept_rho = _swept_density_objective(ch, objective, step)
+    swept, swept_rho = oracles._density_result(*oracles._sweep(oracles._ball_problem(ch, objective, step)))
     assert value == swept
     assert np.array_equal(rho.mat, swept_rho.mat)
     return value, rho
@@ -429,9 +424,12 @@ def test_branch_and_bound_degenerate_inputs():
             _assert_same_as_sweep(ch, "qmi", step)
 
 
-class _Flat:
+class _Flat(oracles._BallObjective):
     """A constant ball objective: value 0 and a zero gradient everywhere,
     every plane kept."""
+
+    def __init__(self, axis):
+        self.axis = axis
 
     def values(self, n):
         return np.zeros(n.shape[0])
@@ -445,9 +443,9 @@ def test_branch_and_bound_breaks_exact_ties_as_the_sweep(step):
     # every lattice point ties and no plane drops a cell, so only the tie-break
     # decides: the first point in (z, x, y) index order
     axis = np.arange(-1.0, 1.0 + step / 2, step)
-    lattice = oracles._Lattice(_Flat(), axis)
+    lattice = oracles._Lattice(_Flat(axis))
     value, n = oracles._branch_and_bound([lattice]), lattice.point()
-    swept, swept_n = oracles._sweep(_Flat(), axis)
+    swept, swept_n = oracles._sweep(_Flat(axis))
     assert value == swept == 0.0
     assert np.array_equal(n, swept_n)
     if step == 0.05:  # the south pole is alone in the first slice
@@ -474,7 +472,8 @@ def test_ball_values_do_not_depend_on_the_batch(objective):
     # the same bits in every batch
     rng, channels = _equivalence_channels()
     for ch in channels:
-        f, axis = oracles._ball_problem(ch, objective, 0.1)
+        f = oracles._ball_problem(ch, objective, 0.1)
+        axis = f.axis
         n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
         n = n[(n**2).sum(axis=1) <= 1.0]
         full = f.values(n)
@@ -509,6 +508,78 @@ def test_ball_search_work_on_criterion_6(monkeypatch):
     value, _ = grid_density_objective(depolarizing(0.3), "qmi", 0.005)
     assert value.hex() == "0x1.49542d837e452p-1"
     assert sum(evaluated) <= 300
+
+
+# --- the simplex search against every lattice point --------------------------------
+
+def _simplex_inputs(k):
+    """k signals: random channels and states, then identical states (chi is
+    roundoff: pure outputs make no plane, mixed ones flat planes), an
+    orthogonal pair (with random others for k > 2) and duplicated basis
+    states (exact ties)."""
+    rng = np.random.default_rng([41, k])
+
+    def random_states(count):
+        v = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+        return [PureState(row / np.linalg.norm(row)) for row in v]
+
+    pair = [PureState([1, 0]), PureState([0, 1])]
+    return [(random_channel(rng, 2, 2, 1 + i), random_states(k)) for i in range(3)] + [
+        (identity_channel(2), [PureState([0.6, 0.8j])] * k),
+        (depolarizing(0.3), [PureState([0.6, 0.8j])] * k),
+        (identity_channel(2), pair + random_states(k - 2)),
+        (identity_channel(2), [pair[i % 2] for i in range(k)]),
+    ]
+
+
+def _simplex_points(f):
+    """Every lattice point's counts, in lexicographic order."""
+    d = len(f.order)
+    c = np.indices((f.n + 1,) * d).reshape(d, -1).T.astype(float)
+    return c[c.sum(axis=1) <= f.n]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_simplex_search_matches_every_lattice_point(k):
+    # the reference evaluates every point in one batch through the same kernel
+    # and takes the first maximum in lexicographic order
+    for ch, states in _simplex_inputs(k):
+        for step in [1.0, 0.3, 0.05, 0.01] + [2e-3] * (k <= 3):
+            f = oracles._ChiObjective(ch, states, step)
+            c = _simplex_points(f)
+            values = f.values(c)
+            j = int(np.argmax(values))
+            value, p = simplex_enumerate_chi(ch, states, step)
+            assert value == values[j]
+            assert np.array_equal(p, f.prior(c[j:j + 1])[0])
+
+
+def test_simplex_values_do_not_depend_on_the_batch():
+    # as for the ball and the angle grids: the search returns the maximum over
+    # every point only if each point gets the same bits in every batch
+    rng = np.random.default_rng(19)
+    for k in (2, 3, 4):
+        for ch, states in _simplex_inputs(k):
+            f = oracles._ChiObjective(ch, states, 0.1)
+            c = _simplex_points(f)
+            full = f.values(c)
+            for size in range(1, 10):
+                order = rng.permutation(len(c))
+                for at in np.array_split(order, -(-len(c) // size)):
+                    assert f.values(c[at]).tobytes() == full[at].tobytes()
+
+
+def test_simplex_search_work(monkeypatch):
+    # three signals through dephasing(0.25) at step 2e-3: the search evaluates
+    # 382 of the simplex's 125,751 points; this bound may only go down
+    evaluated = []
+    values = oracles._ChiObjective.values
+    monkeypatch.setattr(oracles._ChiObjective, "values",
+                        lambda self, c: evaluated.append(c.shape[0]) or values(self, c))
+    signals = [PureState([1, 0]), PureState([0, 1]), PureState([np.sqrt(0.5), np.sqrt(0.5)])]
+    value, _ = simplex_enumerate_chi(dephasing(0.25), signals, 2e-3)
+    assert value.hex() == "0x1.fffffffffffffp-1"  # as evaluating every point gives
+    assert sum(evaluated) <= 400
 
 
 def test_simplex_chi_trine():
