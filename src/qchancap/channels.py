@@ -34,10 +34,9 @@ class ChannelFile:
 def _complex_entry(entry, where):
     if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
         raise ChannelFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
-    re, im = entry
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry):
         raise ChannelFileError(f"{where}: non-numeric entry {entry!r}")
-    return complex(re, im)
+    return complex(*entry)
 
 
 def _list(value, where):
@@ -101,7 +100,7 @@ def parse_channel(path) -> ChannelFile:
     for key in ("dim_in", "dim_out"):
         if key in doc and doc[key] != getattr(channel, key):
             raise ChannelFileError(
-                f"{path}: declared {key}={doc[key]} but Kraus operators give {getattr(channel, key)}"
+                f"{path}: declared {key}={doc[key]!r} but Kraus operators give {getattr(channel, key)}"
             )
     signals = None
     if _list(doc.get("signals", []), f"{path}: signals"):
@@ -141,10 +140,6 @@ TRINE_VECTORS = (
     np.array([-0.5, np.sqrt(3.0) / 2.0]),
     np.array([-0.5, -np.sqrt(3.0) / 2.0]),
 )
-
-
-def identity_qubit() -> QuantumChannel:
-    return QuantumChannel([np.eye(2)])
 
 
 def bit_flip(p: float) -> QuantumChannel:

@@ -8,15 +8,15 @@ at a time; every other grid is searched by one branch-and-bound, which
 returns the maximum over every grid point bit for bit.  Everything here is
 limited to qubit inputs/outputs; grids blow up beyond d = 2.
 
-_branch_and_bound works on index boxes (lo, hi inclusive) of grids of one
-dimension, starting from each whole grid as one box, with one incumbent for
-all of them.  Each round drops the boxes whose bound is more than
-_PRUNE_MARGIN below the incumbent, evaluates every point of the boxes of at
-most _LEAF_POINTS points and the centres of the others, and halves the
-others along every axis.  A dropped box holds no point within the margin of
-the incumbent, so every point that could raise it is evaluated, and a
-point's value has the same bits in any batch, so the result is the float
-that evaluating every grid point gives.  Each grid bounds its own boxes:
+_branch_and_bound searches one grid on index boxes (lo, hi inclusive) from
+the whole grid as one box and a given incumbent.  Each round drops the boxes
+whose bound is more than _PRUNE_MARGIN below the incumbent, evaluates every
+point of the boxes of at most _LEAF_POINTS points and the centres of the
+others, and halves the others along every axis.  The incumbent is a value
+that a point of this grid or of one searched before reached, so a dropped box
+holds no point that could raise it, and a point's value has the same bits in
+any batch: the result is the float that evaluating every point of the grids
+searched gives.  Each grid bounds its own boxes:
 
 - The lattices of concave objectives (_Lattice): the Bloch ball (indices
   x, y, z) for "qmi" (mutual information is concave in the input state)
@@ -143,7 +143,7 @@ class _AngleFamily:
     def evaluate(self, points: np.ndarray, centres: np.ndarray):
         """The best value at the points and box centres (each (P, 2)); no planes."""
         i, j = np.concatenate([points, centres]).T
-        return float(self.values(i, j).max(initial=-np.inf)), np.full(len(centres), -1)
+        return float(self.values(i, j).max(initial=-np.inf)), np.empty((len(centres), 0), dtype=np.int64)
 
     def _angles(self, lo: np.ndarray, hi: np.ndarray, axis: int):
         """The angle ranges of the boxes on one axis, each (boxes,)."""
@@ -250,47 +250,36 @@ def _probability(x: np.ndarray) -> np.ndarray:
     return np.clip(np.stack([x[0] - _PAD, x[1] + _PAD]), 0.0, 1.0)
 
 
-def _branch_and_bound(grids: list) -> float:
-    """The largest value over every point of the grids (of one dimension), as
-    evaluating every point gives it; see the module docstring.
+def _branch_and_bound(grid, best: float = -np.inf) -> float:
+    """The larger of `best` and the largest value over every point of the
+    grid, as evaluating every point gives it; see the module docstring.
 
-    A grid has `axes` (one array per index); `bounds(lo, hi, planes)`, upper
+    The grid has `axes` (one array per index); `bounds(lo, hi, planes)`, upper
     bounds of its values on boxes (lo, hi inclusive) given the ids of the
     planes made at each box's ancestors' centres (-1: none); and
     `evaluate(points, centres)`, which evaluates index points and box centres
-    and returns the best value it has found and the id of the plane made at
-    each centre.
+    and returns the best value it has found and the ids of the planes made at
+    the centres, one row per centre (with no column on a grid without planes).
     """
-    best = -np.inf
-
-    def refine(lo, hi, planes, owner):
+    def refine(lo, hi, planes):
         nonlocal best
-        bound = np.empty(owner.size)
-        for g, grid in enumerate(grids):
-            mine = owner == g
-            bound[mine] = grid.bounds(lo[mine], hi[mine], planes[mine])
-        keep = bound >= best - _PRUNE_MARGIN
-        lo, hi, planes, owner = lo[keep], hi[keep], planes[keep], owner[keep]
+        keep = grid.bounds(lo, hi, planes) >= best - _PRUNE_MARGIN
+        lo, hi, planes = lo[keep], hi[keep], planes[keep]
         size = hi - lo + 1
         leaf = size.prod(axis=1) <= _LEAF_POINTS
-        mid = (lo + hi) // 2
-        made = np.full(owner.size, -1)
-        for g, grid in enumerate(grids):
-            mine = owner == g
-            top, made[mine & ~leaf] = grid.evaluate(_cell_points(lo[mine & leaf], size[mine & leaf]),
-                                                    mid[mine & ~leaf])
-            best = max(best, top)
+        mid = (lo[~leaf] + hi[~leaf]) // 2
+        top, made = grid.evaluate(_cell_points(lo[leaf], size[leaf]), mid)
+        best = max(best, top)
         # each box's children: the lower or upper half of every axis
         upper = np.indices((2,) * lo.shape[1]).reshape(lo.shape[1], -1).T == 1
-        lo, hi, mid = lo[~leaf, None], hi[~leaf, None], mid[~leaf, None]
+        lo, hi, mid = lo[~leaf, None], hi[~leaf, None], mid[:, None]
         kid_lo, kid_hi = np.where(upper, mid + 1, lo), np.where(upper, hi, mid)
         real = (kid_lo <= kid_hi).all(axis=2)
-        carried = np.column_stack([planes, made, owner])[~leaf, None]
-        kids = np.repeat(carried, upper.shape[0], axis=1)[real]
-        return kid_lo[real], kid_hi[real], kids[:, :-1], kids[:, -1]
+        carried = np.column_stack([planes[~leaf], made])[:, None]
+        return kid_lo[real], kid_hi[real], np.repeat(carried, upper.shape[0], axis=1)[real]
 
-    last = np.array([[axis.size - 1 for axis in grid.axes] for grid in grids])
-    _descend(refine, np.zeros_like(last), last, np.empty((len(grids), 0), dtype=np.int64), np.arange(len(grids)))
+    last = np.array([[axis.size - 1 for axis in grid.axes]])
+    _descend(refine, np.zeros_like(last), last, np.empty((1, 0), dtype=np.int64))
     return best
 
 
@@ -320,14 +309,16 @@ def grid_accessible_info_2d(ens: Ensemble, step: float) -> float:
     by two angles, and (b) a two-angle family of symmetric 3-outcome rank-one
     POVMs (planar trines: in-plane rotation plus a tilt of the plane), each on
     a lattice of spacing `step`.  Returns the best mutual information on the
-    two lattices (at least 0).
+    two lattices (at least 0).  The projective search starts from the trine
+    lattice's best, which on tilted trines is the maximum.
     """
     check_grid_step(step)
     if ens.dim != 2:
         raise DimensionError("the accessible-information grid handles qubits only")
     probs = np.asarray(ens.probs)
     blochs = np.stack([bloch_vector(m) for m in ens.density_mats()])  # (k, 3)
-    return max(0.0, _branch_and_bound([_Projective(probs, blochs, step), _Trine(probs, blochs, step)]))
+    trine = _branch_and_bound(_Trine(probs, blochs, step))
+    return max(0.0, _branch_and_bound(_Projective(probs, blochs, step), trine))
 
 
 def _qubit_channel_affine(ch: QuantumChannel):
@@ -437,7 +428,7 @@ def grid_density_objective(ch: QuantumChannel, objective: str, step: float):
     if objective == "coherent":
         return _density_result(*_sweep(f))
     lattice = _Lattice(f)
-    return _density_result(_branch_and_bound([lattice]), lattice.point())
+    return _density_result(_branch_and_bound(lattice), lattice.point())
 
 
 def _sweep(f: _BallObjective):
@@ -574,4 +565,4 @@ def simplex_enumerate_chi(ch: QuantumChannel, states: list, step: float):
     if len(states) == 1:  # the lattice is the one point p = (1)
         return float(f.values(np.zeros((1, 0)))[0]), np.ones(1)
     lattice = _Lattice(f)
-    return _branch_and_bound([lattice]), f.prior(lattice.point()[None])[0]
+    return _branch_and_bound(lattice), f.prior(lattice.point()[None])[0]

@@ -13,7 +13,6 @@ from qchancap.channels import (
     bsc_transition,
     dephasing,
     depolarizing,
-    identity_qubit,
     parse_channel,
     resolve_channel_path,
     trine_signals,
@@ -27,7 +26,7 @@ from helpers import write_channel_file
 
 
 def test_builtin_channels_are_valid():
-    for ch in (identity_qubit(), bit_flip(0.1), dephasing(0.25),
+    for ch in (identity_channel(2), bit_flip(0.1), dephasing(0.25),
                depolarizing(0.3), depolarizing(0.75), amplitude_damping(0.3),
                bsc_embed(0.11)):
         acc = sum(a.conj().T @ a for a in ch.kraus)
@@ -134,6 +133,34 @@ def test_parse_non_list_fields_is_an_error_not_a_traceback(tmp_path, capsys, fie
     assert f"{p}: {key}: expected a list" in str(err.value)
     assert main(["c1inf", "--channel", str(p)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {p}: {key}: ")
+
+
+IDENT = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kraus": [[[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "kraus[0][0][0]: expected an [re, im] pair"),
+    ({"kraus": [[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]]}, "kraus[0][0][0]: non-numeric entry"),
+    ({"kraus": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "kraus[0][0][0]: non-numeric entry [True, 0]"),
+    ({"kraus": [[]]}, "kraus[0]: expected a nonempty matrix"),
+    ({"kraus": [[5, [[0, 0], [1, 0]]]]}, "kraus[0]: row 0 is not a list"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[1, 0]]]]}, "kraus[0]: ragged rows (2 vs 1)"),
+    ([IDENT], "top level must be an object"),
+    ({"name": "bad"}, "needs either 'kraus' or 'transition'"),
+    ({"kraus": [IDENT], "signals": [[[1, 0], [0, 0], [0, 0]]]}, "signal 0 has dim 3, channel input is 2"),
+    ({"kraus": [IDENT], "dim_in": "2"}, "declared dim_in='2' but Kraus operators give 2"),
+], ids=["not-a-pair", "non-numeric", "boolean", "empty-matrix", "row-not-a-list", "ragged",
+        "top-level-list", "no-kraus", "signal-dim", "dim-as-string"])
+def test_parse_malformed_file_names_the_place(tmp_path, capsys, doc, message):
+    from qchancap.cli import main
+
+    p = tmp_path / "bad.qch"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ChannelFileError) as err:
+        parse_channel(p)
+    assert f"{p}: {message}" in str(err.value)
+    assert main(["c1inf", "--channel", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: {message}")
 
 
 def test_parse_dim_mismatch(tmp_path):

@@ -262,6 +262,18 @@ def test_chi_requires_signals(capsys):
     assert "signal set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--channel", "identity.qch", "--name", "simplex-chi"], "simplex-chi needs a channel file with signals"),
+    (["sweep", "--curve", "fig2"], "unknown sweep curve 'fig2'"),
+], ids=["simplex-chi-without-signals", "unknown-curve"])
+def test_unusable_request_is_an_error(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_oracle_subcommand(capsys):
     code, fields = run_text(
         capsys,

@@ -160,8 +160,8 @@ def test_accinfo_sweeps_match_point_loops():
     for ens in ensembles:
         probs = np.asarray(ens.probs)
         blochs = np.stack([bloch_vector(m) for m in ens.density_mats()])
-        assert abs(_branch_and_bound([_Projective(probs, blochs, 0.05)]) - _projective_loop(probs, blochs, 0.05)) <= 1e-12
-        assert abs(_branch_and_bound([_Trine(probs, blochs, 0.05)]) - _trine_loop(probs, blochs, 0.05)) <= 1e-12
+        assert abs(_branch_and_bound(_Projective(probs, blochs, 0.05)) - _projective_loop(probs, blochs, 0.05)) <= 1e-12
+        assert abs(_branch_and_bound(_Trine(probs, blochs, 0.05)) - _trine_loop(probs, blochs, 0.05)) <= 1e-12
 
 
 # --- the angle-grid search against every grid point -------------------------------
@@ -205,11 +205,17 @@ def _every_point_max(family):
 @pytest.mark.parametrize("step", [3.0, 1.0, 0.3, 0.05, 0.02])
 def test_angle_search_matches_every_grid_point(step):
     # steps 3 and 1 leave grids of one or a few points, polar angles past pi / 2
+    # a search started from the other family's best returns the maximum over
+    # both, whichever family goes first
     for ens in _angle_inputs():
         probs, blochs = _signals(ens)
-        for family in ANGLE_FAMILIES:
-            f = family(probs, blochs, step)
-            assert _branch_and_bound([f]) == _every_point_max(f)
+        projective, trine = grids = [family(probs, blochs, step) for family in ANGLE_FAMILIES]
+        maxima = [_every_point_max(f) for f in grids]
+        for f, top in zip(grids, maxima):
+            assert _branch_and_bound(f) == top
+        assert grid_accessible_info_2d(ens, step) == max(0.0, *maxima)
+        assert (_branch_and_bound(projective, _branch_and_bound(trine))
+                == _branch_and_bound(trine, _branch_and_bound(projective)))
 
 
 def test_angle_search_matches_every_grid_point_on_tilted_trines():
@@ -217,7 +223,7 @@ def test_angle_search_matches_every_grid_point_on_tilted_trines():
         probs, blochs = _signals(_tilted_trine(angle))
         for family in ANGLE_FAMILIES:
             f = family(probs, blochs, 2e-3)
-            assert _branch_and_bound([f]) == _every_point_max(f)
+            assert _branch_and_bound(f) == _every_point_max(f)
 
 
 def test_grid_accinfo_degenerate_values():
@@ -262,7 +268,7 @@ def test_angle_bounds_hold_on_every_cell(family):
 
 def test_angle_search_work_on_a_tilted_trine(monkeypatch):
     # a tilted trine as in the benchmark's accinfo op: the search evaluates
-    # 1,076 of the two grids' 4.1M points (2.47M projective, 1.65M trine);
+    # 1,072 of the two grids' 4.1M points (2.47M projective, 1.65M trine);
     # like criterion 6's bound, this one may only go down
     evaluated = []
     values = oracles._AngleFamily.values
@@ -444,7 +450,7 @@ def test_branch_and_bound_breaks_exact_ties_as_the_sweep(step):
     # decides: the first point in (z, x, y) index order
     axis = np.arange(-1.0, 1.0 + step / 2, step)
     lattice = oracles._Lattice(_Flat(axis))
-    value, n = oracles._branch_and_bound([lattice]), lattice.point()
+    value, n = oracles._branch_and_bound(lattice), lattice.point()
     swept, swept_n = oracles._sweep(_Flat(axis))
     assert value == swept == 0.0
     assert np.array_equal(n, swept_n)
