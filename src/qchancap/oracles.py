@@ -3,10 +3,10 @@
 Simple and independent of the optimization engines: angle grids for
 accessible information, a Bloch-ball lattice for density objectives and a
 probability-simplex lattice for restricted Holevo chi, all as array code
-with closed-form 2x2 spectra.  The ball for "coherent" is swept one z slice
-at a time; every other grid is searched by one branch-and-bound, which
-returns the maximum over every grid point bit for bit.  Everything here is
-limited to qubit inputs/outputs; grids blow up beyond d = 2.
+with closed-form 2x2 spectra.  Every grid is searched by one
+branch-and-bound, which returns the maximum over every grid point bit for
+bit.  Everything here is limited to qubit inputs/outputs; grids blow up
+beyond d = 2.
 
 _branch_and_bound searches one grid on index boxes (lo, hi inclusive) from
 the whole grid as one box and a given incumbent.  Each round drops the boxes
@@ -18,17 +18,17 @@ holds no point that could raise it, and a point's value has the same bits in
 any batch: the result is the float that evaluating every point of the grids
 searched gives.  Each grid bounds its own boxes:
 
-- The lattices of concave objectives (_Lattice): the Bloch ball (indices
-  x, y, z) for "qmi" (mutual information is concave in the input state)
-  and the simplex (the counts of the first k - 1 signals) for chi, which is
-  concave in the prior.  The tangent plane at an evaluated centre bounds
-  the objective on its whole domain, and a box is bounded by the least of
-  the planes made at its ancestors' centres, or by -inf where it misses the
-  domain.  A plane is made only where every spectrum in the objective is
-  above _PLANE_FLOOR, where its gradient is finite and its roundoff far
-  below the margin.  Ties go to the first maximal point in (z, x, y) index
-  order on the ball, as in the sweep, and in lexicographic order on the
-  simplex.
+- The lattices (_Lattice): the Bloch ball (indices x, y, z) and the simplex
+  (the counts of the first k - 1 signals).  "qmi" is concave in the input
+  state and chi in the prior, so a tangent plane bounds either everywhere;
+  "coherent" is qmi less the input entropy S(rho) (Adami and Cerf, PRA 56,
+  3470, 1997).  A box is bounded by the least of qmi's or chi's planes made
+  at its ancestors' centres, less the least of S(rho) on the box for
+  "coherent", or by -inf where it misses the domain.  A plane is made only
+  where every spectrum in qmi or chi is above _PLANE_FLOOR, where its
+  gradient is finite and its roundoff far below the margin.  Ties go to the
+  first maximal point in (z, x, y) index order on the ball and in
+  lexicographic order on the simplex.
 - The angle grids for accessible information, (polar, azimuth) for
   projective measurements and (beta, gamma) for planar trines: interval
   arithmetic (Hansen, Global Optimization Using Interval Analysis).  The
@@ -62,7 +62,7 @@ from .core import (
 
 PAULIS = (SX, SY, SZ)
 
-# _branch_and_bound keeps at most _LIVE_CELLS boxes per batch, evaluates every
+# _branch_and_bound makes at most _LIVE_CELLS boxes per batch, evaluates every
 # point of a box of at most _LEAF_POINTS points, and drops a box whose bound
 # is more than _PRUNE_MARGIN below the incumbent.  A lattice makes a tangent
 # plane only where every eigenvalue in the objective exceeds _PLANE_FLOOR: an
@@ -78,10 +78,13 @@ _PAD = 1e-12
 
 
 def check_grid_step(step: float, simplex: bool = False) -> None:
-    """Reject a grid step that is not finite and positive, or, on the
-    probability simplex, above 1."""
+    """Reject a grid step that is not finite and positive, below 1e-6, or,
+    on the probability simplex, above 1.  At 1e-6 the ball's lattice keys,
+    up to (2 / step + 1)^3, still fit in int64, and its axis takes 16 MB."""
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"grid step must be finite and positive, got {step!r}")
+    if step < 1e-6:
+        raise ValueError(f"grid step must be at least 1e-6, got {step!r}")
     if simplex and step > 1:
         raise ValueError(f"simplex step must be at most 1, got {step!r}")
 
@@ -256,30 +259,24 @@ def _branch_and_bound(grid, best: float = -np.inf) -> float:
 
     The grid has `axes` (one array per index); `bounds(lo, hi, planes)`, upper
     bounds of its values on boxes (lo, hi inclusive) given the ids of the
-    planes made at each box's ancestors' centres (-1: none); and
+    planes made at each box's ancestors' centres; and
     `evaluate(points, centres)`, which evaluates index points and box centres
     and returns the best value it has found and the ids of the planes made at
     the centres, one row per centre (with no column on a grid without planes).
     """
-    def refine(lo, hi, planes):
+    def search(lo, hi, planes):  # returns the boxes to halve, with their centres' plane ids
         nonlocal best
         keep = grid.bounds(lo, hi, planes) >= best - _PRUNE_MARGIN
         lo, hi, planes = lo[keep], hi[keep], planes[keep]
         size = hi - lo + 1
         leaf = size.prod(axis=1) <= _LEAF_POINTS
-        mid = (lo[~leaf] + hi[~leaf]) // 2
-        top, made = grid.evaluate(_cell_points(lo[leaf], size[leaf]), mid)
+        top, made = grid.evaluate(_cell_points(lo[leaf], size[leaf]), (lo[~leaf] + hi[~leaf]) // 2)
         best = max(best, top)
-        # each box's children: the lower or upper half of every axis
-        upper = np.indices((2,) * lo.shape[1]).reshape(lo.shape[1], -1).T == 1
-        lo, hi, mid = lo[~leaf, None], hi[~leaf, None], mid[:, None]
-        kid_lo, kid_hi = np.where(upper, mid + 1, lo), np.where(upper, hi, mid)
-        real = (kid_lo <= kid_hi).all(axis=2)
-        carried = np.column_stack([planes[~leaf], made])[:, None]
-        return kid_lo[real], kid_hi[real], np.repeat(carried, upper.shape[0], axis=1)[real]
+        return lo[~leaf], hi[~leaf], np.column_stack([planes[~leaf], made])
 
     last = np.array([[axis.size - 1 for axis in grid.axes]])
-    _descend(refine, np.zeros_like(last), last, np.empty((1, 0), dtype=np.int64))
+    root = search(np.zeros_like(last), last, np.empty((1, 0), dtype=np.int64))
+    _descend(lambda *boxes: search(*_halves(*boxes)), *root)
     return best
 
 
@@ -290,16 +287,26 @@ def _cell_points(lo: np.ndarray, size: np.ndarray) -> np.ndarray:
     return (lo[:, None] + offsets)[inside]
 
 
-def _descend(refine, *cells):
-    """Apply refine to the boxes (row-aligned arrays) and then to what it
-    returns, until no box is left, at most _LIVE_CELLS boxes at a time."""
-    while cells[0].shape[0]:
-        count = cells[0].shape[0]
-        if count > _LIVE_CELLS:
-            for part in np.array_split(np.arange(count), -(-count // _LIVE_CELLS)):
-                _descend(refine, *(c[part] for c in cells))
+def _halves(lo: np.ndarray, hi: np.ndarray, planes: np.ndarray):
+    """The children of the boxes, each the lower or upper half on every axis."""
+    upper = np.indices((2,) * lo.shape[1]).reshape(lo.shape[1], -1).T == 1
+    mid = ((lo + hi) // 2)[:, None]
+    kid_lo, kid_hi = np.where(upper, mid + 1, lo[:, None]), np.where(upper, hi[:, None], mid)
+    real = (kid_lo <= kid_hi).all(axis=2)
+    return kid_lo[real], kid_hi[real], np.repeat(planes[:, None], upper.shape[0], axis=1)[real]
+
+
+def _descend(refine, *boxes):
+    """Apply refine to the boxes to halve (row-aligned arrays, corners first)
+    and then to what it returns, until no box is left, at most _LIVE_CELLS
+    halves at a time: the halves of a box on d axes number at most 2**d."""
+    while boxes[0].shape[0]:
+        count, cap = boxes[0].shape[0], max(1, _LIVE_CELLS >> boxes[0].shape[1])
+        if count > cap:
+            for part in np.array_split(np.arange(count), -(-count // cap)):
+                _descend(refine, *(b[part] for b in boxes))
             return
-        cells = refine(*cells)
+        boxes = refine(*boxes)
 
 
 def grid_accessible_info_2d(ens: Ensemble, step: float) -> float:
@@ -344,7 +351,7 @@ def _environment_affine(ch: QuantumChannel):
 class _BallObjective:
     """One of the Bloch-ball objectives as a function of the Bloch vector n,
     on the lattice with coordinates `axis` on each axis.  Ties go to the
-    first point in (z, x, y) index order, the order the sweep meets them."""
+    first point in (z, x, y) index order."""
 
     order = (2, 0, 1)
 
@@ -357,10 +364,14 @@ class _BallObjective:
         """The ball test of the points (x, y, z): |n|^2 <= 1 + 1e-12."""
         return (x**2 + y**2) + z**2 <= 1.0 + 1e-12
 
-    def misses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Whether each box misses the ball, with room for roundoff."""
+    def excess(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The least of qmi - f over each box (corners lo, hi): 0, or for
+        "coherent" the input entropy h2((1 + |n|) / 2) at the box's largest
+        |n|; +inf where the box misses the ball, with room for roundoff."""
         near = np.maximum(0.0, np.maximum(lo, -hi))
-        return (near**2).sum(axis=1) > 1.0 + 1e-9
+        far = np.maximum(np.abs(lo), np.abs(hi))
+        least = _h2(0.5 * (1.0 + np.linalg.norm(far, axis=1))) if self.objective == "coherent" else 0.0
+        return np.where((near**2).sum(axis=1) > 1.0 + 1e-9, np.inf, least)
 
     def _env(self, n):
         return self.w0[None, :, :] + np.tensordot(n, self.ws, axes=(1, 0))
@@ -419,52 +430,35 @@ def grid_density_objective(ch: QuantumChannel, objective: str, step: float):
     """Maximum of a named density functional over the Bloch-ball lattice.
 
     objective is "qmi" (quantum mutual information) or "coherent" (coherent
-    information).  The lattice has spacing `step` on each axis.  "coherent"
-    is swept one z slice at a time; the concave "qmi" is searched by
-    branch-and-bound with the same result.  Returns (value, maximizing
-    DensityMatrix), the first maximal point in (z, x, y) index order.
+    information) on the lattice of spacing `step` on each axis.  Returns
+    (value, maximizing DensityMatrix), the first maximal point in (z, x, y)
+    index order, as evaluating every point gives; a flat objective (such as
+    "coherent" on amplitude damping 0.5, 0 everywhere) prunes nothing.
     """
-    f = _ball_problem(ch, objective, step)
-    if objective == "coherent":
-        return _density_result(*_sweep(f))
-    lattice = _Lattice(f)
+    lattice = _Lattice(_ball_problem(ch, objective, step))
     return _density_result(_branch_and_bound(lattice), lattice.point())
 
 
-def _sweep(f: _BallObjective):
-    """Evaluate every lattice point in the ball, one z slice at a time."""
-    xs, ys = np.meshgrid(f.axis, f.axis, indexing="ij")
-    best_val, best_n = -np.inf, np.zeros(3)
-    for z in f.axis:
-        keep = f.inside(xs, ys, z)
-        if not keep.any():
-            continue
-        n = np.stack([xs[keep], ys[keep], np.full(keep.sum(), z)], axis=1)  # (N, 3)
-        vals = f.values(n)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_n = float(vals[k]), n[k]
-    return best_val, best_n
-
-
 class _Lattice:
-    """The index lattice of a concave objective f as a grid for
-    _branch_and_bound, its boxes bounded by tangent planes.
+    """The index lattice of an objective f as a grid for _branch_and_bound,
+    its boxes bounded by the tangent planes of a concave F >= f.
 
     f supplies the coordinate of each index (`axis`, on every axis), the
-    index order of ties (`order`), its domain tests of points (`inside`, one
-    coordinate array per axis) and of boxes (`misses`, corner coordinates),
-    and `values` and `gradients` at coordinate rows.  A plane made at a box
-    centre a is stored as f(a) - g.a and g; it bounds a box of centre c and
-    half-widths h by f(a) - g.a + g.c + |g|.h.  `point()` gives the first
-    maximal point in f's order.
+    index order of ties (`order`), its domain test of points (`inside`, one
+    coordinate array per axis), the least of F - f on boxes (`excess`,
+    corner coordinates; +inf where a box misses the domain), and `values`
+    and F's `gradients` at coordinate rows.  A plane made at a box centre a
+    is stored as F(a) - g.a and g, F(a) = f(a) + excess(a, a); it bounds F
+    on a box of centre c and half-widths h by F(a) - g.a + g.c + |g|.h.
+    Plane 0 stands for none.  `point()` gives the first maximal point in
+    f's order.
     """
 
     def __init__(self, f):
         self.f, self.axis, self.order = f, f.axis, list(f.order)
         self.axes, self.shape = (f.axis,) * len(f.order), (f.axis.size,) * len(f.order)
         self.best, self.key = -np.inf, -1
-        self.offset, self.grad = np.empty(0), np.empty((0, len(f.order)))
+        self.offset, self.grad = np.array([np.inf]), np.zeros((1, len(f.order)))
 
     def point(self) -> np.ndarray:
         idx = np.empty(len(self.shape), dtype=np.int64)
@@ -472,21 +466,23 @@ class _Lattice:
         return self.axis[idx]
 
     def bounds(self, lo, hi, planes):
-        """Least plane bound of each box (inf without planes), -inf where the
-        box misses f's domain."""
+        """Least plane bound of each box (inf without planes) less f's excess
+        on it, -inf where the box misses f's domain."""
         low, high = self.axis[lo], self.axis[hi]
-        bound = np.full(lo.shape[0], np.inf)
-        if self.offset.size:
-            c, h = 0.5 * (low + high), 0.5 * (high - low)
-            g = self.grad[planes]  # (boxes, ancestors, d)
-            own = self.offset[planes] + np.einsum("cda,ca->cd", g, c) + np.einsum("cda,ca->cd", np.abs(g), h)
-            bound = np.where(planes >= 0, own, np.inf).min(axis=1, initial=np.inf)
-        return np.where(self.f.misses(low, high), -np.inf, bound)
+        c, h = 0.5 * (low + high), 0.5 * (high - low)
+        bound, width = np.full(lo.shape[0], np.inf), max(1, _LIVE_CELLS // lo.shape[0])
+        for at in range(0, planes.shape[1], width):  # at most _LIVE_CELLS (box, plane) pairs at a time
+            ids = planes[:, at:at + width]
+            g = self.grad[ids]  # (boxes, planes, d)
+            own = self.offset[ids] + np.einsum("cpa,ca->cp", g, c) + np.einsum("cpa,ca->cp", np.abs(g), h)
+            bound = np.minimum(bound, own.min(axis=1))
+        excess = self.f.excess(low, high)
+        return np.subtract(bound, excess, out=np.full_like(bound, -np.inf), where=excess < np.inf)
 
     def evaluate(self, points, centres):
         """Evaluate the points and box centres (each (P, d)) inside f's
         domain and update the incumbent; returns it and the id of the plane
-        made at each centre (-1: none)."""
+        made at each centre (0: none)."""
         idx = np.concatenate([points, centres])
         x = self.axis[idx]
         inside = self.f.inside(*x.T)
@@ -502,9 +498,10 @@ class _Lattice:
         at = np.count_nonzero(inside[:len(points)])
         x, vals = x[at:], vals[at:]
         grad, ok = self.f.gradients(x)
-        made = np.full(len(centres), -1)
+        made = np.zeros(len(centres), dtype=np.int64)
         made[np.flatnonzero(inside[len(points):])[ok]] = self.offset.size + np.arange(np.count_nonzero(ok))
-        self.offset = np.concatenate([self.offset, vals[ok] - np.einsum("pa,pa->p", grad[ok], x[ok])])
+        lift = vals[ok] + self.f.excess(x[ok], x[ok])  # the concave function's values
+        self.offset = np.concatenate([self.offset, lift - np.einsum("pa,pa->p", grad[ok], x[ok])])
         self.grad = np.concatenate([self.grad, grad[ok]])
         return self.best, made
 
@@ -530,8 +527,9 @@ class _ChiObjective:
         """Whether the counts (one array per axis) lie in the simplex."""
         return sum(c) <= self.n
 
-    def misses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return lo.sum(axis=1) > self.n
+    def excess(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """0 on each box (chi is concave), +inf where it misses the simplex."""
+        return np.where(lo.sum(axis=1) > self.n, np.inf, 0.0)
 
     def values(self, c: np.ndarray) -> np.ndarray:
         """chi at the counts c, each the same bits in any batch."""

@@ -1,6 +1,7 @@
 """Forms only the test suite needs: a purification, a random POVM, the
-erasure and Weyl-depolarizing channels of the closed-form checks, a
-channel-file writer and readers for the CLI's ensemble and POVM dumps.
+erasure and Weyl-depolarizing channels of the closed-form checks, the
+every-point reference for the Bloch-ball oracle, a channel-file writer and
+readers for the CLI's ensemble and POVM dumps.
 
 The package never calls these, so they live beside the tests that use them.
 """
@@ -79,6 +80,24 @@ def weyl_depolarizing(p, d):
     probs = np.full(d * d, p / d**2)
     probs[0] += 1 - p
     return QuantumChannel([np.sqrt(q) * op for q, op in zip(probs, ops)]), probs
+
+
+def sweep_ball(f):
+    """Every lattice point of a Bloch-ball objective (`oracles._BallObjective`)
+    in the ball, one z slice at a time: its largest value and the first
+    maximal point in (z, x, y) index order, the reference for the search."""
+    xs, ys = np.meshgrid(f.axis, f.axis, indexing="ij")
+    best_val, best_n = -np.inf, np.zeros(3)
+    for z in f.axis:
+        keep = f.inside(xs, ys, z)
+        if not keep.any():
+            continue
+        n = np.stack([xs[keep], ys[keep], np.full(keep.sum(), z)], axis=1)  # (N, 3)
+        vals = f.values(n)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_n = float(vals[k]), n[k]
+    return best_val, best_n
 
 
 def write_channel_file(path, name, kraus=None, signals=None, transition=None, metadata=None):

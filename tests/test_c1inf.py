@@ -418,9 +418,11 @@ def test_c1inf_result_invariants():
     # value equals chi of the output ensemble
     out = channel_ensemble(dephasing(0.25), res.ensemble)
     assert res.value == pytest.approx(holevo_chi(out), abs=1e-8)
-    # weak-duality sandwich at every round
-    for row in res.trace:
-        assert row["master_objective"] >= row["tr_tau_rho"] - 1e-7
+    # an independent repricing of the returned dual tau from fresh starts (as
+    # in criterion 7); the trace's master_objective and tr_tau_rho are equal
+    # by construction, so comparing them checks nothing
+    repriced = pricing_search(dephasing(0.25), res.tau, 64, np.random.default_rng([7, 0]))
+    assert max((violation for violation, _ in repriced), default=0.0) < 1e-6
     # reported value never decreases
     vals = [row["value"] for row in res.trace]
     assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
@@ -656,8 +658,8 @@ def test_c1inf_random_qutrit_channel_converges_with_certificates(seed):
     res = c1inf(C1InfProblem(ch))
     assert res.status == "converged"
     assert res.value >= {1: 0.851946, 3: 0.906994}[seed] - 1e-6
-    for row in res.trace:
-        assert row["master_objective"] >= row["tr_tau_rho"] - 1e-7
+    repriced = pricing_search(ch, res.tau, 64, np.random.default_rng([7, seed]))
+    assert max((violation for violation, _ in repriced), default=0.0) < 1e-6
     assert res.pricing_residual < 1e-6
     assert holevo_chi(channel_ensemble(ch, res.ensemble)) == pytest.approx(res.value, abs=1e-8)
 

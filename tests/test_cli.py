@@ -305,6 +305,22 @@ def test_oracle_subcommand_rejects_bad_step(capsys, name, step):
     assert "step must be finite and positive" in captured.err
 
 
+@pytest.mark.parametrize("name, step", [("qmi", "1e-7"), ("simplex-chi", "1e-7"), ("accinfo", "1e-300"),
+                                        ("qmi", "1e-300"), ("coherent", "1e-300"), ("simplex-chi", "1e-300")])
+def test_oracle_subcommand_rejects_steps_below_1e_6(capsys, name, step):
+    code = main(["oracle", "--channel", "trine.qch", "--name", name, "--step", step])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "grid step must be at least 1e-6" in captured.err
+
+
+def test_oracle_subcommand_accepts_step_1e_6(capsys):
+    code = main(["oracle", "--channel", "identity.qch", "--name", "qmi", "--step", "1e-6"])
+    assert code == 0
+    assert "value_bits: 2\n" in capsys.readouterr().out
+
+
 def test_oracle_subcommand_rejects_simplex_step_above_one(capsys):
     code = main(["oracle", "--channel", "trine.qch", "--name", "simplex-chi", "--step", "3"])
     assert code == 1

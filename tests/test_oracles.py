@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import sweep_ball
 
 from qchancap import oracles
 from qchancap.channels import amplitude_damping, dephasing, depolarizing
@@ -74,6 +75,26 @@ def test_ball_grid_rejects_steps_with_no_lattice_point(objective):
             grid_density_objective(identity_channel(2), objective, step)
     _, rho = grid_density_objective(identity_channel(2), objective, 1.57)
     assert np.abs(bloch_vector(rho.mat) - 0.57).max() < 1e-12
+
+
+def test_oracles_reject_steps_below_1e_6():
+    # a finer ball lattice's point keys, up to (2 / step + 1)^3, overflow
+    # int64; at 1e-300 numpy cannot even size an axis
+    check_grid_step(1e-6)
+    check_grid_step(1e-6, simplex=True)
+    states = [PureState(v) for v in TRINE]
+    with pytest.raises(ValueError, match="at least 1e-6"):
+        grid_density_objective(identity_channel(2), "qmi", 1e-7)
+    with pytest.raises(ValueError, match="at least 1e-6"):
+        simplex_enumerate_chi(identity_channel(2), states, 1e-7)
+    for search in (
+        lambda step: grid_accessible_info_2d(Ensemble([(1 / 3, s) for s in states]), step),
+        lambda step: grid_density_objective(identity_channel(2), "qmi", step),
+        lambda step: grid_density_objective(identity_channel(2), "coherent", step),
+        lambda step: simplex_enumerate_chi(identity_channel(2), states, step),
+    ):
+        with pytest.raises(ValueError, match="at least 1e-6"):
+            search(1e-300)
 
 
 def test_simplex_rejects_step_above_one():
@@ -285,6 +306,7 @@ def test_search_results_do_not_depend_on_the_live_box_cap(monkeypatch):
     # same maximum, and for the ball the same first maximal point
     ch = depolarizing(0.3)
     value, rho = grid_density_objective(ch, "qmi", 0.05)
+    coherent, coherent_rho = grid_density_objective(amplitude_damping(0.3), "coherent", 0.05)
     accinfo = grid_accessible_info_2d(_tilted_trine(0.7), 0.01)
     ch4, states4 = _simplex_inputs(4)[0]
     chi, p = simplex_enumerate_chi(ch4, states4, 0.02)
@@ -296,6 +318,10 @@ def test_search_results_do_not_depend_on_the_live_box_cap(monkeypatch):
     assert capped == value and np.array_equal(capped_rho.mat, rho.mat)
     split = len(calls)
     assert split > 1
+    capped, capped_rho = grid_density_objective(amplitude_damping(0.3), "coherent", 0.05)
+    assert capped == coherent and np.array_equal(capped_rho.mat, coherent_rho.mat)
+    assert len(calls) > split + 1
+    split = len(calls)
     assert grid_accessible_info_2d(_tilted_trine(0.7), 0.01) == accinfo
     assert len(calls) > split + 1
     split = len(calls)
@@ -376,7 +402,7 @@ def test_grid_density_unknown_objective():
 
 def _assert_same_as_sweep(ch, objective, step):
     value, rho = grid_density_objective(ch, objective, step)
-    swept, swept_rho = oracles._density_result(*oracles._sweep(oracles._ball_problem(ch, objective, step)))
+    swept, swept_rho = oracles._density_result(*sweep_ball(oracles._ball_problem(ch, objective, step)))
     assert value == swept
     assert np.array_equal(rho.mat, swept_rho.mat)
     return value, rho
@@ -432,7 +458,9 @@ def test_branch_and_bound_degenerate_inputs():
 
 class _Flat(oracles._BallObjective):
     """A constant ball objective: value 0 and a zero gradient everywhere,
-    every plane kept."""
+    every plane kept, and no excess over the planes' concave function."""
+
+    objective = "qmi"
 
     def __init__(self, axis):
         self.axis = axis
@@ -451,7 +479,7 @@ def test_branch_and_bound_breaks_exact_ties_as_the_sweep(step):
     axis = np.arange(-1.0, 1.0 + step / 2, step)
     lattice = oracles._Lattice(_Flat(axis))
     value, n = oracles._branch_and_bound(lattice), lattice.point()
-    swept, swept_n = oracles._sweep(_Flat(axis))
+    swept, swept_n = sweep_ball(_Flat(axis))
     assert value == swept == 0.0
     assert np.array_equal(n, swept_n)
     if step == 0.05:  # the south pole is alone in the first slice
@@ -488,20 +516,31 @@ def test_ball_values_do_not_depend_on_the_batch(objective):
             assert f.values(n[rows]).tobytes() == full[rows].tobytes()
 
 
-def test_coherent_sweeps_every_lattice_point(monkeypatch):
-    step = 0.1
-    axis = np.arange(-1.0, 1.0 + step / 2, step)
-    ball = sum(x * x + y * y + z * z <= 1.0 + 1e-12 for x in axis for y in axis for z in axis)
+@pytest.mark.parametrize("step", [1.5, 0.3, 0.13, 0.05])
+def test_coherent_search_matches_every_lattice_point(step):
+    # the planes bound qmi = I_c + S(rho), and a box's bound subtracts the
+    # least input entropy on it: the same float and first maximal point as
+    # evaluating every point, also where I_c is flat (amplitude damping 0.5,
+    # I_c = 0 everywhere) or the output is pure (amplitude damping 1.0)
+    rng, channels = _equivalence_channels()
+    for ch in channels + [amplitude_damping(0.5), amplitude_damping(1.0), random_channel(rng, 2, 2, 1)]:
+        _assert_same_as_sweep(ch, "coherent", step)
+
+
+def test_coherent_search_work_on_the_benchmark_input(monkeypatch):
+    # the benchmark's seed-1 round-0 coherent op, amplitude damping(0.3) with
+    # its input turned about y: the search evaluates 10,242 of the ball's
+    # 523,305 points at step 0.02; this bound may only go down
     evaluated = []
     values = oracles._BallObjective.values
     monkeypatch.setattr(oracles._BallObjective, "values",
                         lambda self, n: evaluated.append(n.shape[0]) or values(self, n))
-    ch = amplitude_damping(0.3)
-    grid_density_objective(ch, "coherent", step)
-    assert sum(evaluated) == ball
-    evaluated.clear()
-    grid_density_objective(ch, "qmi", step)
-    assert 0 < sum(evaluated) < ball / 4
+    angle = 1.726599491653007
+    turn = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * oracles.PAULIS[1]
+    ch = QuantumChannel([a @ turn for a in amplitude_damping(0.3).kraus])
+    value, _ = grid_density_objective(ch, "coherent", 0.02)
+    assert value.hex() == "0x1.4fd2418156bfap-2"  # as evaluating every point gives
+    assert sum(evaluated) <= 11300
 
 
 def test_ball_search_work_on_criterion_6(monkeypatch):
