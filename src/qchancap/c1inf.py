@@ -125,9 +125,8 @@ def _pricing_objective(ch: QuantumChannel, tau_mat: np.ndarray):
             log_imgs = log2_clamped(spectra)[:, None, :] * imgs
         else:
             out = np.einsum("ski,skj->sij", imgs, imgs.conj())
-            spectra = np.linalg.eigvalsh(out)
-            eigs, vecs = np.linalg.eigh(out)
-            log_out = (vecs * log2_clamped(eigs)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+            spectra, vecs = np.linalg.eigh(out)
+            log_out = (vecs * log2_clamped(spectra)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
             log_imgs = np.einsum("sij,skj->ski", log_out, imgs)
         spectra = np.clip(spectra, 0.0, 1.0)
         f_ent = -(spectra * log2_clamped(spectra)).sum(axis=1)

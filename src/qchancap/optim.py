@@ -14,10 +14,9 @@ from .core import (
     LN2,
     adjoint_apply,
     channel_apply_mat,
+    entropy_of_spectrum,
     fix_phase,
     log2_clipped,
-    log2_safe,
-    matrix_entropy,
     snap_vector,
 )
 
@@ -329,9 +328,9 @@ class EntropySum:
     `terms` lists pairs (c_k, Phi_k), each Phi_k a trace-preserving
     QuantumChannel (identity_channel gives S(rho) itself,
     complementary_channel the environment's entropy); `linear` is the
-    Hermitian L, or None.  S is core.matrix_entropy, in bits.  value and
-    grad take one matrix or a stack (..., d, d) of them, and give on a stack
-    exactly the results of its matrices one by one.
+    Hermitian L, or None.  S is core.entropy_of_spectrum of eigh's spectrum,
+    in bits.  value and grad take one matrix or a stack (..., d, d) of them,
+    and give on a stack exactly the results of its matrices one by one.
     """
 
     def __init__(self, terms, linear=None):
@@ -339,32 +338,26 @@ class EntropySum:
         self.linear = linear
 
     def value(self, mat: np.ndarray):
-        return self._value(mat, self._images(mat))
+        return self.value_grad(mat)[0]
 
     def grad(self, mat: np.ndarray) -> np.ndarray:
         """Hermitian gradient L - sum_k c_k (Phi_k^dag(log2 Phi_k(rho)) + I/ln 2)."""
-        return self._grad(mat, self._images(mat))
+        return self.value_grad(mat)[1]
 
     def value_grad(self, mat: np.ndarray):
-        """(value(mat), grad(mat)), forming each Phi_k(mat) once."""
-        images = self._images(mat)
-        return self._value(mat, images), self._grad(mat, images)
-
-    def _images(self, mat):
-        return [channel_apply_mat(ch, mat) for _, ch in self.terms]
-
-    def _value(self, mat, images):
-        val = sum(c * matrix_entropy(img) for (c, _), img in zip(self.terms, images))
+        """(value(mat), grad(mat)) from one eigh of each Phi_k(mat): its
+        eigenvalues give the entropy, its eigenpairs the log."""
+        eye = np.eye(mat.shape[-1])
+        val = 0
+        grad = np.zeros_like(eye, dtype=complex) if self.linear is None else self.linear
+        for c, ch in self.terms:
+            eigs, vecs = np.linalg.eigh(channel_apply_mat(ch, mat))
+            val = val + c * entropy_of_spectrum(eigs)
+            log_img = (vecs * log2_clipped(eigs)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+            grad = grad - c * (adjoint_apply(ch, log_img) + eye / LN2)
         if self.linear is not None:
             val = val + np.trace(self.linear @ mat, axis1=-2, axis2=-1).real
-        return val
-
-    def _grad(self, mat, images):
-        eye = np.eye(mat.shape[-1])
-        out = np.zeros_like(eye, dtype=complex) if self.linear is None else self.linear
-        for (c, ch), img in zip(self.terms, images):
-            out = out - c * (adjoint_apply(ch, log2_safe(img)) + eye / LN2)
-        return out
+        return val, grad
 
     def line_deriv(self, mat: np.ndarray, direction: np.ndarray):
         """t -> d/dt f(mat + t*direction), for a 1-D array of t.

@@ -1,7 +1,7 @@
 """Forms only the test suite needs: a purification, a random POVM, the
-erasure and Weyl-depolarizing channels of the closed-form checks, the
-every-point reference for the Bloch-ball oracle, a channel-file writer and
-readers for the CLI's ensemble and POVM dumps.
+erasure, Weyl-depolarizing and random Pauli channels of the closed-form
+checks, the every-point reference for the Bloch-ball oracle, a channel-file
+writer and readers for the CLI's ensemble and POVM dumps.
 
 The package never calls these, so they live beside the tests that use them.
 """
@@ -15,11 +15,17 @@ from qchancap.core import (
     DensityMatrix,
     DimensionError,
     Ensemble,
+    SX,
+    SY,
+    SZ,
     Povm,
     PureState,
     QuantumChannel,
+    binary_entropy,
     fix_phase,
     normalized_state,
+    random_channel,
+    shannon_entropy,
 )
 
 
@@ -80,6 +86,24 @@ def weyl_depolarizing(p, d):
     probs = np.full(d * d, p / d**2)
     probs[0] += 1 - p
     return QuantumChannel([np.sqrt(q) * op for q, op in zip(probs, ops)]), probs
+
+
+def random_pauli(s):
+    """Random Pauli channel s, sqrt(p_i) U_out P_i U_in for the Paulis P_i = I,
+    X, Y, Z, with its closed forms.  From default_rng([41, s]): p is Dirichlet
+    with every parameter 0.5 (odd s) or 2.0 (even s), then U_in and U_out are
+    random unitaries, which leave the closed forms as they are.  Returns (channel,
+    C_1inf, C_E): C_1inf = C_11 = 1 - h((1 - max|lambda_i|)/2), lambda the Pauli
+    eigenvalues of the Bloch map (King, 2002), and C_E = 2 - H(p) (Bennett,
+    Shor, Smolin and Thapliyal, 2002)."""
+    rng = np.random.default_rng([41, s])
+    p = rng.dirichlet(np.ones(4) * (0.5 if s % 2 else 2.0))
+    u_in = random_channel(rng, 2, 2, 1).kraus[0]
+    u_out = random_channel(rng, 2, 2, 1).kraus[0]
+    paulis = [np.eye(2), SX, SY, SZ]
+    ch = QuantumChannel([np.sqrt(q) * u_out @ op @ u_in for q, op in zip(p, paulis)])
+    lam = 2.0 * (p[0] + p[1:]) - 1.0  # p_0 + p_i - p_j - p_k
+    return ch, 1.0 - binary_entropy((1.0 - np.abs(lam).max()) / 2.0), 2.0 - shannon_entropy(p)
 
 
 def sweep_ball(f):

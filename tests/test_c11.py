@@ -40,7 +40,7 @@ from qchancap.c11 import (
 from qchancap.info import accessible_information_given, holevo_chi, mutual_information, JointDistribution
 from qchancap.lp import LpError, column_generation, solve_lp
 
-from helpers import erasure, random_rank_one_povm
+from helpers import erasure, random_pauli, random_rank_one_povm
 
 c11_module = importlib.import_module("qchancap.c11")  # the package exports c11() by that name
 
@@ -701,3 +701,23 @@ def test_c11_meets_the_erasure_closed_form(d):
     res = c11(erasure(0.3, d), restarts=2, seed=0)
     assert res.status == "converged"
     assert res.value == pytest.approx(0.7 * np.log2(d), abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=LpError,
+                   reason="master objective decreased: the per-solve row presolve (ROADMAP item 3)")
+def test_c11_meets_a_pauli_closed_form_its_master_crashes_on():
+    ch, chi, _ = random_pauli(4)
+    res = c11(ch, restarts=4, seed=4)
+    assert res.status == "converged"
+    assert res.value >= chi - 1e-7
+
+
+@pytest.mark.xfail(strict=True, reason="converged means the last alternation gained less than "
+                                       "ALT_TOL, no bound on the pair (ROADMAP item 6)")
+def test_c11_converged_meets_the_pauli_closed_form():
+    # C_11 = C_1inf on unital qubit channels (King, 2002); this run ends
+    # converged 1.74e-7 below it
+    ch, chi, _ = random_pauli(18)
+    res = c11(ch, restarts=4, seed=18)
+    assert res.status == "converged"
+    assert res.value >= chi - 1e-7

@@ -1,12 +1,14 @@
 """Tests for the batched multistart sphere search, the level-batched line
 search and the entropy-sum objectives of the density-matrix ascents."""
 
+import collections
 import inspect
 
 import numpy as np
 import pytest
 
 from qchancap.c11 import _measurement_objective, _measurement_rows, induced_classical_channel
+from qchancap.c1inf import _pricing_objective
 from qchancap.core import (
     LN2,
     adjoint_apply,
@@ -413,6 +415,29 @@ def test_entropy_sums_on_a_stack_give_each_matrix_exactly():
             value, grad = obj.value_grad(mats)
             assert value.tobytes() == obj.value(mats).tobytes()
             assert grad.tobytes() == obj.grad(mats).tobytes()
+
+
+def test_each_output_is_decomposed_once(monkeypatch):
+    # value and gradient share one eigh per output (or channel image)
+    rng = np.random.default_rng(17)
+    ch = random_channel(rng, 3, 3, 2)
+    pricing = _pricing_objective(ch, _random_hermitian(rng, 3))
+    qmi = qmi_objective(ch)
+    rows = np.stack(_random_starts(rng, 3, 5))
+    mats = np.stack([random_density(rng, 3).mat for _ in range(5)])
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    pricing(rows)
+    assert calls == {"eigh": 1}
+    calls.clear()
+    qmi.value_grad(mats)
+    assert calls == {"eigh": 3}  # one per term
 
 
 def test_ascent_step_moves_to_the_line_maximum():
